@@ -10,12 +10,13 @@ from .protocol import (G1, G2, G3, Generators, StaProtocol, StirapProtocol,
                        analytic_state_constant_mu, analytic_state_general,
                        protocol_to_json, protocol_from_json)
 from .dynamics import (LindbladRates, PulsePair, Trajectory,
+                       evolve_lindblad, evolve_schrodinger,
                        lindblad_operators, propagate_lindblad,
                        propagate_schrodinger, sta_pulses, stirap_pulses)
 from .pulsefit import (FitReport, GaussianComponent, GaussianPulse,
                        fit_gaussian_sum, fitted_pulse_pair, pulse_amplitude,
                        reference_m1_fit)
-from .analysis import (SweepSpec, TableRow, amplitude_error_sweep,
+from .analysis import (TableRow, amplitude_error_sweep,
                        decoherence_map, fit_protocol_pulses,
                        stirap_dephasing_check, stirap_infidelity_curve,
                        table_one, timing_error_sweep)

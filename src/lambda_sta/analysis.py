@@ -1,43 +1,21 @@
 """Quantitative studies: robustness sweeps, the adiabatic-baseline
 infidelity curve, decoherence maps and the amplitude/population table.
 
-All sweeps are deterministic for fixed inputs and step counts, and every
-result carries plain arrays ready for CSV emission.
+Each sweep, curve and map is one batched call of a dynamics kernel.  All
+are deterministic for fixed inputs and step counts, and every result
+carries plain arrays ready for CSV emission.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
-from .protocol import design_sta, design_stirap
-from .dynamics import (LindbladRates, propagate_schrodinger,
-                       propagate_lindblad, stirap_pulses)
+from .protocol import InvalidParameters, design_sta, design_stirap
+from .dynamics import (LindbladRates, evolve_lindblad, evolve_schrodinger,
+                       propagate_lindblad, propagate_schrodinger,
+                       stirap_pulses)
 from .pulsefit import (fit_gaussian_sum, fitted_pulse_pair, pulse_amplitude)
-
-SWEEP_KINDS = ("timing-error", "amp1-error", "amp2-error",
-               "stirap-amplitude", "relaxation-pair", "dephasing-pair")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Declarative description of a 1-D or 2-D sweep."""
-
-    kind: str
-    minimum: float
-    maximum: float
-    points: int
-
-    def __post_init__(self):
-        if self.kind not in SWEEP_KINDS:
-            raise ValueError(f"unknown sweep kind {self.kind!r}")
-        if self.points < 2 or not self.minimum < self.maximum:
-            raise ValueError(f"bad sweep range {self}")
-
-    def grid(self):
-        return np.linspace(self.minimum, self.maximum, self.points)
 
 
 @dataclass(frozen=True)
@@ -49,67 +27,55 @@ class TableRow:
     fit_converged: bool
 
 
-def _pmap(fn, items, jobs=1):
-    """Map preserving input order, optionally on a thread pool."""
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _final_p3(states):
+    """Target population at the last sample of each batched run."""
+    return np.abs(states[:, -1, 2]) ** 2
 
 
 def timing_error_sweep(pulses, error_range=0.1, points=21, duration=1.0,
-                       steps=10_000, jobs=1):
+                       steps=10_000):
     """Final target population when the interaction time is off by a
     relative error delta: integrate to T' = T*(1+delta) with the nominal
     pulse parameters frozen."""
     if error_range > 0.2:
         raise ValueError("timing error range limited to 20%")
     deltas = np.linspace(-error_range, error_range, points)
-
-    def point(d):
-        horizon = duration * (1 + d)
-        if horizon <= 0:
-            return (float(d), 0.0)
-        tr = propagate_schrodinger(pulses, horizon=horizon, steps=steps)
-        return (float(d), float(tr.final_populations[2]))
-
-    return _pmap(point, deltas, jobs)
+    horizons = duration * (1 + deltas)
+    live = horizons > 0
+    p3 = np.zeros(points)
+    p3[live] = _final_p3(evolve_schrodinger(pulses, horizons[live], steps))
+    return [(float(d), float(p)) for d, p in zip(deltas, p3)]
 
 
 def amplitude_error_sweep(pulses, which=1, error_range=0.1, points=21,
-                          duration=1.0, steps=10_000, jobs=1):
+                          duration=1.0, steps=10_000):
     """Final target population when one drive amplitude is scaled by
     (1+delta) while the other stays nominal."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
     deltas = np.linspace(-error_range, error_range, points)
-
-    def point(d):
-        scaled = pulses.scaled(1 + d, 1) if which == 1 else pulses.scaled(1, 1 + d)
-        tr = propagate_schrodinger(scaled, horizon=duration, steps=steps)
-        return (float(d), float(tr.final_populations[2]))
-
-    return _pmap(point, deltas, jobs)
+    scales = (1 + deltas, 1) if which == 1 else (1, 1 + deltas)
+    p3 = _final_p3(evolve_schrodinger(pulses, duration, steps, *scales))
+    return [(float(d), float(p)) for d, p in zip(deltas, p3)]
 
 
 def stirap_infidelity_curve(t0=None, tc=None, duration=1.0, amplitudes=None,
-                            steps=10_000, jobs=1):
+                            steps=10_000):
     """Final-state infidelity of the Gaussian adiabatic pair versus its
     peak amplitude."""
     if amplitudes is None:
         amplitudes = np.linspace(1.0, 80.0, 50) / duration
-
-    def point(om0):
-        proto = design_stirap(om0, t0, tc, duration)
-        tr = propagate_schrodinger(stirap_pulses(proto), horizon=duration,
-                                   steps=steps)
-        return (float(om0), float(1 - tr.final_populations[2]))
-
-    return _pmap(point, amplitudes, jobs)
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    if np.any(amplitudes <= 0):
+        raise InvalidParameters("STIRAP amplitudes must be positive")
+    unit = stirap_pulses(design_stirap(1.0, t0, tc, duration))
+    p3 = _final_p3(evolve_schrodinger(unit, duration, steps,
+                                      amplitudes, amplitudes))
+    return [(float(a), float(1 - p)) for a, p in zip(amplitudes, p3)]
 
 
 def decoherence_map(pulses, mode, max_ratio=0.01, grid=21, amplitude=None,
-                    duration=1.0, steps=2000, jobs=1):
+                    duration=1.0, steps=2000):
     """P3(T) over a grid of (rate1, rate2) pairs expressed as fractions of
     the pulse amplitude.
 
@@ -129,20 +95,15 @@ def decoherence_map(pulses, mode, max_ratio=0.01, grid=21, amplitude=None,
                               np.abs(pulses.omega2(t)).max()))
     ratios = np.linspace(0.0, max_ratio, grid)
 
-    def point(pair):
-        r1, r2 = pair
+    def cell(r1, r2):
         if mode == "relaxation":
-            rates = LindbladRates(gamma1=r1 * amplitude, gamma2=r2 * amplitude)
-        else:
-            rates = LindbladRates(gamma_phi1=r1 * amplitude,
-                                  gamma_phi2=r2 * amplitude)
-        tr = propagate_lindblad(pulses, rates=rates, horizon=duration,
-                                steps=steps)
-        return tr.final_populations[2]
+            return LindbladRates(gamma1=r1 * amplitude, gamma2=r2 * amplitude)
+        return LindbladRates(gamma_phi1=r1 * amplitude,
+                             gamma_phi2=r2 * amplitude)
 
-    pairs = [(r1, r2) for r1 in ratios for r2 in ratios]
-    values = _pmap(point, pairs, jobs)
-    return ratios, np.array(values).reshape(grid, grid)
+    rates = [cell(r1, r2) for r1 in ratios for r2 in ratios]
+    rhos = evolve_lindblad(pulses, rates, duration, steps)
+    return ratios, rhos[:, -1, 2, 2].real.reshape(grid, grid)
 
 
 def fit_protocol_pulses(protocol, n_components=None, samples=1001):

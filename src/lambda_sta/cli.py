@@ -9,7 +9,6 @@ reruns are byte-reproducible.
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -20,8 +19,7 @@ from . import __version__
 from .protocol import (design_sta, design_stirap, protocol_to_json,
                        InvalidParameters, InvalidWinding)
 from .dynamics import (LindbladRates, propagate_schrodinger,
-                       propagate_lindblad, sta_pulses, stirap_pulses,
-                       write_population_csv)
+                       propagate_lindblad, sta_pulses, stirap_pulses)
 from .pulsefit import (fitted_pulse_pair, pulse_amplitude, pulse_to_json,
                        reference_m1_fit)
 from .analysis import (amplitude_error_sweep, decoherence_map,
@@ -102,7 +100,6 @@ def build_parser():
                    choices=["timing-error", "amp1-error", "amp2-error"])
     p.add_argument("--range", type=float, default=0.1, dest="error_range")
     p.add_argument("--points", type=int, default=21)
-    p.add_argument("--jobs", type=int, default=1)
     common(p)
 
     p = sub.add_parser("stirap-curve", help="baseline infidelity vs amplitude")
@@ -111,7 +108,6 @@ def build_parser():
     p.add_argument("--points", type=int, default=50)
     p.add_argument("--t0", type=float, default=None)
     p.add_argument("--tc", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     common(p)
 
     p = sub.add_parser("table1", help="amplitude/population table per winding")
@@ -130,14 +126,26 @@ def build_parser():
             p.add_argument("--points", type=int, default=41)
         if name == "fig5":
             p.add_argument("--grid", type=int, default=21)
-        p.add_argument("--jobs", type=int, default=1)
         common(p)
 
     return parser
 
 
-def _apply_config_file(args, argv):
-    """Overlay --config values under explicit flags."""
+def _flag_actions(parser, command):
+    """The flag actions of the main parser and of `command`'s subparser."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [a for p in (parser, sub.choices[command]) for a in p._actions
+            if a.option_strings]
+
+
+def _apply_config_file(parser, args, argv):
+    """Overlay --config values under explicit flags.
+
+    Keys name option destinations (`duration` for --T).  Each value goes
+    through its flag's argparse type converter and choices, as if it had
+    been given on the command line.
+    """
     if not args.config:
         return args
     try:
@@ -147,13 +155,22 @@ def _apply_config_file(args, argv):
         raise ConfigError(f"cannot read config file: {exc}")
     if not isinstance(overrides, dict):
         raise ConfigError("config file must hold a JSON object")
-    explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
-                for a in argv if a.startswith("--")}
+    actions = _flag_actions(parser, args.command)
+    given = {a.split("=")[0] for a in argv if a.startswith("-")}
+    explicit = {a.dest for a in actions if given & set(a.option_strings)}
+    by_dest = {a.dest: a for a in actions}
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if attr in explicit or not hasattr(args, attr):
+        action = by_dest.get(key.replace("-", "_"))
+        if action is None or action.dest in explicit:
             continue
-        setattr(args, attr, value)
+        try:
+            value = (action.type or str)(str(value))
+        except ValueError:
+            raise ConfigError(f"invalid config value for {key}: {value!r}")
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"invalid config value for {key}: {value!r} "
+                              f"(choose from {', '.join(action.choices)})")
+        setattr(args, action.dest, value)
     return args
 
 
@@ -166,7 +183,6 @@ def _validate(args):
         "points": lambda v: v >= 2,
         "grid": lambda v: v >= 2,
         "omega0": lambda v: v > 0,
-        "jobs": lambda v: v >= 1,
         "max_m": lambda v: 1 <= v <= 10,
         "error_range": lambda v: 0 < v <= 0.2,
     }
@@ -256,13 +272,12 @@ def cmd_sweep(args, outdir):
     pulses = fitted_pulse_pair(f1, f2)
     if args.kind == "timing-error":
         data = timing_error_sweep(pulses, args.error_range, args.points,
-                                  args.duration, args.steps, jobs=args.jobs)
+                                  args.duration, args.steps)
         x_name = "dT_over_T"
     else:
         which = 1 if args.kind == "amp1-error" else 2
         data = amplitude_error_sweep(pulses, which, args.error_range,
-                                     args.points, args.duration, args.steps,
-                                     jobs=args.jobs)
+                                     args.points, args.duration, args.steps)
         x_name = f"dOmega{which}_over_Omega{which}"
     write_sweep_csv(outdir / "sweep.csv", data, x_name)
     return ["sweep.csv"]
@@ -271,8 +286,7 @@ def cmd_sweep(args, outdir):
 def cmd_stirap_curve(args, outdir, filename="stirap_curve.csv"):
     amplitudes = np.linspace(args.amp_min, args.amp_max, args.points)
     data = stirap_infidelity_curve(args.t0, args.tc, args.duration,
-                                   amplitudes / args.duration, args.steps,
-                                   jobs=args.jobs)
+                                   amplitudes / args.duration, args.steps)
     write_sweep_csv(outdir / filename, data, "Omega0_T", "infidelity")
     return [filename]
 
@@ -320,13 +334,12 @@ def cmd_fig4(args, outdir):
     pulses = fitted_pulse_pair(f1, f2)
     outputs = []
     data = timing_error_sweep(pulses, 0.1, args.points, args.duration,
-                              args.steps, jobs=args.jobs)
+                              args.steps)
     write_sweep_csv(outdir / "fig4_timing.csv", data, "dT_over_T")
     outputs.append("fig4_timing.csv")
     for which in (1, 2):
         data = amplitude_error_sweep(pulses, which, 0.1, args.points,
-                                     args.duration, args.steps,
-                                     jobs=args.jobs)
+                                     args.duration, args.steps)
         name = f"fig4_amp{which}.csv"
         write_sweep_csv(outdir / name, data,
                         f"dOmega{which}_over_Omega{which}")
@@ -342,7 +355,7 @@ def cmd_fig5(args, outdir):
     for label, mode, names in [("a", "relaxation", ("Gamma1", "Gamma2")),
                                ("b", "dephasing", ("Gamma_phi1", "Gamma_phi2"))]:
         ratios, grid = decoherence_map(pulses, mode, 0.01, args.grid, amp,
-                                       args.duration, jobs=args.jobs)
+                                       args.duration)
         name = f"fig5{label}.csv"
         write_map_csv(outdir / name, ratios, grid,
                       f"{names[0]}_over_amp", f"{names[1]}_over_amp")
@@ -372,7 +385,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args, argv)
+        args = _apply_config_file(parser, args, argv)
         _validate(args)
         outdir = _resolve_outdir(args)
     except (ConfigError, InvalidParameters, InvalidWinding) as exc:

@@ -1,22 +1,79 @@
 """Time propagation for pulse-driven three-level dynamics.
 
-Closed-system evolution uses a piecewise-constant midpoint propagator:
-each step applies exp(-i H(t_mid) dt) built from the exact spectral
-exponential, so the norm is conserved to machine precision and the norm
-drift doubles as an integration diagnostic.  Open-system evolution
-integrates the Lindblad master equation with fixed-step RK4 on the
-vectorized density matrix.
+Each equation has one time-stepping kernel, `evolve_schrodinger` and
+`evolve_lindblad`.  A kernel carries a leading batch axis over independent
+runs (sweep points, map cells) and walks the time axis in blocks: it builds
+the one-step propagators of a whole block with array operations, then
+applies them with one batched matrix-vector product per step.  A block
+holds about BLOCK_BYTES of propagators, whatever the step count or batch
+size.  `propagate_schrodinger` and `propagate_lindblad` are the
+single-run cases with sampling.
+
+Closed systems use the midpoint propagator exp(-i H dt), H = H(t_mid).
+H = omega1 G1 + omega2 G2 has eigenvalues 0 and +-Omega, Omega = |H| =
+hypot(omega1, omega2), so (H/Omega)^3 = H/Omega and the exponential has
+the closed form
+
+    exp(-i H dt) = I - i (sin(Omega dt)/Omega) H
+                     - (2 sin^2(Omega dt/2)/Omega^2) H^2,
+
+which is unitary to machine precision, so the norm drift doubles as an
+integration diagnostic.  Open systems integrate the Lindblad master
+equation with classic fixed-step RK4 on the vectorized density matrix.
+RK4 is linear in the state, so each step is applied as its 9x9 one-step
+propagator, built from the generators at the step's start, midpoint and
+end.  The kernel works in real coordinates of the Hermitian rho (its
+diagonal and the real and imaginary parts of its upper triangle), where
+generators and propagators are real matrices.
+
+Both kernels refuse a step that rotates the state by more than
+MAX_ROTATION rad (largest Omega*dt), which would give meaningless
+populations from the midpoint rule and diverge under RK4.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .protocol import build_hamiltonian
+from .protocol import G1, G2
 
 EYE3 = np.eye(3, dtype=complex)
+
+
+def _real_coordinates():
+    """Unitary map from the row-major vec(rho) to real coordinates of a
+    Hermitian rho: its diagonal, then sqrt(2) Re and sqrt(2) Im of rho01,
+    rho02 and rho12."""
+    t = np.zeros((9, 9), dtype=complex)
+    t[[0, 1, 2], [0, 4, 8]] = 1
+    for a, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        t[3 + 2 * a, [3 * i + j, 3 * j + i]] = 2 ** -0.5
+        t[4 + 2 * a, [3 * i + j, 3 * j + i]] = -1j * 2 ** -0.5, 1j * 2 ** -0.5
+    return t
+
+
+_TO_REAL = _real_coordinates()
+
+
+def _real_superoperator(s):
+    """A Hermiticity-preserving superoperator (or a stack of them) on
+    vec(rho), in the real coordinates of _TO_REAL."""
+    return (_TO_REAL @ s @ _TO_REAL.conj().T).real
+
+
+# Coherent part of the Lindblad generator, i[rho, H] = omega1 _K1 + omega2 _K2
+# (on vec(rho): vec(A rho B) = (A kron B^T) vec(rho); G1, G2 are real
+# symmetric), in real coordinates.
+_K1 = _real_superoperator(1j * (np.kron(EYE3, G1) - np.kron(G1, EYE3)))
+_K2 = _real_superoperator(1j * (np.kron(EYE3, G2) - np.kron(G2, EYE3)))
+
+# Propagator bytes built per block: bounds the kernels' working set.
+BLOCK_BYTES = 2 ** 21
+# Largest accepted Omega*dt per step.  RK4 turns unstable near 1.4 rad;
+# the reproduction's runs stay below 0.01 rad.
+MAX_ROTATION = 1.0
 
 
 class InvalidState(ValueError):
@@ -35,8 +92,8 @@ class InvalidRates(ValueError):
     pass
 
 
-class NegativeRate(ValueError):
-    pass
+class StepTooCoarse(ValueError):
+    """A step rotates the state by more than MAX_ROTATION rad."""
 
 
 @dataclass(frozen=True)
@@ -79,8 +136,6 @@ class LindbladRates:
 
 def lindblad_operators(rates):
     """The four jump operators for the relaxation/dephasing model."""
-    if min(rates.gamma1, rates.gamma2, rates.gamma_phi1, rates.gamma_phi2) < 0:
-        raise NegativeRate(f"rates must be non-negative: {rates}")
     l1 = np.zeros((3, 3), dtype=complex)
     l1[0, 1] = np.sqrt(rates.gamma1)
     l2 = np.zeros((3, 3), dtype=complex)
@@ -118,16 +173,98 @@ def write_population_csv(path, t_over_T, populations):
             fh.write(f"{x:.12g},{p1:.12g},{p2:.12g},{p3:.12g}\n")
 
 
-def _hamiltonians_at(pulses, times):
-    """Stack of Hamiltonians H(t) for an array of times."""
-    o1 = np.asarray(pulses.omega1(times), dtype=float)
-    o2 = np.asarray(pulses.omega2(times), dtype=float)
+def _drive(pulses, t, scale1=1.0, scale2=1.0):
+    """Scaled drive amplitudes at the times t (any shape), checked finite."""
+    o1 = np.broadcast_to(scale1 * np.asarray(pulses.omega1(t), dtype=float),
+                         t.shape)
+    o2 = np.broadcast_to(scale2 * np.asarray(pulses.omega2(t), dtype=float),
+                         t.shape)
     if not (np.all(np.isfinite(o1)) and np.all(np.isfinite(o2))):
         raise ValueError("pulse evaluation produced non-finite values")
-    h = np.zeros((len(times), 3, 3), dtype=complex)
-    h[:, 0, 1] = h[:, 1, 0] = o1
-    h[:, 1, 2] = h[:, 2, 1] = o2
-    return h
+    return o1, o2
+
+
+def _check_rotation(o1, o2, dt):
+    """Raise StepTooCoarse when some Omega*dt exceeds MAX_ROTATION."""
+    worst = float(np.max(np.hypot(o1, o2) * dt, initial=0.0))
+    if worst > MAX_ROTATION:
+        raise StepTooCoarse(f"a step rotates the state by {worst:.3g} rad "
+                            f"(limit {MAX_ROTATION:g}); use more steps")
+
+
+def step_propagators(o1, o2, dt):
+    """exp(-i (o1 G1 + o2 G2) dt) in closed form, elementwise over the
+    broadcast shape of o1, o2 and dt; returns shape (..., 3, 3)."""
+    theta = np.hypot(o1, o2) * dt
+    # sinc keeps both coefficients finite at Omega = 0, where U = I
+    s = dt * np.sinc(theta / np.pi)                          # sin(W dt)/W
+    c = 0.5 * dt * dt * np.sinc(theta / (2 * np.pi)) ** 2    # 2sin^2(W dt/2)/W^2
+    u = np.empty(theta.shape + (3, 3), dtype=complex)
+    u[..., 0, 0] = 1 - c * o1 * o1
+    u[..., 1, 1] = 1 - c * (o1 * o1 + o2 * o2)
+    u[..., 2, 2] = 1 - c * o2 * o2
+    u[..., 0, 1] = u[..., 1, 0] = -1j * s * o1
+    u[..., 1, 2] = u[..., 2, 1] = -1j * s * o2
+    u[..., 0, 2] = u[..., 2, 0] = -c * o1 * o2
+    return u
+
+
+def _sample_steps(steps, stride):
+    """Step counts after which a run is sampled: 0, stride, 2*stride, ...
+    and the last step."""
+    return np.unique(np.append(np.arange(0, steps + 1, stride), steps))
+
+
+def _march(block, state, steps, stride):
+    """Apply one-step propagators to a batch of states, block by block.
+
+    `block(k0, k1)` returns the propagators of steps k0..k1-1 stacked as
+    (k1 - k0, batch, d, d).  Returns the states after each sampled step,
+    shape (batch, samples, d).
+    """
+    batch, d = state.shape
+    per_block = max(1, BLOCK_BYTES // (max(batch, 1) * d * d
+                                       * state.itemsize))
+    at = _sample_steps(steps, stride).tolist()
+    out = np.empty((len(at), batch, d), dtype=state.dtype)
+    out[0] = state
+    x = state[..., None]
+    i = 1
+    for k0 in range(0, steps, per_block):
+        for k, p in enumerate(block(k0, min(k0 + per_block, steps)), k0 + 1):
+            x = p @ x
+            if k == at[i]:
+                out[i] = x[..., 0]
+                i += 1
+    return out.swapaxes(0, 1)
+
+
+def evolve_schrodinger(pulses, horizon=1.0, steps=10_000, scale1=1.0,
+                       scale2=1.0, initial=None, stride=None):
+    """Batched midpoint propagation of the Schrodinger equation.
+
+    `horizon`, `scale1` and `scale2` broadcast to one batch axis: run b
+    integrates the pulses scaled by (scale1[b], scale2[b]) over
+    [0, horizon[b]] in `steps` steps on its own midpoint grid.  Every run
+    starts from `initial` (default |1>).  Returns the states after steps
+    0, stride, 2*stride, ... and `steps`, shape (batch, samples, 3); the
+    default stride samples the start and the end only.
+    """
+    if steps < 100:
+        raise InvalidSteps(f"need at least 100 steps, got {steps}")
+    horizon, scale1, scale2 = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(horizon, dtype=float)), scale1, scale2)
+    dt = horizon / steps
+    psi = np.array([1, 0, 0] if initial is None else initial, dtype=complex)
+
+    def block(k0, k1):
+        t = (np.arange(k0, k1) + 0.5)[:, None] * dt
+        o1, o2 = _drive(pulses, t, scale1, scale2)
+        _check_rotation(o1, o2, dt)
+        return step_propagators(o1, o2, dt)
+
+    start = np.broadcast_to(psi, (len(dt), 3))
+    return _march(block, start, steps, stride or steps)
 
 
 def propagate_schrodinger(pulses, initial=None, horizon=1.0, steps=10_000,
@@ -136,37 +273,17 @@ def propagate_schrodinger(pulses, initial=None, horizon=1.0, steps=10_000,
 
     Samples populations every `stride` steps (plus t=0 and t=horizon).
     """
-    if steps < 100:
-        raise InvalidSteps(f"need at least 100 steps, got {steps}")
     if initial is None:
         initial = np.array([1, 0, 0], dtype=complex)
-    psi = np.asarray(initial, dtype=complex).copy()
+    psi = np.asarray(initial, dtype=complex)
     if psi.shape != (3,) or abs(np.linalg.norm(psi) - 1) > 1e-10:
         raise InvalidState("initial state must be a unit-norm 3-vector")
-
-    dt = horizon / steps
-    mid = (np.arange(steps) + 0.5) * dt
-    h = _hamiltonians_at(pulses, mid)
-    # batched spectral exponential: U_k = V diag(e^{-i w dt}) V^dag
-    w, v = np.linalg.eigh(h)
-    u = np.einsum("kij,kj,klj->kil", v, np.exp(-1j * w * dt), v.conj())
-
-    sample_idx = [0]
-    times = [0.0]
-    pops = [np.abs(psi) ** 2]
-    states = [psi.copy()] if keep_states else None
-    for k in range(steps):
-        psi = u[k] @ psi
-        if (k + 1) % stride == 0 or k == steps - 1:
-            times.append((k + 1) * dt)
-            pops.append(np.abs(psi) ** 2)
-            if keep_states:
-                states.append(psi.copy())
-            sample_idx.append(k + 1)
-
-    return Trajectory(times=np.array(times), populations=np.array(pops),
-                      duration=horizon, steps=steps, final_state=psi,
-                      states=np.array(states) if keep_states else None)
+    states = evolve_schrodinger(pulses, horizon, steps, initial=psi,
+                                stride=stride)[0]
+    return Trajectory(times=_sample_steps(steps, stride) * (horizon / steps),
+                      populations=np.abs(states) ** 2, duration=horizon,
+                      steps=steps, final_state=states[-1],
+                      states=states if keep_states else None)
 
 
 def _dissipator_matrix(rates):
@@ -180,14 +297,62 @@ def _dissipator_matrix(rates):
     return d
 
 
+def _rk4_propagators(gen, dt):
+    """One-step RK4 propagators from generators on the half-step grid.
+
+    gen[2k], gen[2k+1] and gen[2k+2] are the generators at the start,
+    midpoint and end of step k.  With those A, B, C the classic stages are
+    k_i = q_i r, so r' = P r with P = I + dt/6 (A + 2 q2 + 2 q3 + q4) and
+    q2 = B + dt/2 B A, q3 = B + dt/2 B q2, q4 = C + dt C q3.
+    """
+    a, b, c = gen[:-1:2], gen[1::2], gen[2::2]
+    q = b + (dt / 2) * (b @ a)
+    acc = a + 2 * q
+    q = b + (dt / 2) * (b @ q)
+    acc += 2 * q
+    acc += c + dt * (c @ q)
+    acc *= dt / 6
+    acc += np.eye(9)
+    return acc
+
+
+def evolve_lindblad(pulses, rates, horizon=1.0, steps=10_000, initial=None,
+                    stride=None):
+    """Batched RK4 integration of the Lindblad master equation.
+
+    Run b uses the jump operators of rates[b]; all runs share the pulses,
+    the time grid and the Hermitian `initial` (default |1><1|).  The coherent part uses
+    the convention rho_dot = i[rho, H].  Returns the density matrices after
+    steps 0, stride, 2*stride, ... and `steps`, shape (batch, samples, 3, 3);
+    the default stride samples the start and the end only.
+    """
+    if steps < 1000:
+        raise InvalidSteps(f"need at least 1000 steps, got {steps}")
+    diss = _real_superoperator(
+        np.array([_dissipator_matrix(r) for r in rates]).reshape(-1, 9, 9))
+    dt = horizon / steps
+    rho = np.diag([1.0, 0, 0]) if initial is None else initial
+
+    def block(k0, k1):
+        t = np.arange(2 * k0, 2 * k1 + 1) * (dt / 2)
+        o1, o2 = _drive(pulses, t)
+        _check_rotation(o1, o2, dt)
+        coherent = o1[:, None, None] * _K1 + o2[:, None, None] * _K2
+        return _rk4_propagators(coherent[:, None] + diss, dt)
+
+    x = (_TO_REAL @ np.asarray(rho, dtype=complex).reshape(9)).real
+    out = _march(block, np.broadcast_to(x, (len(diss), 9)), steps,
+                 stride or steps)
+    return (out @ _TO_REAL.conj()).reshape(len(diss), -1, 3, 3)
+
+
 def propagate_lindblad(pulses, initial=None, rates=None, horizon=1.0,
                        steps=10_000, stride=None):
     """Integrate the Lindblad master equation with fixed-step RK4.
 
-    The coherent part uses the convention rho_dot = i[rho, H].
+    Samples populations every `stride` steps (default steps // 1000, at
+    least 1), plus t=0 and t=horizon.
     """
-    if steps < 1000:
-        raise InvalidSteps(f"need at least 1000 steps, got {steps}")
     if initial is None:
         initial = np.diag([1.0, 0, 0]).astype(complex)
     rho = np.asarray(initial, dtype=complex)
@@ -196,38 +361,15 @@ def propagate_lindblad(pulses, initial=None, rates=None, horizon=1.0,
             or np.linalg.eigvalsh(rho).min() < -1e-10:
         raise InvalidDensity("initial density matrix must be Hermitian, "
                              "unit-trace and PSD")
-    rates = rates or LindbladRates()
-    diss = _dissipator_matrix(rates)
-
-    dt = horizon / steps
-    # coherent generator at step endpoints and midpoints
-    grid = np.arange(2 * steps + 1) * (dt / 2)
-    h = _hamiltonians_at(pulses, grid)
-    # i(rho H - H rho) -> i((I kron H^T) - (H kron I)); H here is symmetric
-    a = 1j * (np.einsum("ij,klm->kiljm", np.eye(3), h).reshape(-1, 9, 9)
-              - np.einsum("kij,lm->kiljm", h, np.eye(3)).reshape(-1, 9, 9))
-    a += diss
-
     if stride is None:
         stride = max(1, steps // 1000)
-    r = rho.reshape(9).copy()
-    times = [0.0]
-    pops = [np.real(np.diag(rho)).copy()]
-    for k in range(steps):
-        m0, m1, m2 = a[2 * k], a[2 * k + 1], a[2 * k + 2]
-        k1 = m0 @ r
-        k2 = m1 @ (r + 0.5 * dt * k1)
-        k3 = m1 @ (r + 0.5 * dt * k2)
-        k4 = m2 @ (r + dt * k3)
-        r = r + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (k + 1) % stride == 0 or k == steps - 1:
-            times.append((k + 1) * dt)
-            pops.append(np.real(r.reshape(3, 3).diagonal()).copy())
-
-    rho = r.reshape(3, 3)
+    rhos = evolve_lindblad(pulses, [rates or LindbladRates()], horizon, steps,
+                           rho, stride)[0]
+    rho = rhos[-1]
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
     if min_eig < -1e-7:
         warnings.warn(f"final density matrix slightly non-PSD "
                       f"(min eigenvalue {min_eig:.2e})", RuntimeWarning)
-    return Trajectory(times=np.array(times), populations=np.array(pops),
+    return Trajectory(times=_sample_steps(steps, stride) * (horizon / steps),
+                      populations=rhos.diagonal(axis1=1, axis2=2).real.copy(),
                       duration=horizon, steps=steps, final_density=rho)

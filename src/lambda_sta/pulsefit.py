@@ -9,7 +9,6 @@ sign of the lobe they cover.
 import json
 import math
 from dataclasses import dataclass, asdict
-from typing import List
 
 import numpy as np
 from scipy.optimize import least_squares

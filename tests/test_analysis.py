@@ -1,32 +1,50 @@
-import math
-
 import numpy as np
 import pytest
 
-from lambda_sta.analysis import (SweepSpec, amplitude_error_sweep,
-                                 decoherence_map, stirap_infidelity_curve,
-                                 table_one, timing_error_sweep,
-                                 write_map_csv, write_sweep_csv,
-                                 write_table_csv, format_table)
+from lambda_sta.analysis import (amplitude_error_sweep, decoherence_map,
+                                 stirap_infidelity_curve, table_one,
+                                 timing_error_sweep, write_map_csv,
+                                 write_sweep_csv, write_table_csv,
+                                 format_table)
+from lambda_sta.dynamics import (LindbladRates, lindblad_operators,
+                                 propagate_schrodinger, stirap_pulses)
+from lambda_sta.protocol import build_hamiltonian, design_stirap
 from lambda_sta.pulsefit import pulse_amplitude, reference_m1_fit
 
 STEPS = 2000  # integration error far below every tolerance used here
 
 
-class TestSweepSpec:
-    def test_grid(self):
-        spec = SweepSpec("timing-error", -0.1, 0.1, 5)
-        assert np.allclose(spec.grid(), np.linspace(-0.1, 0.1, 5))
+def per_point_p3(pulses, horizon=1.0, steps=STEPS):
+    """Final target population of one unbatched run."""
+    tr = propagate_schrodinger(pulses, horizon=horizon, steps=steps)
+    return tr.final_populations[2]
 
-    def test_rejects_bad_kind(self):
-        with pytest.raises(ValueError):
-            SweepSpec("nope", 0, 1, 3)
 
-    def test_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            SweepSpec("timing-error", 0.2, 0.1, 3)
-        with pytest.raises(ValueError):
-            SweepSpec("timing-error", 0.0, 0.1, 1)
+def stage_by_stage_p3(pulses, rates, steps=STEPS):
+    """Final target population of a plain RK4 loop on the 3x3 density
+    matrix, one stage at a time (the reference for the batched map)."""
+    dt = 1.0 / steps
+    jumps = lindblad_operators(rates)
+    t = np.arange(2 * steps + 1) * (dt / 2)
+    hs = [build_hamiltonian(a, b) for a, b in zip(pulses.omega1(t),
+                                                  pulses.omega2(t))]
+
+    def f(h, rho):
+        out = 1j * (rho @ h - h @ rho)
+        for l in jumps:
+            ldl = l.conj().T @ l
+            out += l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
+        return out
+
+    rho = np.diag([1.0, 0, 0]).astype(complex)
+    for k in range(steps):
+        h0, h1, h2 = hs[2 * k], hs[2 * k + 1], hs[2 * k + 2]
+        k1 = f(h0, rho)
+        k2 = f(h1, rho + 0.5 * dt * k1)
+        k3 = f(h1, rho + 0.5 * dt * k2)
+        k4 = f(h2, rho + dt * k3)
+        rho = rho + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return rho[2, 2].real
 
 
 class TestTimingErrorSweep:
@@ -45,11 +63,12 @@ class TestTimingErrorSweep:
         with pytest.raises(ValueError):
             timing_error_sweep(reference_pulses, 0.5, 3)
 
-    def test_jobs_preserve_order(self, reference_pulses):
-        serial = timing_error_sweep(reference_pulses, 0.1, 5, steps=STEPS)
-        threaded = timing_error_sweep(reference_pulses, 0.1, 5, steps=STEPS,
-                                      jobs=4)
-        assert serial == threaded
+    def test_batched_matches_per_point(self, reference_pulses):
+        data = timing_error_sweep(reference_pulses, 0.1, 5, steps=STEPS)
+        deltas = np.linspace(-0.1, 0.1, 5)
+        assert [d for d, _ in data] == list(deltas)
+        for (_, p3), d in zip(data, deltas):
+            assert abs(p3 - per_point_p3(reference_pulses, 1 + d)) <= 1e-12
 
 
 class TestAmplitudeErrorSweep:
@@ -69,6 +88,14 @@ class TestAmplitudeErrorSweep:
         data = amplitude_error_sweep(reference_pulses, 1, 1.0, 3, steps=STEPS)
         assert dict(data)[-1.0] < 0.5
 
+    def test_batched_matches_per_point(self, reference_pulses):
+        data = amplitude_error_sweep(reference_pulses, 1, 0.3, 5, steps=STEPS)
+        deltas = np.linspace(-0.3, 0.3, 5)
+        assert [d for d, _ in data] == list(deltas)
+        for (_, p3), d in zip(data, deltas):
+            scaled = reference_pulses.scaled(1 + d, 1)
+            assert abs(p3 - per_point_p3(scaled)) <= 1e-12
+
     def test_bad_index(self, reference_pulses):
         with pytest.raises(ValueError):
             amplitude_error_sweep(reference_pulses, 3)
@@ -80,6 +107,14 @@ class TestStirapCurve:
         infid = dict(data)
         assert infid[70.0] == pytest.approx(0.0002, abs=1e-4)
         assert infid[3.5] == pytest.approx(0.9906, abs=0.005)
+
+    def test_batched_matches_per_point(self):
+        amplitudes = [60.0, 3.5, 20.0]
+        data = stirap_infidelity_curve(amplitudes=amplitudes, steps=STEPS)
+        assert [a for a, _ in data] == amplitudes
+        for (_, infid), a in zip(data, amplitudes):
+            pulses = stirap_pulses(design_stirap(a))
+            assert abs(infid - (1 - per_point_p3(pulses))) <= 1e-12
 
     def test_vanishing_drive(self):
         data = stirap_infidelity_curve(amplitudes=[0.05], steps=STEPS)
@@ -97,6 +132,19 @@ class TestDecoherenceMap:
         _, grid = decoherence_map(reference_pulses, "dephasing", 0.01, 3,
                                   steps=STEPS)
         assert grid[0, 0] >= grid[1, 1] >= grid[2, 2]
+
+    def test_cells_match_stage_by_stage_rk4(self, reference_pulses):
+        f1, f2 = reference_m1_fit()
+        amp = pulse_amplitude(f1, f2)
+        for mode, (i, j), names in [
+                ("relaxation", (2, 1), ("gamma1", "gamma2")),
+                ("dephasing", (1, 2), ("gamma_phi1", "gamma_phi2"))]:
+            ratios, grid = decoherence_map(reference_pulses, mode, 0.05, 3,
+                                           amp, steps=STEPS)
+            rates = LindbladRates(**{names[0]: ratios[i] * amp,
+                                     names[1]: ratios[j] * amp})
+            ref = stage_by_stage_p3(reference_pulses, rates)
+            assert abs(grid[i, j] - ref) <= 1e-12
 
     def test_mode_and_bounds_validation(self, reference_pulses):
         with pytest.raises(ValueError):
@@ -131,7 +179,7 @@ class TestTableOne:
 
 
 def test_simulated_p2_max_matches_ceiling(sta_m1):
-    from lambda_sta.dynamics import propagate_schrodinger, sta_pulses
+    from lambda_sta.dynamics import sta_pulses
     traj = propagate_schrodinger(sta_pulses(sta_m1), steps=4000, stride=4)
     ceiling = 2 * sta_m1.kappa - sta_m1.kappa ** 2
     assert traj.populations[:, 1].max() == pytest.approx(ceiling, abs=1e-6)

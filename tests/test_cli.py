@@ -101,12 +101,13 @@ def test_sta_ref_requires_m1(tmp_path):
 
 def test_config_file_overridden_by_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m": 2, "samples": 501}))
+    cfg.write_text(json.dumps({"m": 2, "samples": 501, "duration": 2.0}))
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--outdir", str(out),
-                 "design", "--m", "1"]) == 0
+                 "design", "--m", "1", "--T", "1"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["m"] == 1          # explicit flag wins
+    assert manifest["config"]["duration"] == 1.0  # also under another name
     assert manifest["config"]["samples"] == 501  # config fills the default
 
 
@@ -115,6 +116,25 @@ def test_bad_config_file_exits_2(tmp_path):
     cfg.write_text("not json")
     assert main(["--config", str(cfg), "--outdir", str(tmp_path),
                  "design"]) == 2
+
+
+@pytest.mark.parametrize("overrides", [{"steps": "many"}, {"steps": None},
+                                       {"protocol": "bogus"}])
+def test_config_value_type_error_exits_2(tmp_path, capsys, overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                 "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_coarse_steps_exit_3(tmp_path, capsys):
+    assert run(tmp_path, "simulate", "--protocol", "stirap",
+               "--omega0", "1e9", "--steps", "100") == 3
+    assert run(tmp_path, "lindblad", "--protocol", "stirap",
+               "--omega0", "1e5", "--steps", "1000") == 3
+    assert "rotates the state" in capsys.readouterr().err
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

@@ -1,16 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from lambda_sta.dynamics import (InvalidDensity, InvalidState, InvalidSteps,
-                                 LindbladRates, NegativeRate, PulsePair,
-                                 lindblad_operators, propagate_lindblad,
-                                 propagate_schrodinger, sta_pulses,
-                                 stirap_pulses, write_population_csv)
-from lambda_sta.protocol import (analytic_state_constant_mu, dark_state,
-                                 design_sta, design_stirap)
+from lambda_sta.dynamics import (InvalidDensity, InvalidRates, InvalidState,
+                                 InvalidSteps, LindbladRates, PulsePair,
+                                 StepTooCoarse, lindblad_operators,
+                                 propagate_lindblad, propagate_schrodinger,
+                                 sta_pulses, step_propagators, stirap_pulses)
+from lambda_sta.protocol import (G1, G2, analytic_state_constant_mu,
+                                 dark_state, design_stirap)
 
 ZERO_PULSES = PulsePair(omega1=lambda t: 0.0 * np.asarray(t),
                         omega2=lambda t: 0.0 * np.asarray(t), tag="custom")
+
+
+@settings(max_examples=200, deadline=None)
+@given(o1=st.floats(-100, 100), o2=st.floats(-100, 100),
+       dt=st.floats(0, 0.01))
+@example(o1=0.0, o2=0.0, dt=0.01)
+def test_closed_form_step_matches_expm(o1, o2, dt):
+    exact = expm(-1j * (o1 * G1 + o2 * G2) * dt)
+    assert np.abs(step_propagators(o1, o2, dt) - exact).max() <= 1e-13
 
 
 class TestSchrodinger:
@@ -67,6 +79,9 @@ class TestSchrodinger:
         with pytest.raises(InvalidState):
             propagate_schrodinger(ZERO_PULSES, np.array([1.0, 1.0, 0.0]),
                                   steps=200)
+        with pytest.raises(StepTooCoarse):
+            propagate_schrodinger(stirap_pulses(design_stirap(1e9)),
+                                  steps=100)
 
 
 class TestLindbladOperators:
@@ -85,7 +100,7 @@ class TestLindbladOperators:
         assert np.allclose(l3, np.diag([-1, 1, 0]))
 
     def test_negative_rate(self):
-        with pytest.raises((NegativeRate, Exception)):
+        with pytest.raises(InvalidRates):
             LindbladRates(gamma1=-1.0)
 
 
@@ -115,6 +130,8 @@ class TestLindblad:
         bad = np.diag([0.7, 0.7, -0.4]).astype(complex)
         with pytest.raises(InvalidDensity):
             propagate_lindblad(reference_pulses, initial=bad, steps=1000)
+        with pytest.raises(StepTooCoarse):
+            propagate_lindblad(stirap_pulses(design_stirap(1e5)), steps=1000)
 
 
 def test_population_csv_format(tmp_path, reference_pulses):
