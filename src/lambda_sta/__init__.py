@@ -4,7 +4,7 @@ studies."""
 
 __version__ = "0.1.0"
 
-from .protocol import (G1, G2, G3, Generators, StaProtocol, StirapProtocol,
+from .protocol import (G1, G2, G3, StaProtocol, StirapProtocol,
                        build_hamiltonian, dark_state, design_sta,
                        design_stirap, m_eigenbasis, frame_match,
                        analytic_state_constant_mu, analytic_state_general,
@@ -12,10 +12,9 @@ from .protocol import (G1, G2, G3, Generators, StaProtocol, StirapProtocol,
 from .dynamics import (LindbladRates, PulsePair, Trajectory,
                        evolve_lindblad, evolve_schrodinger,
                        lindblad_operators, propagate_lindblad,
-                       propagate_schrodinger, sta_pulses, stirap_pulses)
+                       propagate_schrodinger)
 from .pulsefit import (FitReport, GaussianComponent, GaussianPulse,
-                       fit_gaussian_sum, fitted_pulse_pair, pulse_amplitude,
-                       reference_m1_fit)
+                       fit_gaussian_sum, pulse_amplitude, reference_m1_fit)
 from .analysis import (TableRow, amplitude_error_sweep,
                        decoherence_map, fit_protocol_pulses,
                        stirap_dephasing_check, stirap_infidelity_curve,

@@ -3,7 +3,7 @@ infidelity curve, decoherence maps and the amplitude/population table.
 
 Each sweep, curve and map is one batched call of a dynamics kernel.  All
 are deterministic for fixed inputs and step counts, and every result
-carries plain arrays ready for CSV emission.
+carries plain numbers or arrays; the CLI writes them out.
 """
 
 import math
@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import InvalidParameters, design_sta, design_stirap
-from .dynamics import (LindbladRates, evolve_lindblad, evolve_schrodinger,
-                       propagate_lindblad, propagate_schrodinger,
-                       stirap_pulses)
-from .pulsefit import (fit_gaussian_sum, fitted_pulse_pair, pulse_amplitude)
+from .dynamics import (LindbladRates, PulsePair, evolve_lindblad,
+                       evolve_schrodinger, propagate_lindblad,
+                       propagate_schrodinger)
+from .pulsefit import fit_gaussian_sum, pulse_amplitude
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def stirap_infidelity_curve(t0=None, tc=None, duration=1.0, amplitudes=None,
     amplitudes = np.asarray(amplitudes, dtype=float)
     if np.any(amplitudes <= 0):
         raise InvalidParameters("STIRAP amplitudes must be positive")
-    unit = stirap_pulses(design_stirap(1.0, t0, tc, duration))
+    unit = design_stirap(1.0, t0, tc, duration)
     p3 = _final_p3(evolve_schrodinger(unit, duration, steps,
                                       amplitudes, amplitudes))
     return [(float(a), float(1 - p)) for a, p in zip(amplitudes, p3)]
@@ -131,8 +131,8 @@ def table_one(max_m=7, fit_budget=None, duration=1.0, steps=10_000):
         p = design_sta(m, duration)
         (f1, r1), (f2, r2) = fit_protocol_pulses(p, fit_budget)
         amp = pulse_amplitude(f1, f2, 2001, duration)
-        tr = propagate_schrodinger(fitted_pulse_pair(f1, f2),
-                                   horizon=duration, steps=steps)
+        tr = propagate_schrodinger(PulsePair(f1, f2), horizon=duration,
+                                   steps=steps)
         rows.append(TableRow(
             winding_phase=m * math.pi,
             pulse_amplitude=amp,
@@ -148,38 +148,17 @@ def stirap_dephasing_check(duration=1.0, steps=10_000):
     proto = design_stirap(45.0 / duration, duration=duration)
     rates = LindbladRates(gamma_phi1=0.01 * proto.omega0,
                           gamma_phi2=0.01 * proto.omega0)
-    tr = propagate_lindblad(stirap_pulses(proto), rates=rates,
-                            horizon=duration, steps=steps)
+    tr = propagate_lindblad(proto, rates=rates, horizon=duration,
+                            steps=steps)
     return float(tr.final_populations[2])
 
 
-def write_sweep_csv(path, pairs, x_name, y_name="P3"):
-    with open(path, "w") as fh:
-        fh.write(f"{x_name},{y_name}\n")
-        for x, y in pairs:
-            fh.write(f"{x:.12g},{y:.12g}\n")
-
-
-def write_map_csv(path, ratios, matrix, x_name, y_name):
-    with open(path, "w") as fh:
-        fh.write(f"{x_name},{y_name},P3\n")
-        for i, r1 in enumerate(ratios):
-            for j, r2 in enumerate(ratios):
-                fh.write(f"{r1:.12g},{r2:.12g},{matrix[i, j]:.12g}\n")
-
-
-def write_table_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write("phiT_over_pi,omega_tilde_0_T,P2max\n")
-        for r in rows:
-            fh.write(f"{r.winding_phase / math.pi:.12g},"
-                     f"{r.pulse_amplitude:.12g},{r.p2_max:.12g}\n")
-
-
 def format_table(rows):
-    """Aligned text rendering of the winding/amplitude/population table."""
-    lines = [f"{'|phi(T)|':>10} {'amp*T':>8} {'P2max':>8}"]
+    """Aligned text rendering of the winding/amplitude/population table,
+    with whether both fits of the row converged."""
+    lines = [f"{'|phi(T)|':>10} {'amp*T':>8} {'P2max':>8} {'converged':>9}"]
     for r in rows:
         lines.append(f"{r.winding_phase / math.pi:>9.0f}p "
-                     f"{r.pulse_amplitude:>8.2f} {r.p2_max:>8.4f}")
+                     f"{r.pulse_amplitude:>8.2f} {r.p2_max:>8.4f} "
+                     f"{'yes' if r.fit_converged else 'no':>9}")
     return "\n".join(lines)

@@ -9,6 +9,7 @@ reruns are byte-reproducible.
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -17,25 +18,19 @@ import numpy as np
 
 from . import __version__
 from .protocol import (design_sta, design_stirap, protocol_to_json,
-                       InvalidParameters, InvalidWinding)
-from .dynamics import (LindbladRates, propagate_schrodinger,
-                       propagate_lindblad, sta_pulses, stirap_pulses)
-from .pulsefit import (fitted_pulse_pair, pulse_amplitude, pulse_to_json,
-                       reference_m1_fit)
+                       InvalidParameters)
+from .dynamics import (LindbladRates, PulsePair, propagate_schrodinger,
+                       propagate_lindblad)
+from .pulsefit import pulse_amplitude, pulse_to_json, reference_m1_fit
 from .analysis import (amplitude_error_sweep, decoherence_map,
                        fit_protocol_pulses, format_table,
                        stirap_infidelity_curve, table_one,
-                       timing_error_sweep, write_map_csv, write_sweep_csv,
-                       write_table_csv)
+                       timing_error_sweep)
 
 OUTDIR_ENV = "LAMBDA_STA_OUTDIR"
 
 
 class ConfigError(Exception):
-    pass
-
-
-class ComputationError(Exception):
     pass
 
 
@@ -71,29 +66,25 @@ def build_parser():
     p.add_argument("--samples", type=int, default=1001)
     common(p, steps=False)
 
-    p = sub.add_parser("simulate", help="closed-system trajectory")
-    p.add_argument("--protocol", default="sta-fit",
-                   choices=["sta", "sta-fit", "sta-ref", "stirap"])
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--components", type=int, default=None)
-    p.add_argument("--omega0", type=float, default=45.0)
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--tc", type=float, default=None)
-    common(p)
+    def drive(p, protocol):
+        p.add_argument("--protocol", default=protocol,
+                       choices=["sta", "sta-fit", "sta-ref", "stirap"])
+        p.add_argument("--m", type=int, default=1)
+        p.add_argument("--components", type=int, default=None)
+        p.add_argument("--omega0", type=float, default=45.0)
+        p.add_argument("--t0", type=float, default=None)
+        p.add_argument("--tc", type=float, default=None)
+        common(p)
+
+    drive(sub.add_parser("simulate", help="closed-system trajectory"),
+          "sta-fit")
 
     p = sub.add_parser("lindblad", help="open-system trajectory")
-    p.add_argument("--protocol", default="sta-ref",
-                   choices=["sta", "sta-fit", "sta-ref", "stirap"])
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--components", type=int, default=None)
-    p.add_argument("--omega0", type=float, default=45.0)
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--tc", type=float, default=None)
+    drive(p, "sta-ref")
     p.add_argument("--gamma1", type=float, default=0.0)
     p.add_argument("--gamma2", type=float, default=0.0)
     p.add_argument("--gamma-phi1", type=float, default=0.0)
     p.add_argument("--gamma-phi2", type=float, default=0.0)
-    common(p)
 
     p = sub.add_parser("sweep", help="parameter-error robustness sweep")
     p.add_argument("--kind", required=True,
@@ -126,28 +117,26 @@ def build_parser():
             p.add_argument("--points", type=int, default=41)
         if name == "fig5":
             p.add_argument("--grid", type=int, default=21)
-        common(p)
+        common(p, steps=name not in ("fig1", "fig5"))
 
     return parser
 
 
-def _flag_actions(parser, command):
-    """The flag actions of the main parser and of `command`'s subparser."""
+def _parsers(parser, command):
+    """The main parser and `command`'s subparser."""
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    return [a for p in (parser, sub.choices[command]) for a in p._actions
-            if a.option_strings]
+    return parser, sub.choices[command]
 
 
-def _apply_config_file(parser, args, argv):
-    """Overlay --config values under explicit flags.
+def _set_config_defaults(parser, args):
+    """Make the --config values the defaults of the flags they name.
 
     Keys name option destinations (`duration` for --T).  Each value goes
     through its flag's argparse type converter and choices, as if it had
-    been given on the command line.
+    been given on the command line; parsing argv again then lets every
+    explicit flag, abbreviated or not, win over the config.
     """
-    if not args.config:
-        return args
     try:
         with open(args.config) as fh:
             overrides = json.load(fh)
@@ -155,26 +144,25 @@ def _apply_config_file(parser, args, argv):
         raise ConfigError(f"cannot read config file: {exc}")
     if not isinstance(overrides, dict):
         raise ConfigError("config file must hold a JSON object")
-    actions = _flag_actions(parser, args.command)
-    given = {a.split("=")[0] for a in argv if a.startswith("-")}
-    explicit = {a.dest for a in actions if given & set(a.option_strings)}
-    by_dest = {a.dest: a for a in actions}
-    for key, value in overrides.items():
-        action = by_dest.get(key.replace("-", "_"))
-        if action is None or action.dest in explicit:
-            continue
-        try:
-            value = (action.type or str)(str(value))
-        except ValueError:
-            raise ConfigError(f"invalid config value for {key}: {value!r}")
-        if action.choices is not None and value not in action.choices:
-            raise ConfigError(f"invalid config value for {key}: {value!r} "
-                              f"(choose from {', '.join(action.choices)})")
-        setattr(args, action.dest, value)
-    return args
+    for p in _parsers(parser, args.command):
+        by_dest = {a.dest: a for a in p._actions if a.option_strings}
+        defaults = {}
+        for key, value in overrides.items():
+            action = by_dest.get(key.replace("-", "_"))
+            if action is None:
+                continue
+            try:
+                value = (action.type or str)(str(value))
+            except ValueError:
+                raise ConfigError(f"invalid config value for {key}: {value!r}")
+            if action.choices is not None and value not in action.choices:
+                raise ConfigError(f"invalid config value for {key}: {value!r} "
+                                  f"(choose from {', '.join(action.choices)})")
+            defaults[action.dest] = value
+        p.set_defaults(**defaults)
 
 
-def _validate(args):
+def _validate(parser, args):
     checks = {
         "m": lambda v: v >= 1,
         "duration": lambda v: v > 0,
@@ -186,10 +174,13 @@ def _validate(args):
         "max_m": lambda v: 1 <= v <= 10,
         "error_range": lambda v: 0 < v <= 0.2,
     }
-    for name, ok in checks.items():
-        value = getattr(args, name, None)
-        if value is not None and not ok(value):
-            raise ConfigError(f"invalid value for --{name.replace('_', '-')}: {value}")
+    for p in _parsers(parser, args.command):
+        for action in p._actions:
+            ok = checks.get(action.dest)
+            value = getattr(args, action.dest, None)
+            if ok is not None and value is not None and not ok(value):
+                raise ConfigError(f"invalid value for "
+                                  f"{action.option_strings[0]}: {value}")
 
 
 def _resolve_outdir(args):
@@ -207,35 +198,48 @@ def _write_manifest(outdir, args, outputs):
     (outdir / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def write_csv(path, header, columns):
+    """A CSV file with the named columns, every value at 12 significant
+    digits."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+
+
+def _write_trajectory(path, traj):
+    write_csv(path, ["t_over_T", "P1", "P2", "P3"],
+              [traj.times / traj.duration, *traj.populations.T])
+
+
+def _reference_pulses(duration):
+    return PulsePair(*reference_m1_fit(duration))
+
+
 def _protocol_pulses(args):
-    """Resolve a --protocol choice into a pulse pair (and its amplitude)."""
+    """Resolve a --protocol choice into its pulses."""
     T = args.duration
     if args.protocol == "stirap":
-        proto = design_stirap(args.omega0 / T, args.t0, args.tc, T)
-        return stirap_pulses(proto), proto.omega0
+        return design_stirap(args.omega0 / T, args.t0, args.tc, T)
     p = design_sta(args.m, T)
     if args.protocol == "sta":
-        t = np.linspace(0, T, 1001)
-        return sta_pulses(p), float(np.abs(p.omega1(t)).max())
+        return p
     if args.protocol == "sta-ref":
         if args.m != 1:
             raise ConfigError("reference fit coefficients exist only for m=1")
-        f1, f2 = reference_m1_fit(T)
-        return fitted_pulse_pair(f1, f2), pulse_amplitude(f1, f2, 1001, T)
+        return _reference_pulses(T)
     (f1, _), (f2, _) = fit_protocol_pulses(p, args.components)
-    return fitted_pulse_pair(f1, f2), pulse_amplitude(f1, f2, 1001, T)
+    return PulsePair(f1, f2)
 
 
 def cmd_design(args, outdir):
     p = design_sta(args.m, args.duration)
     (outdir / "protocol.json").write_text(protocol_to_json(p) + "\n")
     t = np.linspace(0, args.duration, args.samples)
-    with open(outdir / "schedule.csv", "w") as fh:
-        fh.write("t_over_T,Omega1,Omega2,Omega,theta,phi\n")
-        for ti in t:
-            fh.write(f"{ti / args.duration:.12g},{float(p.omega1(ti)):.12g},"
-                     f"{float(p.omega2(ti)):.12g},{float(p.omega(ti)):.12g},"
-                     f"{float(p.theta(ti)):.12g},{float(p.phi(ti)):.12g}\n")
+    write_csv(outdir / "schedule.csv",
+              ["t_over_T", "Omega1", "Omega2", "Omega", "theta", "phi"],
+              [t / args.duration, p.omega1(t), p.omega2(t), p.omega(t),
+               p.theta(t), p.phi(t)])
     return ["protocol.json", "schedule.csv"]
 
 
@@ -248,28 +252,27 @@ def cmd_fit(args, outdir):
 
 
 def cmd_simulate(args, outdir):
-    pulses, _ = _protocol_pulses(args)
+    pulses = _protocol_pulses(args)
     traj = propagate_schrodinger(pulses, horizon=args.duration,
                                  steps=args.steps,
                                  stride=max(1, args.steps // 1000))
-    traj.to_csv(outdir / "trajectory.csv")
+    _write_trajectory(outdir / "trajectory.csv", traj)
     return ["trajectory.csv"]
 
 
 def cmd_lindblad(args, outdir):
-    pulses, _ = _protocol_pulses(args)
+    pulses = _protocol_pulses(args)
     rates = LindbladRates(gamma1=args.gamma1, gamma2=args.gamma2,
                           gamma_phi1=args.gamma_phi1,
                           gamma_phi2=args.gamma_phi2)
     traj = propagate_lindblad(pulses, rates=rates, horizon=args.duration,
                               steps=args.steps)
-    traj.to_csv(outdir / "trajectory.csv")
+    _write_trajectory(outdir / "trajectory.csv", traj)
     return ["trajectory.csv"]
 
 
 def cmd_sweep(args, outdir):
-    f1, f2 = reference_m1_fit(args.duration)
-    pulses = fitted_pulse_pair(f1, f2)
+    pulses = _reference_pulses(args.duration)
     if args.kind == "timing-error":
         data = timing_error_sweep(pulses, args.error_range, args.points,
                                   args.duration, args.steps)
@@ -279,7 +282,7 @@ def cmd_sweep(args, outdir):
         data = amplitude_error_sweep(pulses, which, args.error_range,
                                      args.points, args.duration, args.steps)
         x_name = f"dOmega{which}_over_Omega{which}"
-    write_sweep_csv(outdir / "sweep.csv", data, x_name)
+    write_csv(outdir / "sweep.csv", [x_name, "P3"], zip(*data))
     return ["sweep.csv"]
 
 
@@ -287,13 +290,16 @@ def cmd_stirap_curve(args, outdir, filename="stirap_curve.csv"):
     amplitudes = np.linspace(args.amp_min, args.amp_max, args.points)
     data = stirap_infidelity_curve(args.t0, args.tc, args.duration,
                                    amplitudes / args.duration, args.steps)
-    write_sweep_csv(outdir / filename, data, "Omega0_T", "infidelity")
+    write_csv(outdir / filename, ["Omega0_T", "infidelity"], zip(*data))
     return [filename]
 
 
 def cmd_table1(args, outdir):
     rows = table_one(args.max_m, args.fit_budget, args.duration, args.steps)
-    write_table_csv(outdir / "table1.csv", rows)
+    write_csv(outdir / "table1.csv",
+              ["phiT_over_pi", "omega_tilde_0_T", "P2max"],
+              [[r.winding_phase / math.pi for r in rows],
+               [r.pulse_amplitude for r in rows], [r.p2_max for r in rows]])
     (outdir / "table1.txt").write_text(format_table(rows) + "\n")
     return ["table1.csv", "table1.txt"]
 
@@ -302,23 +308,22 @@ def cmd_fig1(args, outdir):
     p = design_sta(1, args.duration)
     f1, f2 = reference_m1_fit(args.duration)
     t = np.linspace(0, args.duration, 1001)
-    with open(outdir / "fig1.csv", "w") as fh:
-        fh.write("t_over_T,abs_Omega1,abs_Omega1_fit,Omega2,Omega2_fit\n")
-        for ti, a, b, c, d in zip(t / args.duration, np.abs(p.omega1(t)),
-                                  np.abs(f1(t)), p.omega2(t), f2(t)):
-            fh.write(f"{ti:.12g},{a:.12g},{b:.12g},{c:.12g},{d:.12g}\n")
+    write_csv(outdir / "fig1.csv",
+              ["t_over_T", "abs_Omega1", "abs_Omega1_fit", "Omega2",
+               "Omega2_fit"],
+              [t / args.duration, np.abs(p.omega1(t)), np.abs(f1(t)),
+               p.omega2(t), f2(t)])
     return ["fig1.csv"]
 
 
 def cmd_fig2(args, outdir):
     outputs = []
     for label, m in zip("abc", (1, 2, 3)):
-        p = design_sta(m, args.duration)
-        traj = propagate_schrodinger(sta_pulses(p), horizon=args.duration,
-                                     steps=args.steps,
+        traj = propagate_schrodinger(design_sta(m, args.duration),
+                                     horizon=args.duration, steps=args.steps,
                                      stride=max(1, args.steps // 1000))
         name = f"fig2{label}.csv"
-        traj.to_csv(outdir / name)
+        _write_trajectory(outdir / name, traj)
         outputs.append(name)
     return outputs
 
@@ -330,35 +335,35 @@ def cmd_fig3(args, outdir):
 
 
 def cmd_fig4(args, outdir):
-    f1, f2 = reference_m1_fit(args.duration)
-    pulses = fitted_pulse_pair(f1, f2)
+    pulses = _reference_pulses(args.duration)
     outputs = []
     data = timing_error_sweep(pulses, 0.1, args.points, args.duration,
                               args.steps)
-    write_sweep_csv(outdir / "fig4_timing.csv", data, "dT_over_T")
+    write_csv(outdir / "fig4_timing.csv", ["dT_over_T", "P3"], zip(*data))
     outputs.append("fig4_timing.csv")
     for which in (1, 2):
         data = amplitude_error_sweep(pulses, which, 0.1, args.points,
                                      args.duration, args.steps)
         name = f"fig4_amp{which}.csv"
-        write_sweep_csv(outdir / name, data,
-                        f"dOmega{which}_over_Omega{which}")
+        write_csv(outdir / name, [f"dOmega{which}_over_Omega{which}", "P3"],
+                  zip(*data))
         outputs.append(name)
     return outputs
 
 
 def cmd_fig5(args, outdir):
-    f1, f2 = reference_m1_fit(args.duration)
-    pulses = fitted_pulse_pair(f1, f2)
-    amp = pulse_amplitude(f1, f2, 1001, args.duration)
+    pulses = _reference_pulses(args.duration)
+    amp = pulse_amplitude(pulses.omega1, pulses.omega2, 1001, args.duration)
     outputs = []
     for label, mode, names in [("a", "relaxation", ("Gamma1", "Gamma2")),
                                ("b", "dephasing", ("Gamma_phi1", "Gamma_phi2"))]:
         ratios, grid = decoherence_map(pulses, mode, 0.01, args.grid, amp,
                                        args.duration)
         name = f"fig5{label}.csv"
-        write_map_csv(outdir / name, ratios, grid,
-                      f"{names[0]}_over_amp", f"{names[1]}_over_amp")
+        write_csv(outdir / name,
+                  [f"{names[0]}_over_amp", f"{names[1]}_over_amp", "P3"],
+                  [np.repeat(ratios, len(ratios)),
+                   np.tile(ratios, len(ratios)), grid.ravel()])
         outputs.append(name)
     return outputs
 
@@ -385,15 +390,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(parser, args, argv)
-        _validate(args)
+        if args.config:
+            _set_config_defaults(parser, args)
+            args = parser.parse_args(argv)
+        _validate(parser, args)
         outdir = _resolve_outdir(args)
-    except (ConfigError, InvalidParameters, InvalidWinding) as exc:
+    except (ConfigError, InvalidParameters) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         outputs = COMMANDS[args.command](args, outdir)
-    except (ConfigError, InvalidParameters, InvalidWinding) as exc:
+    except (ConfigError, InvalidParameters) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

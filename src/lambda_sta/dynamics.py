@@ -9,6 +9,9 @@ holds about BLOCK_BYTES of propagators, whatever the step count or batch
 size.  `propagate_schrodinger` and `propagate_lindblad` are the
 single-run cases with sampling.
 
+Pulses are duck-typed: the kernels read only `pulses.omega1(t)` and
+`pulses.omega2(t)`, so a protocol or a PulsePair drives them alike.
+
 Closed systems use the midpoint propagator exp(-i H dt), H = H(t_mid).
 H = omega1 G1 + omega2 G2 has eigenvalues 0 and +-Omega, Omega = |H| =
 hypot(omega1, omega2), so (H/Omega)^3 = H/Omega and the exponential has
@@ -37,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .protocol import G1, G2
+from .protocol import G1, G2, InvalidParameters
 
 EYE3 = np.eye(3, dtype=complex)
 
@@ -76,19 +79,19 @@ BLOCK_BYTES = 2 ** 21
 MAX_ROTATION = 1.0
 
 
-class InvalidState(ValueError):
+class InvalidState(InvalidParameters):
     pass
 
 
-class InvalidSteps(ValueError):
+class InvalidSteps(InvalidParameters):
     pass
 
 
-class InvalidDensity(ValueError):
+class InvalidDensity(InvalidParameters):
     pass
 
 
-class InvalidRates(ValueError):
+class InvalidRates(InvalidParameters):
     pass
 
 
@@ -98,26 +101,17 @@ class StepTooCoarse(ValueError):
 
 @dataclass(frozen=True)
 class PulsePair:
-    """A pair of drive schedules t -> (omega1, omega2), tagged by origin."""
+    """A pair of drive schedules t -> (omega1, omega2), such as two
+    fitted Gaussian sums; a protocol drives the kernels without one."""
 
     omega1: Callable
     omega2: Callable
-    tag: str = "custom"
 
     def scaled(self, factor1=1.0, factor2=1.0):
         """Same pulses with each amplitude multiplied by a constant."""
         o1, o2 = self.omega1, self.omega2
         return PulsePair(omega1=lambda t: factor1 * o1(t),
-                         omega2=lambda t: factor2 * o2(t),
-                         tag=self.tag)
-
-
-def sta_pulses(p):
-    return PulsePair(omega1=p.omega1, omega2=p.omega2, tag="sta-analytic")
-
-
-def stirap_pulses(p):
-    return PulsePair(omega1=p.omega1, omega2=p.omega2, tag="stirap")
+                         omega2=lambda t: factor2 * o2(t))
 
 
 @dataclass(frozen=True)
@@ -160,17 +154,6 @@ class Trajectory:
     @property
     def final_populations(self):
         return self.populations[-1]
-
-    def to_csv(self, path):
-        write_population_csv(path, self.times / self.duration, self.populations)
-
-
-def write_population_csv(path, t_over_T, populations):
-    """`t_over_T,P1,P2,P3` rows at 12 significant digits."""
-    with open(path, "w") as fh:
-        fh.write("t_over_T,P1,P2,P3\n")
-        for x, (p1, p2, p3) in zip(t_over_T, populations):
-            fh.write(f"{x:.12g},{p1:.12g},{p2:.12g},{p3:.12g}\n")
 
 
 def _drive(pulses, t, scale1=1.0, scale2=1.0):

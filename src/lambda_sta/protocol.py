@@ -13,7 +13,7 @@ Conventions: hbar = 1, all rates in units of 1/T, basis {|1>, |2>, |3>}.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +23,12 @@ G1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
 G2 = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
 G3 = np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]], dtype=complex)
 
-KET_1 = np.array([1, 0, 0], dtype=complex)
-KET_2 = np.array([0, 1, 0], dtype=complex)
-KET_3 = np.array([0, 0, 1], dtype=complex)
-
-
-class InvalidWinding(ValueError):
-    pass
-
 
 class InvalidParameters(ValueError):
+    """A parameter outside its valid range (a configuration error)."""
+
+
+class InvalidWinding(InvalidParameters):
     pass
 
 
@@ -42,15 +38,6 @@ class DegeneratePulse(ValueError):
 
 class TimeOutOfRange(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Generators:
-    """The constant generator triple as a value object."""
-
-    g1: np.ndarray = field(default_factory=lambda: G1.copy())
-    g2: np.ndarray = field(default_factory=lambda: G2.copy())
-    g3: np.ndarray = field(default_factory=lambda: G3.copy())
 
 
 def build_hamiltonian(omega1, omega2):

@@ -13,11 +13,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.optimize import least_squares
 
-from .dynamics import PulsePair
-
-
-class NoConvergence(RuntimeError):
-    pass
+from .protocol import InvalidParameters
 
 
 class DegenerateSamples(ValueError):
@@ -96,10 +92,6 @@ def reference_m1_fit(duration=1.0):
     return p1, p2
 
 
-def fitted_pulse_pair(p1, p2, tag="gaussian-fit"):
-    return PulsePair(omega1=p1, omega2=p2, tag=tag)
-
-
 def _model_and_jacobian(params, t):
     n = len(params) // 3
     zeta, tau, chi = params[:n], params[n:2 * n], params[2 * n:]
@@ -156,9 +148,9 @@ def fit_gaussian_sum(samples, n_components=2, init=None):
     else:
         t, y = samples
     if n_components < 1:
-        raise ValueError("need at least one component")
+        raise InvalidParameters("need at least one component")
     if len(t) < 30 * n_components:
-        raise ValueError(f"need at least {30 * n_components} samples for "
+        raise InvalidParameters(f"need at least {30 * n_components} samples for "
                          f"{n_components} components, got {len(t)}")
     if np.abs(y).max() == 0:
         raise DegenerateSamples("all sample values are zero")

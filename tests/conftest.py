@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lambda_sta.protocol import design_sta
-from lambda_sta.pulsefit import fitted_pulse_pair, reference_m1_fit
+from lambda_sta.dynamics import PulsePair
+from lambda_sta.pulsefit import reference_m1_fit
 
 
 @pytest.fixture(scope="session")
@@ -13,8 +14,7 @@ def sta_m1():
 @pytest.fixture(scope="session")
 def reference_pulses():
     """The published two-component Gaussian decomposition for m=1."""
-    f1, f2 = reference_m1_fit()
-    return fitted_pulse_pair(f1, f2)
+    return PulsePair(*reference_m1_fit())
 
 
 @pytest.fixture(scope="session")

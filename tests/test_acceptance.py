@@ -13,12 +13,12 @@ from lambda_sta.analysis import (amplitude_error_sweep, decoherence_map,
                                  stirap_dephasing_check,
                                  stirap_infidelity_curve, table_one,
                                  timing_error_sweep)
-from lambda_sta.dynamics import (propagate_lindblad, propagate_schrodinger,
-                                 sta_pulses)
+from lambda_sta.dynamics import (PulsePair, propagate_lindblad,
+                                 propagate_schrodinger)
 from lambda_sta.protocol import (G1, G2, G3, analytic_state_constant_mu,
                                  design_sta)
-from lambda_sta.pulsefit import (fit_gaussian_sum, fitted_pulse_pair,
-                                 pulse_amplitude, reference_m1_fit)
+from lambda_sta.pulsefit import (fit_gaussian_sum, pulse_amplitude,
+                                 reference_m1_fit)
 
 TABLE_P2MAX = [0.75, 0.4375, 0.3056, 0.2344, 0.1900, 0.1597, 0.1378]
 TABLE_AMPLITUDE = [3.5, 6.2, 8.0, 9.5, 10.7, 11.8, 12.8]
@@ -34,7 +34,7 @@ def report(number, name, ok):
 
 
 def test_criterion_1_analytic_oracle_equivalence(sta_m1):
-    traj = propagate_schrodinger(sta_pulses(sta_m1), steps=10_000, stride=100)
+    traj = propagate_schrodinger(sta_m1, steps=10_000, stride=100)
     worst = 0.0
     for t, pops in zip(traj.times, traj.populations):
         oracle = np.abs(analytic_state_constant_mu(sta_m1, min(t, 1.0))) ** 2
@@ -49,7 +49,7 @@ def test_criterion_2_gaussian_fit_fidelity(sta_m1, reference_pulses, time_grid):
 
     f1, _ = fit_gaussian_sum((time_grid, sta_m1.omega1(time_grid)), 2)
     f2, _ = fit_gaussian_sum((time_grid, sta_m1.omega2(time_grid)), 2)
-    fitted = propagate_schrodinger(fitted_pulse_pair(f1, f2), steps=10_000)
+    fitted = propagate_schrodinger(PulsePair(f1, f2), steps=10_000)
     fitted_ok = 1 - fitted.final_populations[2] <= 1e-3
     report(2, "gaussian-fit fidelity", fixture_ok and fitted_ok)
 
@@ -131,7 +131,7 @@ def test_criterion_8_property_suite(reference_pulses):
     # intermediate-population law with analytic pulses
     for m in (1, 2, 3):
         p = design_sta(m)
-        tr = propagate_schrodinger(sta_pulses(p), steps=10_000, stride=10)
+        tr = propagate_schrodinger(p, steps=10_000, stride=10)
         k = p.kappa
         law = (2 * k - k * k) * np.sin(p.phi(tr.times)) ** 2
         ok &= np.abs(tr.populations[:, 1] - law).max() <= 1e-6
@@ -142,7 +142,7 @@ def test_criterion_8_property_suite(reference_pulses):
         m = int(rng.integers(1, 4))
         kappa = float(rng.uniform(0.05, 0.95))
         p = design_sta(m, kappa=kappa)
-        tr = propagate_schrodinger(sta_pulses(p), steps=4000)
+        tr = propagate_schrodinger(p, steps=4000)
         expected = math.sin(kappa * m * math.pi) ** 2
         ok &= abs(tr.final_populations[2] - expected) <= 1e-6
 

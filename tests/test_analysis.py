@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from lambda_sta.analysis import (amplitude_error_sweep, decoherence_map,
+from lambda_sta.analysis import (TableRow, amplitude_error_sweep,
+                                 decoherence_map, format_table,
                                  stirap_infidelity_curve, table_one,
-                                 timing_error_sweep, write_map_csv,
-                                 write_sweep_csv, write_table_csv,
-                                 format_table)
+                                 timing_error_sweep)
+from lambda_sta.cli import main, write_csv
 from lambda_sta.dynamics import (LindbladRates, lindblad_operators,
-                                 propagate_schrodinger, stirap_pulses)
+                                 propagate_schrodinger)
 from lambda_sta.protocol import build_hamiltonian, design_stirap
 from lambda_sta.pulsefit import pulse_amplitude, reference_m1_fit
 
@@ -113,7 +113,7 @@ class TestStirapCurve:
         data = stirap_infidelity_curve(amplitudes=amplitudes, steps=STEPS)
         assert [a for a, _ in data] == amplitudes
         for (_, infid), a in zip(data, amplitudes):
-            pulses = stirap_pulses(design_stirap(a))
+            pulses = design_stirap(a)
             assert abs(infid - (1 - per_point_p3(pulses))) <= 1e-12
 
     def test_vanishing_drive(self):
@@ -179,8 +179,7 @@ class TestTableOne:
 
 
 def test_simulated_p2_max_matches_ceiling(sta_m1):
-    from lambda_sta.dynamics import sta_pulses
-    traj = propagate_schrodinger(sta_pulses(sta_m1), steps=4000, stride=4)
+    traj = propagate_schrodinger(sta_m1, steps=4000, stride=4)
     ceiling = 2 * sta_m1.kappa - sta_m1.kappa ** 2
     assert traj.populations[:, 1].max() == pytest.approx(ceiling, abs=1e-6)
 
@@ -188,32 +187,45 @@ def test_simulated_p2_max_matches_ceiling(sta_m1):
 class TestCsvWriters:
     def test_sweep_csv(self, tmp_path):
         path = tmp_path / "s.csv"
-        write_sweep_csv(path, [(0.0, 1.0), (0.1, 0.5)], "dT_over_T")
+        write_csv(path, ["dT_over_T", "P3"], zip((0.0, 1.0), (0.1, 0.5)))
         lines = path.read_text().splitlines()
         assert lines == ["dT_over_T,P3", "0,1", "0.1,0.5"]
 
     def test_map_csv(self, tmp_path):
-        path = tmp_path / "m.csv"
-        write_map_csv(path, np.array([0.0, 0.01]), np.ones((2, 2)),
-                      "Gamma1_over_amp", "Gamma2_over_amp")
-        lines = path.read_text().splitlines()
+        assert main(["--outdir", str(tmp_path), "fig5", "--grid", "2"]) == 0
+        lines = (tmp_path / "fig5a.csv").read_text().splitlines()
         assert lines[0] == "Gamma1_over_amp,Gamma2_over_amp,P3"
         assert len(lines) == 5
+        # rate1 is the slow index: rows run (0,0), (0,r), (r,0), (r,r)
+        cells = [tuple(line.split(",")[:2]) for line in lines[1:]]
+        assert cells == [("0", "0"), ("0", "0.01"), ("0.01", "0"),
+                         ("0.01", "0.01")]
 
     def test_table_csv_and_text(self, tmp_path):
-        rows = table_one(2, steps=4000)
-        path = tmp_path / "t.csv"
-        write_table_csv(path, rows)
-        lines = path.read_text().splitlines()
+        assert main(["--outdir", str(tmp_path), "table1", "--max-m", "2",
+                     "--steps", "4000"]) == 0
+        lines = (tmp_path / "table1.csv").read_text().splitlines()
         assert lines[0] == "phiT_over_pi,omega_tilde_0_T,P2max"
         assert len(lines) == 3
         assert float(lines[1].split(",")[0]) == 1.0
-        text = format_table(rows)
-        assert "P2max" in text
+        text = (tmp_path / "table1.txt").read_text()
+        assert "P2max" in text and "converged" in text
 
     def test_deterministic_sweep_output(self, tmp_path, reference_pulses):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
             data = timing_error_sweep(reference_pulses, 0.05, 3, steps=1000)
-            write_sweep_csv(path, data, "dT_over_T")
+            write_csv(path, ["dT_over_T", "P3"], zip(*data))
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_table_text_flags_unconverged_fit():
+    rows = [TableRow(winding_phase=np.pi, pulse_amplitude=3.5, p2_max=0.75,
+                     transfer_infidelity=1e-5, fit_converged=True),
+            TableRow(winding_phase=3 * np.pi, pulse_amplitude=8.0,
+                     p2_max=0.3056, transfer_infidelity=1e-4,
+                     fit_converged=False)]
+    header, first, second = format_table(rows).splitlines()
+    assert header.split()[-1] == "converged"
+    assert first.split()[-1] == "yes"
+    assert second.split()[-1] == "no"

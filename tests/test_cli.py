@@ -94,6 +94,35 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lindblad", "--steps", "500"],
+    ["fit", "--components", "0"],
+    ["fit", "--components", "4", "--samples", "100"],
+    ["table1", "--fit-budget", "0"],
+    ["lindblad", "--gamma1", "-1"],
+])
+def test_bad_input_exits_2(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["design", "--T", "-1"], "--T"),
+    (["sweep", "--kind", "timing-error", "--range", "-0.1"], "--range"),
+])
+def test_invalid_value_names_the_flag(tmp_path, capsys, argv, flag):
+    assert run(tmp_path, *argv) == 2
+    assert f"invalid value for {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig5"])
+def test_steps_flag_absent_where_unused(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, "--steps", "2000")
+    assert exc.value.code == 2
+
+
 def test_sta_ref_requires_m1(tmp_path):
     assert run(tmp_path, "simulate", "--protocol", "sta-ref", "--m", "2",
                "--steps", "1000") == 2
@@ -109,6 +138,13 @@ def test_config_file_overridden_by_flags(tmp_path):
     assert manifest["config"]["m"] == 1          # explicit flag wins
     assert manifest["config"]["duration"] == 1.0  # also under another name
     assert manifest["config"]["samples"] == 501  # config fills the default
+
+    # an abbreviated flag is explicit too
+    assert main(["--config", str(cfg), "--outdir", str(out),
+                 "design", "--sam", "200"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["samples"] == 200
+    assert manifest["config"]["m"] == 2
 
 
 def test_bad_config_file_exits_2(tmp_path):

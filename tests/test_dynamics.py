@@ -4,16 +4,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from lambda_sta.cli import main
 from lambda_sta.dynamics import (InvalidDensity, InvalidRates, InvalidState,
                                  InvalidSteps, LindbladRates, PulsePair,
                                  StepTooCoarse, lindblad_operators,
                                  propagate_lindblad, propagate_schrodinger,
-                                 sta_pulses, step_propagators, stirap_pulses)
+                                 step_propagators)
 from lambda_sta.protocol import (G1, G2, analytic_state_constant_mu,
-                                 dark_state, design_stirap)
+                                 dark_state, design_stirap, m_eigenbasis)
 
 ZERO_PULSES = PulsePair(omega1=lambda t: 0.0 * np.asarray(t),
-                        omega2=lambda t: 0.0 * np.asarray(t), tag="custom")
+                        omega2=lambda t: 0.0 * np.asarray(t))
 
 
 @settings(max_examples=200, deadline=None)
@@ -25,6 +26,34 @@ def test_closed_form_step_matches_expm(o1, o2, dt):
     assert np.abs(step_propagators(o1, o2, dt) - exact).max() <= 1e-13
 
 
+@settings(max_examples=50, deadline=None)
+@given(o1=st.floats(-10, 10), o2=st.floats(-10, 10), s=st.floats(-1, 1),
+       t=st.floats(-1, 1))
+def test_step_unitary_and_group_property(o1, o2, s, t):
+    u = step_propagators(o1, o2, s)
+    assert np.abs(u @ u.conj().T - np.eye(3)).max() <= 1e-12
+    lhs = u @ step_propagators(o1, o2, t)
+    assert np.abs(lhs - step_propagators(o1, o2, s + t)).max() <= 1e-12
+
+
+def test_step_identity_at_zero_dt():
+    o1, o2 = np.array([1.0, -3.0, 0.0]), np.array([2.0, 0.5, 0.0])
+    u = step_propagators(o1, o2, 0.0)
+    assert np.abs(u - np.eye(3)).max() < 1e-14
+
+
+def test_step_matches_spectral_projector_form():
+    # H = W (sin(phi) G1 + cos(phi) G2) has the eigenbasis of m_eigenbasis
+    # with eigenvalues 0, +W, -W, so exp(-i H dt) is a sum of projectors
+    phi, w, dt = 0.8, 50.0, 0.01
+    xi0, xip, xim = m_eigenbasis(phi)
+    expected = (np.outer(xi0, xi0.conj())
+                + np.exp(-1j * w * dt) * np.outer(xip, xip.conj())
+                + np.exp(1j * w * dt) * np.outer(xim, xim.conj()))
+    u = step_propagators(w * np.sin(phi), w * np.cos(phi), dt)
+    assert np.abs(u - expected).max() < 1e-12
+
+
 class TestSchrodinger:
     def test_free_evolution_is_constant(self):
         initial = np.array([0.6, 0.8j, 0.0])
@@ -32,7 +61,7 @@ class TestSchrodinger:
         assert np.abs(traj.final_state - initial).max() < 1e-12
 
     def test_matches_analytic_oracle(self, sta_m1):
-        traj = propagate_schrodinger(sta_pulses(sta_m1), steps=10_000,
+        traj = propagate_schrodinger(sta_m1, steps=10_000,
                                      stride=100)
         assert traj.final_populations[2] == pytest.approx(1.0, abs=1e-8)
         for t, pops in zip(traj.times, traj.populations):
@@ -50,7 +79,7 @@ class TestSchrodinger:
 
     def test_second_order_convergence(self, sta_m1):
         def error(steps):
-            traj = propagate_schrodinger(sta_pulses(sta_m1), steps=steps)
+            traj = propagate_schrodinger(sta_m1, steps=steps)
             oracle = np.abs(analytic_state_constant_mu(sta_m1, 1.0)) ** 2
             return np.abs(traj.final_populations - oracle).max()
 
@@ -60,7 +89,7 @@ class TestSchrodinger:
 
     def test_stirap_tracks_dark_state(self):
         proto = design_stirap(70.0)
-        traj = propagate_schrodinger(stirap_pulses(proto), steps=10_000,
+        traj = propagate_schrodinger(proto, steps=10_000,
                                      stride=100, keep_states=True)
         for t, psi in zip(traj.times, traj.states):
             if not 0.1 <= t <= 0.9:
@@ -80,7 +109,7 @@ class TestSchrodinger:
             propagate_schrodinger(ZERO_PULSES, np.array([1.0, 1.0, 0.0]),
                                   steps=200)
         with pytest.raises(StepTooCoarse):
-            propagate_schrodinger(stirap_pulses(design_stirap(1e9)),
+            propagate_schrodinger(design_stirap(1e9),
                                   steps=100)
 
 
@@ -131,21 +160,21 @@ class TestLindblad:
         with pytest.raises(InvalidDensity):
             propagate_lindblad(reference_pulses, initial=bad, steps=1000)
         with pytest.raises(StepTooCoarse):
-            propagate_lindblad(stirap_pulses(design_stirap(1e5)), steps=1000)
+            propagate_lindblad(design_stirap(1e5), steps=1000)
 
 
-def test_population_csv_format(tmp_path, reference_pulses):
-    traj = propagate_schrodinger(reference_pulses, steps=200, stride=50)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    lines = path.read_text().splitlines()
+def test_population_csv_format(tmp_path):
+    paths = [tmp_path / run / "trajectory.csv" for run in ("a", "b")]
+    for path in paths:
+        assert main(["--outdir", str(path.parent), "simulate", "--protocol",
+                     "sta-ref", "--steps", "200"]) == 0
+    lines = paths[0].read_text().splitlines()
     assert lines[0] == "t_over_T,P1,P2,P3"
-    assert len(lines) == len(traj.times) + 1
+    assert len(lines) == 200 + 2
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == 1.0
+    assert float(lines[-1].split(",")[0]) == 1.0
 
     # byte-identical on rerun
-    path2 = tmp_path / "traj2.csv"
-    propagate_schrodinger(reference_pulses, steps=200, stride=50).to_csv(path2)
-    assert path.read_bytes() == path2.read_bytes()
+    assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from lambda_sta.linalg import expi_hermitian
 from lambda_sta.protocol import (G1, G2, G3, DegeneratePulse,
                                  InvalidParameters, InvalidWinding,
                                  TimeOutOfRange, analytic_state_constant_mu,
@@ -17,6 +17,20 @@ from lambda_sta.protocol import (G1, G2, G3, DegeneratePulse,
 
 def commutator(a, b):
     return a @ b - b @ a
+
+
+def expi_g3(s):
+    """The frame rotation exp(i s G3)."""
+    return expm(1j * s * G3)
+
+
+def test_expi_g3_is_plane_rotation():
+    # exp(i s G3) rotates in the 1-3 plane by s
+    s = 0.7
+    expected = np.array([[np.cos(s), 0, np.sin(s)],
+                         [0, 1, 0],
+                         [-np.sin(s), 0, np.cos(s)]], dtype=complex)
+    assert np.abs(expi_g3(s) - expected).max() < 1e-12
 
 
 def test_generator_commutators_exact():
@@ -53,6 +67,13 @@ class TestMEigenbasis:
         assert np.allclose(xi0, [1, 0, 0])
         assert np.allclose(xip, np.array([0, 1, 1]) / math.sqrt(2))
         assert np.allclose(xim, np.array([0, -1, 1]) / math.sqrt(2))
+
+    def test_g2_spectrum_matches_phi_zero_eigenbasis(self):
+        # G2 is the phi=0 member of the sin(phi)G1 + cos(phi)G2 family
+        assert np.allclose(np.linalg.eigvalsh(G2), [-1, 0, 1], atol=1e-12)
+        xi0, xip, xim = m_eigenbasis(0.0)
+        for vec, val in [(xi0, 0.0), (xip, 1.0), (xim, -1.0)]:
+            assert np.abs(G2 @ vec - val * vec).max() < 1e-12
 
     def test_quarter_turn(self):
         xi0, _, _ = m_eigenbasis(math.pi / 2)
@@ -231,7 +252,7 @@ def test_picture_transformation_identity(sta_m1):
         eps_dot = float(sta_m1.phi_dot(t)) * sta_m1.kappa
         h1 = omega * (math.sin(theta + eps) * G1
                       + math.cos(theta + eps) * G2) - eps_dot * G3
-        b = expi_hermitian(G3, -eps)
+        b = expi_g3(-eps)
         h0 = build_hamiltonian(float(sta_m1.omega1(t)), float(sta_m1.omega2(t)))
         recovered = b @ h1 @ b.conj().T + eps_dot * G3
         assert np.abs(recovered - h0).max() < 1e-9
@@ -243,7 +264,7 @@ def test_frame_rotation_of_g1(eps):
     # e^{i eps G3} G1 e^{-i eps G3} = cos(eps) G1 - sin(eps) G2, the
     # trigonometric collapse that turns the frame rotation into a pure
     # phase shift of the drive angle
-    b = expi_hermitian(G3, eps)
+    b = expi_g3(eps)
     rotated = b @ G1 @ b.conj().T
     expected = math.cos(eps) * G1 - math.sin(eps) * G2
     assert np.abs(rotated - expected).max() <= 1e-10

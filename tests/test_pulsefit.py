@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from lambda_sta.dynamics import PulsePair
 from lambda_sta.protocol import design_sta
 from lambda_sta.pulsefit import (DegenerateSamples, GaussianComponent,
                                  GaussianPulse, fit_gaussian_sum,
-                                 fitted_pulse_pair, pulse_amplitude,
+                                 pulse_amplitude,
                                  pulse_from_json, pulse_to_json,
                                  reference_m1_fit)
 
@@ -122,8 +123,7 @@ def test_json_round_trip():
 
 def test_fitted_pair_evaluates(time_grid):
     f1, f2 = reference_m1_fit()
-    pair = fitted_pulse_pair(f1, f2)
-    assert pair.tag == "gaussian-fit"
+    pair = PulsePair(f1, f2)
     assert np.all(np.isfinite(pair.omega1(time_grid)))
     assert np.all(np.isfinite(pair.omega2(time_grid)))
 
