@@ -39,11 +39,10 @@ def timing_error_sweep(pulses, error_range=0.1, points=21, duration=1.0,
     pulse parameters frozen."""
     if error_range > 0.2:
         raise ValueError("timing error range limited to 20%")
+    if duration <= 0:
+        raise InvalidParameters(f"duration must be positive, got {duration}")
     deltas = np.linspace(-error_range, error_range, points)
-    horizons = duration * (1 + deltas)
-    live = horizons > 0
-    p3 = np.zeros(points)
-    p3[live] = _final_p3(evolve_schrodinger(pulses, horizons[live], steps))
+    p3 = _final_p3(evolve_schrodinger(pulses, duration * (1 + deltas), steps))
     return [(float(d), float(p)) for d, p in zip(deltas, p3)]
 
 
@@ -90,9 +89,8 @@ def decoherence_map(pulses, mode, max_ratio=0.01, grid=21, amplitude=None,
     if grid < 2:
         raise ValueError("grid must have at least 2 points per axis")
     if amplitude is None:
-        t = np.linspace(0, duration, 1001)
-        amplitude = float(max(np.abs(pulses.omega1(t)).max(),
-                              np.abs(pulses.omega2(t)).max()))
+        amplitude = pulse_amplitude(pulses.omega1, pulses.omega2, 1001,
+                                    duration)
     ratios = np.linspace(0.0, max_ratio, grid)
 
     def cell(r1, r2):

@@ -2,9 +2,10 @@
 
 One subcommand per reproducible artifact: protocol design, pulse fitting,
 closed/open-system simulation, robustness sweeps, the adiabatic baseline
-curve, the amplitude table, and the data behind each figure.  Every run
-writes a manifest.json with the fully resolved configuration so that
-reruns are byte-reproducible.
+curve, the amplitude table, and the data behind each figure.  Each
+command returns its outputs as {filename: text}; `main` writes them, then
+a manifest.json with the fully resolved configuration, so that reruns are
+byte-reproducible and a failed run writes none of its files.
 """
 
 import argparse
@@ -21,13 +22,22 @@ from .protocol import (design_sta, design_stirap, protocol_to_json,
                        InvalidParameters)
 from .dynamics import (LindbladRates, PulsePair, propagate_schrodinger,
                        propagate_lindblad)
-from .pulsefit import pulse_amplitude, pulse_to_json, reference_m1_fit
+from .pulsefit import pulse_to_json, reference_m1_fit
 from .analysis import (amplitude_error_sweep, decoherence_map,
                        fit_protocol_pulses, format_table,
                        stirap_infidelity_curve, table_one,
                        timing_error_sweep)
 
 OUTDIR_ENV = "LAMBDA_STA_OUTDIR"
+SWEEP_KINDS = ("timing-error", "amp1-error", "amp2-error")
+# The options each --protocol reads, with their defaults.  Giving one that
+# the chosen protocol does not read is a configuration error.
+PROTOCOL_OPTIONS = {
+    "sta": {"m": 1},
+    "sta-fit": {"m": 1, "components": None},
+    "sta-ref": {"m": 1},
+    "stirap": {"omega0": 45.0, "t0": None, "tc": None},
+}
 
 
 class ConfigError(Exception):
@@ -68,12 +78,10 @@ def build_parser():
 
     def drive(p, protocol):
         p.add_argument("--protocol", default=protocol,
-                       choices=["sta", "sta-fit", "sta-ref", "stirap"])
-        p.add_argument("--m", type=int, default=1)
-        p.add_argument("--components", type=int, default=None)
-        p.add_argument("--omega0", type=float, default=45.0)
-        p.add_argument("--t0", type=float, default=None)
-        p.add_argument("--tc", type=float, default=None)
+                       choices=list(PROTOCOL_OPTIONS))
+        for dest, kind in [("m", int), ("components", int),
+                           ("omega0", float), ("t0", float), ("tc", float)]:
+            p.add_argument(f"--{dest}", type=kind)
         common(p)
 
     drive(sub.add_parser("simulate", help="closed-system trajectory"),
@@ -87,8 +95,7 @@ def build_parser():
     p.add_argument("--gamma-phi2", type=float, default=0.0)
 
     p = sub.add_parser("sweep", help="parameter-error robustness sweep")
-    p.add_argument("--kind", required=True,
-                   choices=["timing-error", "amp1-error", "amp2-error"])
+    p.add_argument("--kind", required=True, choices=SWEEP_KINDS)
     p.add_argument("--range", type=float, default=0.1, dest="error_range")
     p.add_argument("--points", type=int, default=21)
     common(p)
@@ -162,7 +169,9 @@ def _set_config_defaults(parser, args):
         p.set_defaults(**defaults)
 
 
-def _validate(parser, args):
+def _resolved(parser, args):
+    """Check the parsed options; return them with the chosen protocol's
+    unset options at their defaults."""
     checks = {
         "m": lambda v: v >= 1,
         "duration": lambda v: v > 0,
@@ -176,44 +185,50 @@ def _validate(parser, args):
     }
     for p in _parsers(parser, args.command):
         for action in p._actions:
-            ok = checks.get(action.dest)
             value = getattr(args, action.dest, None)
-            if ok is not None and value is not None and not ok(value):
+            ok = checks.get(action.dest, lambda v: True)
+            if value is not None and not (
+                    (action.type is not float or math.isfinite(value))
+                    and ok(value)):
                 raise ConfigError(f"invalid value for "
                                   f"{action.option_strings[0]}: {value}")
+    read = PROTOCOL_OPTIONS.get(getattr(args, "protocol", None))
+    if read is None:
+        return args
+    for dest in set().union(*PROTOCOL_OPTIONS.values()) - set(read):
+        if getattr(args, dest) is not None:
+            raise ConfigError(f"--protocol {args.protocol} does not "
+                              f"read --{dest}")
+    return argparse.Namespace(**{**vars(args), **{
+        k: v for k, v in read.items() if getattr(args, k) is None}})
 
 
-def _resolve_outdir(args):
-    outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(outdir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_manifest(outdir, args, outputs):
+def _manifest(args, outputs):
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("config", "outdir") and v is not None}
     doc = {"tool": "lambda-sta", "version": __version__,
            "config": config, "outputs": sorted(outputs)}
-    (outdir / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def write_csv(path, header, columns):
-    """A CSV file with the named columns, every value at 12 significant
+def _write(outdir, files):
+    """Write every file, or none of them when one cannot be written."""
+    written = []
+    try:
+        for name, text in files.items():
+            (outdir / name).write_text(text)
+            written.append(outdir / name)
+    except OSError:
+        for path in written:
+            path.unlink()
+        raise
+
+
+def csv_text(header, columns):
+    """CSV text with the named columns, every value at 12 significant
     digits."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
-
-
-def _write_trajectory(path, traj):
-    write_csv(path, ["t_over_T", "P1", "P2", "P3"],
-              [traj.times / traj.duration, *traj.populations.T])
-
-
-def _reference_pulses(duration):
-    return PulsePair(*reference_m1_fit(duration))
+    rows = (",".join(f"{x:.12g}" for x in row) for row in zip(*columns))
+    return "".join(line + "\n" for line in (",".join(header), *rows))
 
 
 def _protocol_pulses(args):
@@ -227,144 +242,130 @@ def _protocol_pulses(args):
     if args.protocol == "sta-ref":
         if args.m != 1:
             raise ConfigError("reference fit coefficients exist only for m=1")
-        return _reference_pulses(T)
+        return PulsePair(*reference_m1_fit(T))
     (f1, _), (f2, _) = fit_protocol_pulses(p, args.components)
     return PulsePair(f1, f2)
 
 
-def cmd_design(args, outdir):
+def _trajectory_csv(propagate, pulses, args, **options):
+    """Populations of one run, sampled about every thousandth step."""
+    traj = propagate(pulses, horizon=args.duration, steps=args.steps,
+                     stride=max(1, args.steps // 1000), **options)
+    return csv_text(["t_over_T", "P1", "P2", "P3"],
+                    [traj.times / traj.duration, *traj.populations.T])
+
+
+def _sweep_csv(kind, error_range, points, duration, steps):
+    """One robustness sweep of the reference m=1 pulses."""
+    pulses = PulsePair(*reference_m1_fit(duration))
+    if kind == "timing-error":
+        data = timing_error_sweep(pulses, error_range, points, duration,
+                                  steps)
+        x_name = "dT_over_T"
+    else:
+        which = 1 if kind == "amp1-error" else 2
+        data = amplitude_error_sweep(pulses, which, error_range, points,
+                                     duration, steps)
+        x_name = f"dOmega{which}_over_Omega{which}"
+    return csv_text([x_name, "P3"], zip(*data))
+
+
+def _stirap_curve_csv(amp_min, amp_max, points, t0, tc, duration, steps):
+    amplitudes = np.linspace(amp_min, amp_max, points)
+    data = stirap_infidelity_curve(t0, tc, duration, amplitudes / duration,
+                                   steps)
+    return csv_text(["Omega0_T", "infidelity"], zip(*data))
+
+
+def cmd_design(args):
     p = design_sta(args.m, args.duration)
-    (outdir / "protocol.json").write_text(protocol_to_json(p) + "\n")
     t = np.linspace(0, args.duration, args.samples)
-    write_csv(outdir / "schedule.csv",
-              ["t_over_T", "Omega1", "Omega2", "Omega", "theta", "phi"],
-              [t / args.duration, p.omega1(t), p.omega2(t), p.omega(t),
-               p.theta(t), p.phi(t)])
-    return ["protocol.json", "schedule.csv"]
+    return {"protocol.json": protocol_to_json(p) + "\n",
+            "schedule.csv": csv_text(
+                ["t_over_T", "Omega1", "Omega2", "Omega", "theta", "phi"],
+                [t / args.duration, p.omega1(t), p.omega2(t), p.omega(t),
+                 p.theta(t), p.phi(t)])}
 
 
-def cmd_fit(args, outdir):
+def cmd_fit(args):
     p = design_sta(args.m, args.duration)
     (f1, r1), (f2, r2) = fit_protocol_pulses(p, args.components, args.samples)
-    (outdir / "pulse1.json").write_text(pulse_to_json(f1, r1) + "\n")
-    (outdir / "pulse2.json").write_text(pulse_to_json(f2, r2) + "\n")
-    return ["pulse1.json", "pulse2.json"]
+    return {"pulse1.json": pulse_to_json(f1, r1) + "\n",
+            "pulse2.json": pulse_to_json(f2, r2) + "\n"}
 
 
-def cmd_simulate(args, outdir):
-    pulses = _protocol_pulses(args)
-    traj = propagate_schrodinger(pulses, horizon=args.duration,
-                                 steps=args.steps,
-                                 stride=max(1, args.steps // 1000))
-    _write_trajectory(outdir / "trajectory.csv", traj)
-    return ["trajectory.csv"]
+def cmd_simulate(args):
+    return {"trajectory.csv": _trajectory_csv(
+        propagate_schrodinger, _protocol_pulses(args), args)}
 
 
-def cmd_lindblad(args, outdir):
-    pulses = _protocol_pulses(args)
+def cmd_lindblad(args):
     rates = LindbladRates(gamma1=args.gamma1, gamma2=args.gamma2,
                           gamma_phi1=args.gamma_phi1,
                           gamma_phi2=args.gamma_phi2)
-    traj = propagate_lindblad(pulses, rates=rates, horizon=args.duration,
-                              steps=args.steps)
-    _write_trajectory(outdir / "trajectory.csv", traj)
-    return ["trajectory.csv"]
+    return {"trajectory.csv": _trajectory_csv(
+        propagate_lindblad, _protocol_pulses(args), args, rates=rates)}
 
 
-def cmd_sweep(args, outdir):
-    pulses = _reference_pulses(args.duration)
-    if args.kind == "timing-error":
-        data = timing_error_sweep(pulses, args.error_range, args.points,
-                                  args.duration, args.steps)
-        x_name = "dT_over_T"
-    else:
-        which = 1 if args.kind == "amp1-error" else 2
-        data = amplitude_error_sweep(pulses, which, args.error_range,
-                                     args.points, args.duration, args.steps)
-        x_name = f"dOmega{which}_over_Omega{which}"
-    write_csv(outdir / "sweep.csv", [x_name, "P3"], zip(*data))
-    return ["sweep.csv"]
+def cmd_sweep(args):
+    return {"sweep.csv": _sweep_csv(args.kind, args.error_range, args.points,
+                                    args.duration, args.steps)}
 
 
-def cmd_stirap_curve(args, outdir, filename="stirap_curve.csv"):
-    amplitudes = np.linspace(args.amp_min, args.amp_max, args.points)
-    data = stirap_infidelity_curve(args.t0, args.tc, args.duration,
-                                   amplitudes / args.duration, args.steps)
-    write_csv(outdir / filename, ["Omega0_T", "infidelity"], zip(*data))
-    return [filename]
+def cmd_stirap_curve(args):
+    return {"stirap_curve.csv": _stirap_curve_csv(
+        args.amp_min, args.amp_max, args.points, args.t0, args.tc,
+        args.duration, args.steps)}
 
 
-def cmd_table1(args, outdir):
+def cmd_table1(args):
     rows = table_one(args.max_m, args.fit_budget, args.duration, args.steps)
-    write_csv(outdir / "table1.csv",
-              ["phiT_over_pi", "omega_tilde_0_T", "P2max"],
-              [[r.winding_phase / math.pi for r in rows],
-               [r.pulse_amplitude for r in rows], [r.p2_max for r in rows]])
-    (outdir / "table1.txt").write_text(format_table(rows) + "\n")
-    return ["table1.csv", "table1.txt"]
+    return {"table1.csv": csv_text(
+                ["phiT_over_pi", "omega_tilde_0_T", "P2max"],
+                [[r.winding_phase / math.pi for r in rows],
+                 [r.pulse_amplitude for r in rows],
+                 [r.p2_max for r in rows]]),
+            "table1.txt": format_table(rows) + "\n"}
 
 
-def cmd_fig1(args, outdir):
+def cmd_fig1(args):
     p = design_sta(1, args.duration)
     f1, f2 = reference_m1_fit(args.duration)
     t = np.linspace(0, args.duration, 1001)
-    write_csv(outdir / "fig1.csv",
-              ["t_over_T", "abs_Omega1", "abs_Omega1_fit", "Omega2",
-               "Omega2_fit"],
-              [t / args.duration, np.abs(p.omega1(t)), np.abs(f1(t)),
-               p.omega2(t), f2(t)])
-    return ["fig1.csv"]
+    return {"fig1.csv": csv_text(
+        ["t_over_T", "abs_Omega1", "abs_Omega1_fit", "Omega2", "Omega2_fit"],
+        [t / args.duration, np.abs(p.omega1(t)), np.abs(f1(t)),
+         p.omega2(t), f2(t)])}
 
 
-def cmd_fig2(args, outdir):
-    outputs = []
-    for label, m in zip("abc", (1, 2, 3)):
-        traj = propagate_schrodinger(design_sta(m, args.duration),
-                                     horizon=args.duration, steps=args.steps,
-                                     stride=max(1, args.steps // 1000))
-        name = f"fig2{label}.csv"
-        _write_trajectory(outdir / name, traj)
-        outputs.append(name)
-    return outputs
+def cmd_fig2(args):
+    return {f"fig2{label}.csv": _trajectory_csv(
+                propagate_schrodinger, design_sta(m, args.duration), args)
+            for label, m in zip("abc", (1, 2, 3))}
 
 
-def cmd_fig3(args, outdir):
-    args.amp_min, args.amp_max, args.points = 1.0, 80.0, 50
-    args.t0 = args.tc = None
-    return cmd_stirap_curve(args, outdir, filename="fig3.csv")
+def cmd_fig3(args):
+    return {"fig3.csv": _stirap_curve_csv(1.0, 80.0, 50, None, None,
+                                          args.duration, args.steps)}
 
 
-def cmd_fig4(args, outdir):
-    pulses = _reference_pulses(args.duration)
-    outputs = []
-    data = timing_error_sweep(pulses, 0.1, args.points, args.duration,
-                              args.steps)
-    write_csv(outdir / "fig4_timing.csv", ["dT_over_T", "P3"], zip(*data))
-    outputs.append("fig4_timing.csv")
-    for which in (1, 2):
-        data = amplitude_error_sweep(pulses, which, 0.1, args.points,
-                                     args.duration, args.steps)
-        name = f"fig4_amp{which}.csv"
-        write_csv(outdir / name, [f"dOmega{which}_over_Omega{which}", "P3"],
-                  zip(*data))
-        outputs.append(name)
-    return outputs
+def cmd_fig4(args):
+    return {f"fig4_{kind.split('-')[0]}.csv": _sweep_csv(
+                kind, 0.1, args.points, args.duration, args.steps)
+            for kind in SWEEP_KINDS}
 
 
-def cmd_fig5(args, outdir):
-    pulses = _reference_pulses(args.duration)
-    amp = pulse_amplitude(pulses.omega1, pulses.omega2, 1001, args.duration)
-    outputs = []
+def cmd_fig5(args):
+    pulses = PulsePair(*reference_m1_fit(args.duration))
+    outputs = {}
     for label, mode, names in [("a", "relaxation", ("Gamma1", "Gamma2")),
                                ("b", "dephasing", ("Gamma_phi1", "Gamma_phi2"))]:
-        ratios, grid = decoherence_map(pulses, mode, 0.01, args.grid, amp,
-                                       args.duration)
-        name = f"fig5{label}.csv"
-        write_csv(outdir / name,
-                  [f"{names[0]}_over_amp", f"{names[1]}_over_amp", "P3"],
-                  [np.repeat(ratios, len(ratios)),
-                   np.tile(ratios, len(ratios)), grid.ravel()])
-        outputs.append(name)
+        ratios, grid = decoherence_map(pulses, mode, 0.01, args.grid,
+                                       duration=args.duration)
+        outputs[f"fig5{label}.csv"] = csv_text(
+            [f"{names[0]}_over_amp", f"{names[1]}_over_amp", "P3"],
+            [np.repeat(ratios, len(ratios)), np.tile(ratios, len(ratios)),
+             grid.ravel()])
     return outputs
 
 
@@ -385,28 +386,26 @@ COMMANDS = {
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
             _set_config_defaults(parser, args)
             args = parser.parse_args(argv)
-        _validate(parser, args)
-        outdir = _resolve_outdir(args)
-    except (ConfigError, InvalidParameters) as exc:
+        args = _resolved(parser, args)
+        outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
+        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outputs = COMMANDS[args.command](args)
+        except (ConfigError, InvalidParameters):
+            raise
+        except Exception as exc:
+            print(f"computation failed: {exc}", file=sys.stderr)
+            return 3
+        _write(outdir, {**outputs, "manifest.json": _manifest(args, outputs)})
+    except (ConfigError, InvalidParameters, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        outputs = COMMANDS[args.command](args, outdir)
-    except (ConfigError, InvalidParameters) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
-        return 3
-    _write_manifest(outdir, args, outputs)
     for name in outputs:
         print(outdir / name)
     return 0

@@ -31,7 +31,8 @@ generators and propagators are real matrices.
 
 Both kernels refuse a step that rotates the state by more than
 MAX_ROTATION rad (largest Omega*dt), which would give meaningless
-populations from the midpoint rule and diverge under RK4.
+populations from the midpoint rule and diverge under RK4, and a run whose
+states turn non-finite (a duration or drive out of floating-point range).
 """
 
 import warnings
@@ -124,7 +125,8 @@ class LindbladRates:
     gamma_phi2: float = 0.0
 
     def __post_init__(self):
-        if min(self.gamma1, self.gamma2, self.gamma_phi1, self.gamma_phi2) < 0:
+        if not all(r >= 0 for r in (self.gamma1, self.gamma2,
+                                    self.gamma_phi1, self.gamma_phi2)):
             raise InvalidRates(f"rates must be non-negative: {self}")
 
 
@@ -203,7 +205,7 @@ def _march(block, state, steps, stride):
 
     `block(k0, k1)` returns the propagators of steps k0..k1-1 stacked as
     (k1 - k0, batch, d, d).  Returns the states after each sampled step,
-    shape (batch, samples, d).
+    shape (batch, samples, d); raises ValueError when any is non-finite.
     """
     batch, d = state.shape
     per_block = max(1, BLOCK_BYTES // (max(batch, 1) * d * d
@@ -219,6 +221,9 @@ def _march(block, state, steps, stride):
             if k == at[i]:
                 out[i] = x[..., 0]
                 i += 1
+    if not np.all(np.isfinite(out)):
+        raise ValueError("propagation produced non-finite values (duration "
+                         "or drive out of floating-point range)")
     return out.swapaxes(0, 1)
 
 

@@ -107,9 +107,6 @@ class StaProtocol:
     def phi_dot(self, t):
         return (self.m * math.pi**2 / (2 * self.duration)) * np.sin(np.pi * np.asarray(t) / self.duration)
 
-    def epsilon(self, t):
-        return self.kappa * self.phi(t)
-
     def theta(self, t):
         return (1.0 - self.kappa) * self.phi(t) - math.pi / 2
 

@@ -43,11 +43,6 @@ class GaussianPulse:
             out += c.amplitude * np.exp(-u * u)
         return out
 
-    def scaled(self, factor):
-        return GaussianPulse(tuple(
-            GaussianComponent(factor * c.amplitude, c.center, c.width)
-            for c in self.components))
-
 
 @dataclass(frozen=True)
 class FitReport:

@@ -5,10 +5,11 @@ from lambda_sta.analysis import (TableRow, amplitude_error_sweep,
                                  decoherence_map, format_table,
                                  stirap_infidelity_curve, table_one,
                                  timing_error_sweep)
-from lambda_sta.cli import main, write_csv
+from lambda_sta.cli import csv_text, main
 from lambda_sta.dynamics import (LindbladRates, lindblad_operators,
                                  propagate_schrodinger)
-from lambda_sta.protocol import build_hamiltonian, design_stirap
+from lambda_sta.protocol import (InvalidParameters, build_hamiltonian,
+                                 design_stirap)
 from lambda_sta.pulsefit import pulse_amplitude, reference_m1_fit
 
 STEPS = 2000  # integration error far below every tolerance used here
@@ -62,6 +63,11 @@ class TestTimingErrorSweep:
     def test_range_cap(self, reference_pulses):
         with pytest.raises(ValueError):
             timing_error_sweep(reference_pulses, 0.5, 3)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0])
+    def test_nonpositive_duration(self, reference_pulses, duration):
+        with pytest.raises(InvalidParameters):
+            timing_error_sweep(reference_pulses, 0.1, 3, duration)
 
     def test_batched_matches_per_point(self, reference_pulses):
         data = timing_error_sweep(reference_pulses, 0.1, 5, steps=STEPS)
@@ -156,8 +162,12 @@ class TestDecoherenceMap:
 
 
 class TestTableOne:
-    def test_first_three_rows(self):
-        rows = table_one(3, steps=4000)
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return table_one(4, steps=4000)
+
+    def test_first_three_rows(self, rows):
+        rows = rows[:3]
         assert [r.p2_max for r in rows] == pytest.approx(
             [0.75, 0.4375, 0.3056], abs=5e-5)
         assert rows[0].pulse_amplitude == pytest.approx(3.5, rel=0.03)
@@ -166,8 +176,7 @@ class TestTableOne:
         for r in rows:
             assert r.transfer_infidelity <= 1e-3
 
-    def test_tradeoff_monotonicity(self):
-        rows = table_one(4, steps=4000)
+    def test_tradeoff_monotonicity(self, rows):
         amps = [r.pulse_amplitude for r in rows]
         p2 = [r.p2_max for r in rows]
         assert all(a < b for a, b in zip(amps, amps[1:]))
@@ -185,11 +194,9 @@ def test_simulated_p2_max_matches_ceiling(sta_m1):
 
 
 class TestCsvWriters:
-    def test_sweep_csv(self, tmp_path):
-        path = tmp_path / "s.csv"
-        write_csv(path, ["dT_over_T", "P3"], zip((0.0, 1.0), (0.1, 0.5)))
-        lines = path.read_text().splitlines()
-        assert lines == ["dT_over_T,P3", "0,1", "0.1,0.5"]
+    def test_sweep_csv(self):
+        text = csv_text(["dT_over_T", "P3"], zip((0.0, 1.0), (0.1, 0.5)))
+        assert text == "dT_over_T,P3\n0,1\n0.1,0.5\n"
 
     def test_map_csv(self, tmp_path):
         assert main(["--outdir", str(tmp_path), "fig5", "--grid", "2"]) == 0
@@ -211,12 +218,10 @@ class TestCsvWriters:
         text = (tmp_path / "table1.txt").read_text()
         assert "P2max" in text and "converged" in text
 
-    def test_deterministic_sweep_output(self, tmp_path, reference_pulses):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for path in (a, b):
-            data = timing_error_sweep(reference_pulses, 0.05, 3, steps=1000)
-            write_csv(path, ["dT_over_T", "P3"], zip(*data))
-        assert a.read_bytes() == b.read_bytes()
+    def test_deterministic_sweep_output(self, reference_pulses):
+        a, b = (csv_text(["dT_over_T", "P3"], zip(*timing_error_sweep(
+            reference_pulses, 0.05, 3, steps=1000))) for _ in range(2))
+        assert a == b
 
 
 def test_table_text_flags_unconverged_fit():

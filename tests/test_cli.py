@@ -100,11 +100,67 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     ["fit", "--components", "4", "--samples", "100"],
     ["table1", "--fit-budget", "0"],
     ["lindblad", "--gamma1", "-1"],
+    # non-finite float flags
+    ["simulate", "--T", "inf"],
+    ["lindblad", "--gamma1", "nan"],
+    ["stirap-curve", "--min", "nan"],
+    ["simulate", "--protocol", "stirap", "--omega0", "inf"],
+    # options the chosen protocol does not read
+    ["simulate", "--protocol", "stirap", "--m", "3", "--components", "9",
+     "--steps", "2000"],
+    ["simulate", "--protocol", "sta", "--omega0", "45"],
+    ["simulate", "--protocol", "sta-ref", "--components", "3"],
+    ["lindblad", "--t0", "0.1"],
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["simulate", "--protocol", "sta"], {"m": 1}),
+    (["simulate", "--protocol", "stirap", "--t0", "0.1"],
+     {"omega0": 45.0, "t0": 0.1}),
+    (["lindblad"], {"m": 1}),
+])
+def test_manifest_lists_only_read_protocol_options(tmp_path, argv, read):
+    assert run(tmp_path, *argv, "--steps", "1000") == 0
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    options = {"m", "components", "omega0", "t0", "tc"}
+    assert {k: v for k, v in config.items() if k in options} == read
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--protocol", "sta", "--T", "1e300", "--steps", "200"],
+    ["simulate", "--protocol", "sta", "--T", "1e-300", "--steps", "200"],
+    ["fig2", "--T", "1e-300", "--steps", "200"],
+    ["sweep", "--kind", "amp1-error", "--T", "1e-300", "--points", "2",
+     "--steps", "200"],
+    ["stirap-curve", "--T", "1e-300", "--points", "2", "--steps", "200"],
+    ["fig5", "--grid", "2", "--T", "1e-300"],
+    ["lindblad", "--protocol", "sta", "--T", "1e-300", "--steps", "1000"],
+])
+def test_non_finite_result_exits_3(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 3
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_bad_outdir_exits_2(tmp_path, capsys):
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    assert main(["--outdir", str(a_file), "design"]) == 2
+    assert main(["--outdir", str(a_file / "x"), "design"]) == 2
+    # an output name taken by a directory: no file of the run is left
+    out = tmp_path / "out"
+    (out / "schedule.csv").mkdir(parents=True)
+    assert main(["--outdir", str(out), "design"]) == 2
+    assert [p.name for p in out.iterdir()] == ["schedule.csv"]
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -155,7 +211,9 @@ def test_bad_config_file_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("overrides", [{"steps": "many"}, {"steps": None},
-                                       {"protocol": "bogus"}])
+                                       {"protocol": "bogus"},
+                                       # not read by the sta-fit default
+                                       {"omega0": 50}])
 def test_config_value_type_error_exits_2(tmp_path, capsys, overrides):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
@@ -186,6 +244,14 @@ def test_rerun_is_byte_identical(tmp_path):
                      "sta-ref", "--steps", "2000"]) == 0
     assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
     assert (a / "manifest.json").read_text() == (b / "manifest.json").read_text()
+
+
+def test_fig3_manifest_records_only_fig3_options(tmp_path):
+    assert run(tmp_path, "fig3", "--steps", "1000") == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"] == {"command": "fig3", "duration": 1.0,
+                                  "steps": 1000}
+    assert manifest["outputs"] == ["fig3.csv"]
 
 
 def test_fig2_emits_three_files(tmp_path):

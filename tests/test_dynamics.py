@@ -7,11 +7,13 @@ from scipy.linalg import expm
 from lambda_sta.cli import main
 from lambda_sta.dynamics import (InvalidDensity, InvalidRates, InvalidState,
                                  InvalidSteps, LindbladRates, PulsePair,
-                                 StepTooCoarse, lindblad_operators,
+                                 StepTooCoarse, evolve_lindblad,
+                                 evolve_schrodinger, lindblad_operators,
                                  propagate_lindblad, propagate_schrodinger,
                                  step_propagators)
 from lambda_sta.protocol import (G1, G2, analytic_state_constant_mu,
-                                 dark_state, design_stirap, m_eigenbasis)
+                                 dark_state, design_sta, design_stirap,
+                                 m_eigenbasis)
 
 ZERO_PULSES = PulsePair(omega1=lambda t: 0.0 * np.asarray(t),
                         omega2=lambda t: 0.0 * np.asarray(t))
@@ -131,6 +133,22 @@ class TestLindbladOperators:
     def test_negative_rate(self):
         with pytest.raises(InvalidRates):
             LindbladRates(gamma1=-1.0)
+
+    def test_nan_rate(self):
+        with pytest.raises(InvalidRates):
+            LindbladRates(gamma_phi2=float("nan"))
+
+
+@pytest.mark.parametrize("duration", [1e300, 1e-300])
+def test_non_finite_schrodinger_raises(duration):
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve_schrodinger(design_sta(1, duration), duration, 200)
+
+
+def test_non_finite_lindblad_raises():
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve_lindblad(design_sta(1, 1e-300), [LindbladRates()], 1e-300,
+                        1000)
 
 
 class TestLindblad:
