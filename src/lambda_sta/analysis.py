@@ -104,14 +104,20 @@ def decoherence_map(pulses, mode, max_ratio=0.01, grid=21, amplitude=None,
     return ratios, rhos[:, -1, 2, 2].real.reshape(grid, grid)
 
 
-def fit_protocol_pulses(protocol, n_components=None, samples=1001):
-    """Fit both drive schedules of a shortcut protocol.
+def fit_components(m):
+    """Default Gaussian count per pulse for winding m.
 
-    Higher windings produce more sign lobes, so the default component
-    count grows with m (m+1 per pulse, minimum 2).
+    Higher windings produce more sign lobes, so the count grows with m
+    (m+1 per pulse, minimum 2).
     """
+    return max(2, m + 1)
+
+
+def fit_protocol_pulses(protocol, n_components=None, samples=1001):
+    """Fit both drive schedules of a shortcut protocol, with
+    `fit_components(m)` Gaussians per pulse unless told otherwise."""
     if n_components is None:
-        n_components = max(2, protocol.m + 1)
+        n_components = fit_components(protocol.m)
     t = np.linspace(0.0, protocol.duration, samples)
     f1, r1 = fit_gaussian_sum((t, protocol.omega1(t)), n_components)
     f2, r2 = fit_gaussian_sum((t, protocol.omega2(t)), n_components)

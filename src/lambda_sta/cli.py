@@ -24,14 +24,15 @@ from .dynamics import (LindbladRates, PulsePair, propagate_schrodinger,
                        propagate_lindblad)
 from .pulsefit import pulse_to_json, reference_m1_fit
 from .analysis import (amplitude_error_sweep, decoherence_map,
-                       fit_protocol_pulses, format_table,
+                       fit_components, fit_protocol_pulses, format_table,
                        stirap_infidelity_curve, table_one,
                        timing_error_sweep)
 
 OUTDIR_ENV = "LAMBDA_STA_OUTDIR"
 SWEEP_KINDS = ("timing-error", "amp1-error", "amp2-error")
-# The options each --protocol reads, with their defaults.  Giving one that
-# the chosen protocol does not read is a configuration error.
+# The options each --protocol reads, with their defaults (None: resolved
+# from the other options).  Giving one that the chosen protocol does not
+# read is a configuration error.
 PROTOCOL_OPTIONS = {
     "sta": {"m": 1},
     "sta-fit": {"m": 1, "components": None},
@@ -72,7 +73,9 @@ def build_parser():
 
     p = sub.add_parser("fit", help="fit the shortcut schedules to Gaussians")
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--components", type=int, default=2)
+    p.add_argument("--components", type=int, default=None,
+                   help="Gaussian components per pulse (default m+1, "
+                        "at least 2)")
     p.add_argument("--samples", type=int, default=1001)
     common(p, steps=False)
 
@@ -110,7 +113,9 @@ def build_parser():
 
     p = sub.add_parser("table1", help="amplitude/population table per winding")
     p.add_argument("--max-m", type=int, default=7)
-    p.add_argument("--fit-budget", type=int, default=None)
+    p.add_argument("--fit-budget", type=int, default=None,
+                   help="Gaussian components per pulse for every winding "
+                        "(default m+1, at least 2)")
     common(p)
 
     for name, help_text in [
@@ -170,8 +175,9 @@ def _set_config_defaults(parser, args):
 
 
 def _resolved(parser, args):
-    """Check the parsed options; return them with the chosen protocol's
-    unset options at their defaults."""
+    """Check the parsed options; return them with every unset option the
+    run reads at the value it uses: the chosen protocol's defaults, the
+    fit's component count and the STIRAP pulse timing."""
     checks = {
         "m": lambda v: v >= 1,
         "duration": lambda v: v > 0,
@@ -192,15 +198,24 @@ def _resolved(parser, args):
                     and ok(value)):
                 raise ConfigError(f"invalid value for "
                                   f"{action.option_strings[0]}: {value}")
-    read = PROTOCOL_OPTIONS.get(getattr(args, "protocol", None))
-    if read is None:
-        return args
-    for dest in set().union(*PROTOCOL_OPTIONS.values()) - set(read):
-        if getattr(args, dest) is not None:
-            raise ConfigError(f"--protocol {args.protocol} does not "
-                              f"read --{dest}")
-    return argparse.Namespace(**{**vars(args), **{
-        k: v for k, v in read.items() if getattr(args, k) is None}})
+    protocol = getattr(args, "protocol", None)
+    defaults = {}
+    if protocol is not None:
+        read = PROTOCOL_OPTIONS[protocol]
+        for dest in set().union(*PROTOCOL_OPTIONS.values()) - set(read):
+            if getattr(args, dest) is not None:
+                raise ConfigError(f"--protocol {protocol} does not "
+                                  f"read --{dest}")
+        defaults = {k: v for k, v in read.items() if getattr(args, k) is None}
+    args = argparse.Namespace(**{**vars(args), **defaults})
+    if (args.command == "fit" or protocol == "sta-fit") \
+            and args.components is None:
+        args.components = fit_components(args.m)
+    if protocol == "stirap":
+        p = design_stirap(args.omega0 / args.duration, args.t0, args.tc,
+                          args.duration)
+        args.t0, args.tc = p.t0, p.tc
+    return args
 
 
 def _manifest(args, outputs):

@@ -1,9 +1,16 @@
 """Fit sampled drive schedules to signed sums of Gaussian components.
 
-The model is f(t) = sum_i zeta_i * exp(-((t - tau_i)/chi_i)^2), fitted by
-damped nonlinear least squares (trust-region reflective) with the analytic
-Jacobian.  The signed schedule is fitted directly, so components carry the
-sign of the lobe they cover.
+The model is f(t) = sum_i zeta_i * exp(-((t - tau_i)/chi_i)^2).  The
+amplitudes zeta enter it linearly, so the fit is separable (variable
+projection, Golub & Pereyra 1973): trust-region reflective least squares
+moves only the centers and widths (tau, chi), and at every point zeta is
+the linear least-squares solution on the Gaussian basis.  The Jacobian is
+Kaufman's projected derivative (I - QQ^T) dG/dq zeta, with Q from the one
+factorisation of the basis that also gives zeta.  Centers are seeded on
+the extrema and half-maximum shoulders of the sampled lobes, and each
+width at a third of the sign lobe that holds its center.  The signed
+schedule is fitted directly, so components carry the sign of the lobe
+they cover.
 """
 
 import json
@@ -87,25 +94,13 @@ def reference_m1_fit(duration=1.0):
     return p1, p2
 
 
-def _model_and_jacobian(params, t):
-    n = len(params) // 3
-    zeta, tau, chi = params[:n], params[n:2 * n], params[2 * n:]
-    u = (t[:, None] - tau[None, :]) / chi[None, :]
-    g = np.exp(-u * u)
-    y = g @ zeta
-    jac = np.empty((len(t), 3 * n))
-    jac[:, :n] = g
-    jac[:, n:2 * n] = zeta * g * 2 * u / chi
-    jac[:, 2 * n:] = zeta * g * 2 * u * u / chi
-    return y, jac
-
-
 def _initial_guess(t, y, n):
-    """Seed components on the largest lobes of the sampled signal.
+    """Seed (tau, chi) of n components on the lobes of the sampled signal.
 
     Centers go to local extrema of |y| sorted by magnitude; if the signal
     has fewer lobes than components, extra centers fall on the half-maximum
-    shoulders of the dominant lobe.  Widths default to a fifth of the span.
+    shoulders of the dominant lobe.  Each width is a third of the sign lobe
+    (the interval between zero crossings of y) that holds its center.
     """
     span = t[-1] - t[0]
     mag = np.abs(y)
@@ -124,18 +119,41 @@ def _initial_guess(t, y, n):
     while len(centers) < n:
         centers.append(int(len(t) * (len(centers) + 1) / (n + 1)))
 
-    zeta = y[centers]
     tau = t[centers]
-    chi = np.full(n, 0.2 * span)
-    return np.concatenate([zeta, tau, chi])
+    crossings = np.flatnonzero(np.sign(y[:-1]) != np.sign(y[1:]))
+    edges = np.concatenate([[t[0]], 0.5 * (t[crossings] + t[crossings + 1]),
+                            [t[-1]]])
+    lobe = np.clip(np.searchsorted(edges, tau, side="right"), 1, len(edges) - 1)
+    chi = (edges[lobe] - edges[lobe - 1]) / 3
+    return np.concatenate([tau, chi])
+
+
+def _projection(t, y, q):
+    """The Gaussian basis at q = (tau, chi), an orthonormal basis of its
+    column space, and the least-squares amplitudes zeta.
+
+    One SVD serves both the amplitudes (as `lstsq` would solve them,
+    rank-deficient bases included) and the projector of the Jacobian.
+    """
+    n = len(q) // 2
+    u = (t[:, None] - q[:n]) / q[n:]
+    g = np.exp(-u * u)
+    left, s, right = np.linalg.svd(g, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(g.shape) * np.finfo(float).eps))
+    left, s, right = left[:, :rank], s[:rank], right[:rank]
+    zeta = right.T @ ((left.T @ y) / s)
+    return u, g, left, zeta
 
 
 def fit_gaussian_sum(samples, n_components=2, init=None):
     """Least-squares fit of a sampled schedule by n Gaussian components.
 
     `samples` is a sequence of (time, value) pairs or a pair of arrays.
-    Returns the fitted pulse together with a FitReport; on failure to
-    converge the best-so-far pulse is returned with the flag down.
+    Only the centers and widths are optimised; the amplitudes are solved
+    linearly at every point (variable projection), so `init` supplies the
+    starting (tau, chi) and its amplitudes are not read.  Returns the
+    fitted pulse together with a FitReport; on failure to converge the
+    best-so-far pulse is returned with the flag down.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 2 and samples.shape[1] == 2:
@@ -151,31 +169,45 @@ def fit_gaussian_sum(samples, n_components=2, init=None):
         raise DegenerateSamples("all sample values are zero")
 
     if init is not None:
-        x0 = np.concatenate([[c.amplitude for c in init.components],
-                             [c.center for c in init.components],
-                             [c.width for c in init.components]])
+        x0 = np.array([c.center for c in init.components]
+                      + [c.width for c in init.components])
         n_components = len(init.components)
     else:
         x0 = _initial_guess(t, y, n_components)
 
     n = n_components
     span = t[-1] - t[0]
-    lower = np.concatenate([np.full(n, -np.inf), np.full(n, t[0] - span),
-                            np.full(n, 1e-4 * span)])
-    upper = np.concatenate([np.full(n, np.inf), np.full(n, t[-1] + span),
-                            np.full(n, 2 * span)])
+    lower = np.concatenate([np.full(n, t[0] - span), np.full(n, 1e-4 * span)])
+    upper = np.concatenate([np.full(n, t[-1] + span), np.full(n, 2 * span)])
     x0 = np.clip(x0, lower + 1e-12, upper - 1e-12)
 
-    res = least_squares(
-        lambda p: _model_and_jacobian(p, t)[0] - y, x0,
-        jac=lambda p: _model_and_jacobian(p, t)[1],
-        bounds=(lower, upper), method="trf",
-        ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=500 * (3 * n))
+    last = {}
 
-    params = res.x
+    def solve(q):
+        key = q.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = _projection(t, y, q)
+        return last[key]
+
+    def residual(q):
+        _, g, _, zeta = solve(q)
+        return g @ zeta - y
+
+    def jacobian(q):
+        # Kaufman's form: (I - QQ^T) dG/dq zeta
+        u, g, basis, zeta = solve(q)
+        d = g * u * (2 * zeta / q[n:])
+        d = np.hstack([d, d * u])
+        return d - basis @ (basis.T @ d)
+
+    res = least_squares(residual, x0, jac=jacobian, bounds=(lower, upper),
+                        method="trf", ftol=1e-12, xtol=1e-12, gtol=1e-12,
+                        max_nfev=1500 * n)
+
+    _, _, _, zeta = solve(res.x)
     pulse = GaussianPulse(tuple(
-        GaussianComponent(params[i], params[n + i], params[2 * n + i])
-        for i in range(n)))
+        GaussianComponent(zeta[i], res.x[i], res.x[n + i]) for i in range(n)))
     resid = pulse(t) - y
     report = FitReport(
         rms_residual=float(np.sqrt(np.mean(resid ** 2))),

@@ -31,6 +31,14 @@ def test_design_outputs(tmp_path):
     assert sorted(manifest["outputs"]) == ["protocol.json", "schedule.csv"]
 
 
+def test_fit_components_default_to_m_plus_one(tmp_path):
+    assert run(tmp_path, "fit", "--m", "3") == 0
+    for name in ("pulse1.json", "pulse2.json"):
+        doc = json.loads((tmp_path / name).read_text())
+        assert len(doc["components"]) == 4
+        assert doc["fit_report"]["converged"]
+
+
 def test_simulate_sta_fit_reaches_target(tmp_path):
     assert run(tmp_path, "simulate", "--protocol", "sta-fit", "--m", "1",
                "--steps", "4000") == 0
@@ -120,13 +128,21 @@ def test_bad_input_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv, read", [
-    (["simulate", "--protocol", "sta"], {"m": 1}),
-    (["simulate", "--protocol", "stirap", "--t0", "0.1"],
-     {"omega0": 45.0, "t0": 0.1}),
-    (["lindblad"], {"m": 1}),
+    (["simulate", "--protocol", "sta", "--steps", "1000"], {"m": 1}),
+    (["simulate", "--protocol", "stirap", "--t0", "0.1", "--steps", "1000"],
+     {"omega0": 45.0, "t0": 0.1, "tc": 0.2}),
+    (["lindblad", "--steps", "1000"], {"m": 1}),
+    # resolved defaults: STIRAP timing 0.15T and 0.2T, m+1 components
+    (["simulate", "--protocol", "stirap", "--T", "2", "--steps", "1000"],
+     {"omega0": 45.0, "t0": 0.3, "tc": 0.4}),
+    (["simulate", "--protocol", "sta-fit", "--m", "3", "--steps", "1000"],
+     {"m": 3, "components": 4}),
+    (["simulate", "--protocol", "sta-fit", "--components", "3",
+      "--steps", "1000"], {"m": 1, "components": 3}),
+    (["fit", "--m", "3"], {"m": 3, "components": 4}),
 ])
 def test_manifest_lists_only_read_protocol_options(tmp_path, argv, read):
-    assert run(tmp_path, *argv, "--steps", "1000") == 0
+    assert run(tmp_path, *argv) == 0
     config = json.loads((tmp_path / "manifest.json").read_text())["config"]
     options = {"m", "components", "omega0", "t0", "tc"}
     assert {k: v for k, v in config.items() if k in options} == read

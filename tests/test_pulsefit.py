@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lambda_sta.analysis import fit_protocol_pulses
 from lambda_sta.dynamics import PulsePair
 from lambda_sta.protocol import design_sta
 from lambda_sta.pulsefit import (DegenerateSamples, GaussianComponent,
@@ -74,6 +75,21 @@ def test_residual_not_worse_than_initialization(sta_m1, time_grid):
     init_rms = float(np.sqrt(np.mean((init(time_grid) - y) ** 2)))
     _, report = fit_gaussian_sum((time_grid, y), 2, init=init)
     assert report.rms_residual <= init_rms
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_table_fits_converge(m, time_grid):
+    p = design_sta(m)
+    # with kappa = 1/(2m), Omega2(t) = (-1)^m Omega1(T - t): the two
+    # schedules are mirror images and should fit equally well
+    assert np.abs(p.omega2(time_grid)
+                  - (-1) ** m * p.omega1(1.0 - time_grid)).max() < 1e-9
+    peak = np.abs(p.omega1(time_grid)).max()
+    (_, r1), (_, r2) = fit_protocol_pulses(p)
+    assert r1.converged and r2.converged
+    assert max(r1.rms_residual, r2.rms_residual) <= 0.1 * peak
+    assert abs(r1.rms_residual - r2.rms_residual) <= \
+        0.1 * max(r1.rms_residual, r2.rms_residual)
 
 
 def test_degenerate_samples_rejected():
