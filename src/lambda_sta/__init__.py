@@ -5,10 +5,8 @@ studies."""
 __version__ = "0.1.0"
 
 from .protocol import (G1, G2, G3, StaProtocol, StirapProtocol,
-                       build_hamiltonian, dark_state, design_sta,
-                       design_stirap, m_eigenbasis, frame_match,
-                       analytic_state_constant_mu, analytic_state_general,
-                       protocol_to_json, protocol_from_json)
+                       design_sta, design_stirap, m_eigenbasis, frame_match,
+                       analytic_state_constant_mu, protocol_to_json)
 from .dynamics import (LindbladRates, PulsePair, Trajectory,
                        evolve_lindblad, evolve_schrodinger,
                        lindblad_operators, propagate_lindblad,

@@ -108,12 +108,6 @@ class PulsePair:
     omega1: Callable
     omega2: Callable
 
-    def scaled(self, factor1=1.0, factor2=1.0):
-        """Same pulses with each amplitude multiplied by a constant."""
-        o1, o2 = self.omega1, self.omega2
-        return PulsePair(omega1=lambda t: factor1 * o1(t),
-                         omega2=lambda t: factor2 * o2(t))
-
 
 @dataclass(frozen=True)
 class LindbladRates:
@@ -143,15 +137,14 @@ def lindblad_operators(rates):
 
 @dataclass
 class Trajectory:
-    """Time-ordered population samples plus the final state/density matrix."""
+    """Time-ordered population samples, plus the final density matrix of
+    an open-system run."""
 
     times: np.ndarray
     populations: np.ndarray  # shape (n, 3)
     duration: float
     steps: int
-    final_state: Optional[np.ndarray] = None
     final_density: Optional[np.ndarray] = None
-    states: Optional[np.ndarray] = None
 
     @property
     def final_populations(self):
@@ -256,7 +249,7 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=10_000, scale1=1.0,
 
 
 def propagate_schrodinger(pulses, initial=None, horizon=1.0, steps=10_000,
-                          stride=1, keep_states=False):
+                          stride=1):
     """Propagate the Schrodinger equation under a pulse pair.
 
     Samples populations every `stride` steps (plus t=0 and t=horizon).
@@ -270,8 +263,7 @@ def propagate_schrodinger(pulses, initial=None, horizon=1.0, steps=10_000,
                                 stride=stride)[0]
     return Trajectory(times=_sample_steps(steps, stride) * (horizon / steps),
                       populations=np.abs(states) ** 2, duration=horizon,
-                      steps=steps, final_state=states[-1],
-                      states=states if keep_states else None)
+                      steps=steps)
 
 
 def _dissipator_matrix(rates):

@@ -32,19 +32,6 @@ class InvalidWinding(InvalidParameters):
     pass
 
 
-class DegeneratePulse(ValueError):
-    pass
-
-
-class TimeOutOfRange(ValueError):
-    pass
-
-
-def build_hamiltonian(omega1, omega2):
-    """Lambda-system Hamiltonian: omega1 drives 1-2, omega2 drives 2-3."""
-    return omega1 * G1 + omega2 * G2
-
-
 def m_eigenbasis(phi):
     """Eigenvectors (xi0, xi+, xi-) of sin(phi) G1 + cos(phi) G2.
 
@@ -61,30 +48,30 @@ def m_eigenbasis(phi):
 class FrameMatch:
     """Drive parameters read off from the rotating-frame generator.
 
-    gamma is the effective Rabi rate, delta the mixing-angle offset,
-    epsilon_dot the rate of the frame angle; omega == gamma by
-    construction and theta is the in-plane drive angle.
+    omega is the effective Rabi rate, delta the mixing-angle offset,
+    epsilon_dot the rate of the frame angle and theta the in-plane drive
+    angle.  Each is a float or an array, as the inputs are.
     """
 
-    omega: float
-    theta: float
-    epsilon_dot: float
-    gamma: float
-    delta: float
+    omega: np.ndarray
+    theta: np.ndarray
+    epsilon_dot: np.ndarray
+    delta: np.ndarray
 
 
 def frame_match(mu, mu_dot, phi, phi_dot, epsilon=0.0):
-    """Match the rotating-frame generator to a physical drive.
+    """Match the rotating-frame generator to a physical drive,
+    elementwise over the broadcast shape of the inputs.
 
     ``epsilon`` is the accumulated frame angle (the time integral of
     ``epsilon_dot``); it shifts ``theta`` back into the lab frame.
     """
-    gamma = math.hypot(mu_dot, phi_dot * math.sin(mu))
-    delta = math.atan2(mu_dot, phi_dot * math.sin(mu))
-    epsilon_dot = phi_dot * (1.0 - math.cos(mu))
-    theta = phi - delta - math.pi / 2 - epsilon
-    return FrameMatch(omega=gamma, theta=theta, epsilon_dot=epsilon_dot,
-                      gamma=gamma, delta=delta)
+    omega = np.hypot(mu_dot, phi_dot * np.sin(mu))
+    delta = np.arctan2(mu_dot, phi_dot * np.sin(mu))
+    epsilon_dot = phi_dot * (1.0 - np.cos(mu))
+    theta = phi - epsilon - delta - np.pi / 2
+    return FrameMatch(omega=omega, theta=theta, epsilon_dot=epsilon_dot,
+                      delta=delta)
 
 
 @dataclass(frozen=True)
@@ -94,6 +81,9 @@ class StaProtocol:
     phi ramps smoothly from 0 to m*pi with vanishing endpoint slope, so
     both drive amplitudes vanish at t=0 and t=T.  kappa = 1 - cos(mu)
     fixes the intermediate-state population ceiling 2*kappa - kappa^2.
+    The drive is read off `frame_match` at the frame angle kappa*phi.
+    Past T, where phi_dot < 0, omega1 and omega2 continue smoothly with the
+    signed phi_dot, while omega = |phi_dot| sin(mu) and theta jumps by pi.
     """
 
     m: int
@@ -107,17 +97,24 @@ class StaProtocol:
     def phi_dot(self, t):
         return (self.m * math.pi**2 / (2 * self.duration)) * np.sin(np.pi * np.asarray(t) / self.duration)
 
+    def _frame(self, t):
+        phi = self.phi(t)
+        return frame_match(self.mu, 0.0, phi, self.phi_dot(t),
+                           self.kappa * phi)
+
     def theta(self, t):
-        return (1.0 - self.kappa) * self.phi(t) - math.pi / 2
+        return self._frame(t).theta
 
     def omega(self, t):
-        return np.abs(self.phi_dot(t)) * math.sin(self.mu)
+        return self._frame(t).omega
 
     def omega1(self, t):
-        return self.omega(t) * np.sin(self.theta(t))
+        f = self._frame(t)
+        return f.omega * np.sin(f.theta)
 
     def omega2(self, t):
-        return self.omega(t) * np.cos(self.theta(t))
+        f = self._frame(t)
+        return f.omega * np.cos(f.theta)
 
 
 def design_sta(m, duration=1.0, kappa=None):
@@ -140,29 +137,19 @@ def design_sta(m, duration=1.0, kappa=None):
 
 
 def analytic_state_constant_mu(p, t):
-    """Closed-form state of the constant-mu protocol at time t."""
+    """Closed-form state of the constant-mu protocol at time t, with the
+    frame angle epsilon = kappa*phi accumulated from phi_dot*(1-cos mu)."""
     if not 0 <= t <= p.duration:
-        raise TimeOutOfRange(f"t={t} outside [0, {p.duration}]")
-    k = p.kappa
+        raise InvalidParameters(f"t={t} outside [0, {p.duration}]")
     phi = float(p.phi(t))
-    sp, cp = math.sin(phi), math.cos(phi)
-    ske, cke = math.sin(k * phi), math.cos(k * phi)
-    c1 = cke * (1 - k * sp**2) + k * ske * sp * cp
-    c2 = 1j * math.sqrt(2 * k - k * k) * sp
-    c3 = ske * (1 - k * sp**2) - k * cke * sp * cp
-    return np.array([c1, c2, c3], dtype=complex)
-
-
-def analytic_state_general(phi, epsilon, mu):
-    """State for arbitrary (phi, epsilon, mu); epsilon must be the frame
-    angle accumulated from phi_dot*(1-cos mu) with epsilon(0)=phi(0)=0."""
+    epsilon = p.kappa * phi
     sp, cp = math.sin(phi), math.cos(phi)
     se, ce = math.sin(epsilon), math.cos(epsilon)
-    cm = math.cos(mu)
+    cm = math.cos(p.mu)
     a = cp * cp + sp * sp * cm
     b = sp * cp * (cm - 1)
     c1 = ce * a - se * b
-    c2 = 1j * sp * math.sin(mu)
+    c2 = 1j * sp * math.sin(p.mu)
     c3 = ce * b + se * a
     return np.array([c1, c2, c3], dtype=complex)
 
@@ -203,36 +190,7 @@ def design_stirap(omega0, t0=None, tc=None, duration=1.0):
                           duration=float(duration))
 
 
-def dark_state(omega1, omega2):
-    """Zero-eigenvalue eigenstate of the Lambda Hamiltonian."""
-    norm = math.hypot(omega1, omega2)
-    if norm == 0:
-        raise DegeneratePulse("both drive amplitudes are zero")
-    return np.array([omega2, 0, -omega1], dtype=complex) / norm
-
-
 def protocol_to_json(p):
-    """Serialize a protocol to the interchange JSON document."""
-    if isinstance(p, StaProtocol):
-        doc = {"type": "sta", "m": p.m, "kappa": p.kappa, "mu": p.mu,
-               "T": p.duration}
-    elif isinstance(p, StirapProtocol):
-        doc = {"type": "stirap", "omega0": p.omega0, "t0": p.t0,
-               "tc": p.tc, "T": p.duration}
-    else:
-        raise TypeError(f"not a protocol: {type(p)!r}")
-    return json.dumps(doc, indent=2)
-
-
-def protocol_from_json(text):
-    """Rebuild a protocol from its JSON document; missing fields default
-    as in design_sta / design_stirap."""
-    doc = json.loads(text)
-    kind = doc.get("type")
-    duration = doc.get("T", 1.0)
-    if kind == "sta":
-        return design_sta(doc.get("m", 1), duration, kappa=doc.get("kappa"))
-    if kind == "stirap":
-        return design_stirap(doc.get("omega0", 45.0 / duration),
-                             doc.get("t0"), doc.get("tc"), duration)
-    raise InvalidParameters(f"unknown protocol type {kind!r}")
+    """Serialize a shortcut protocol to the interchange JSON document."""
+    return json.dumps({"type": "sta", "m": p.m, "kappa": p.kappa,
+                       "mu": p.mu, "T": p.duration}, indent=2)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .protocol import InvalidParameters
 
@@ -66,13 +65,6 @@ def pulse_to_json(pulse, report=None):
     if report is not None:
         doc["fit_report"] = asdict(report)
     return json.dumps(doc, indent=2)
-
-
-def pulse_from_json(text):
-    doc = json.loads(text)
-    return GaussianPulse(tuple(
-        GaussianComponent(c["zeta"], c["tau"], c["chi"])
-        for c in doc["components"]))
 
 
 def reference_m1_fit(duration=1.0):
@@ -155,6 +147,9 @@ def fit_gaussian_sum(samples, n_components=2, init=None):
     fitted pulse together with a FitReport; on failure to converge the
     best-so-far pulse is returned with the flag down.
     """
+    # deferred: scipy.optimize is most of the package's import time
+    from scipy.optimize import least_squares
+
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 2 and samples.shape[1] == 2:
         t, y = samples[:, 0], samples[:, 1]

@@ -6,10 +6,9 @@ from lambda_sta.analysis import (TableRow, amplitude_error_sweep,
                                  stirap_infidelity_curve, table_one,
                                  timing_error_sweep)
 from lambda_sta.cli import csv_text, main
-from lambda_sta.dynamics import (LindbladRates, lindblad_operators,
+from lambda_sta.dynamics import (LindbladRates, PulsePair, lindblad_operators,
                                  propagate_schrodinger)
-from lambda_sta.protocol import (InvalidParameters, build_hamiltonian,
-                                 design_stirap)
+from lambda_sta.protocol import G1, G2, InvalidParameters, design_stirap
 from lambda_sta.pulsefit import pulse_amplitude, reference_m1_fit
 
 STEPS = 2000  # integration error far below every tolerance used here
@@ -27,8 +26,7 @@ def stage_by_stage_p3(pulses, rates, steps=STEPS):
     dt = 1.0 / steps
     jumps = lindblad_operators(rates)
     t = np.arange(2 * steps + 1) * (dt / 2)
-    hs = [build_hamiltonian(a, b) for a, b in zip(pulses.omega1(t),
-                                                  pulses.omega2(t))]
+    hs = [a * G1 + b * G2 for a, b in zip(pulses.omega1(t), pulses.omega2(t))]
 
     def f(h, rho):
         out = 1j * (rho @ h - h @ rho)
@@ -99,7 +97,8 @@ class TestAmplitudeErrorSweep:
         deltas = np.linspace(-0.3, 0.3, 5)
         assert [d for d, _ in data] == list(deltas)
         for (_, p3), d in zip(data, deltas):
-            scaled = reference_pulses.scaled(1 + d, 1)
+            scaled = PulsePair(lambda t: (1 + d) * reference_pulses.omega1(t),
+                               reference_pulses.omega2)
             assert abs(p3 - per_point_p3(scaled)) <= 1e-12
 
     def test_bad_index(self, reference_pulses):

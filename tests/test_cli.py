@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lambda_sta
 from lambda_sta.cli import main
 
 
@@ -276,3 +281,14 @@ def test_fig2_emits_three_files(tmp_path):
         assert (tmp_path / f"fig2{label}.csv").exists()
     _, rows = read_csv(tmp_path / "fig2a.csv")
     assert rows[-1][3] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_import_defers_scipy_optimize():
+    # scipy.optimize is most of the CLI's import time and only fits use it
+    src = str(Path(lambda_sta.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, lambda_sta.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
