@@ -11,6 +11,11 @@ the extrema and half-maximum shoulders of the sampled lobes, and each
 width at a third of the sign lobe that holds its center.  The signed
 schedule is fitted directly, so components carry the sign of the lobe
 they cover.
+
+A shortcut protocol's two schedules are mirror images, so only Omega2
+is fitted here; `analysis.fit_protocol_pulses` builds Omega1 by
+mirroring that fit, and `fit_report` gives the mirrored pulse's
+residuals.
 """
 
 import json
@@ -203,14 +208,20 @@ def fit_gaussian_sum(samples, n_components=2, init=None):
     _, _, _, zeta = solve(res.x)
     pulse = GaussianPulse(tuple(
         GaussianComponent(zeta[i], res.x[i], res.x[n + i]) for i in range(n)))
-    resid = pulse(t) - y
-    report = FitReport(
+    return pulse, fit_report(pulse, t, y, int(res.nfev), bool(res.status > 0))
+
+
+def fit_report(pulse, t, y, iterations, converged):
+    """FitReport of `pulse` against the samples (t, y), with the nfev and
+    convergence flag of the fit that produced it."""
+    fitted = pulse(t)
+    resid = fitted - y
+    return FitReport(
         rms_residual=float(np.sqrt(np.mean(resid ** 2))),
         max_residual=float(np.abs(resid).max()),
-        peak_amplitude=float(np.abs(pulse(t)).max()),
-        iterations=int(res.nfev),
-        converged=bool(res.status > 0))
-    return pulse, report
+        peak_amplitude=float(np.abs(fitted).max()),
+        iterations=iterations,
+        converged=converged)
 
 
 def pulse_amplitude(p1, p2, grid=1001, duration=1.0):

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from lambda_sta import analysis
 from lambda_sta.analysis import fit_protocol_pulses
+from lambda_sta.cli import main
 from lambda_sta.dynamics import PulsePair
-from lambda_sta.protocol import design_sta
+from lambda_sta.protocol import InvalidParameters, design_sta
 from lambda_sta.pulsefit import (DegenerateSamples, GaussianComponent,
                                  GaussianPulse, fit_gaussian_sum,
                                  pulse_amplitude, pulse_to_json,
@@ -79,16 +81,52 @@ def test_residual_not_worse_than_initialization(sta_m1, time_grid):
 @pytest.mark.parametrize("m", range(1, 8))
 def test_table_fits_converge(m, time_grid):
     p = design_sta(m)
-    # with kappa = 1/(2m), Omega2(t) = (-1)^m Omega1(T - t): the two
-    # schedules are mirror images and should fit equally well
+    # with kappa = 1/(2m), Omega2(t) = (-1)^m Omega1(T - t): pulse 1 is
+    # built as the exact mirror of the one fit, and fits its own schedule
+    # as well as pulse 2 fits its
     assert np.abs(p.omega2(time_grid)
                   - (-1) ** m * p.omega1(1.0 - time_grid)).max() < 1e-9
     peak = np.abs(p.omega1(time_grid)).max()
-    (_, r1), (_, r2) = fit_protocol_pulses(p)
+    (f1, r1), (f2, r2) = fit_protocol_pulses(p)
+    assert [(c.amplitude, c.center, c.width) for c in f1.components] == \
+        [((-1) ** m * c.amplitude, 1.0 - c.center, c.width)
+         for c in f2.components]
     assert r1.converged and r2.converged
+    assert r1.iterations == r2.iterations
     assert max(r1.rms_residual, r2.rms_residual) <= 0.1 * peak
-    assert abs(r1.rms_residual - r2.rms_residual) <= \
-        0.1 * max(r1.rms_residual, r2.rms_residual)
+    assert r1.rms_residual == pytest.approx(r2.rms_residual, rel=1e-12)
+
+
+def test_fit_rejects_asymmetric_kappa():
+    with pytest.raises(InvalidParameters):
+        fit_protocol_pulses(design_sta(3, kappa=0.3))
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Count the Gaussian fits made through `analysis`."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fit_gaussian_sum(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "fit_gaussian_sum", counting)
+    return calls
+
+
+def test_table_fits_once_per_winding(fit_calls):
+    rows = analysis.table_one(3, steps=2000)
+    assert len(rows) == 3
+    assert len(fit_calls) == 3
+
+
+@pytest.mark.parametrize("argv", [["fit", "--m", "2"],
+                                  ["simulate", "--protocol", "sta-fit",
+                                   "--steps", "1000"]])
+def test_cli_fits_once(fit_calls, tmp_path, argv):
+    assert main(["--outdir", str(tmp_path), *argv]) == 0
+    assert len(fit_calls) == 1
 
 
 def test_degenerate_samples_rejected():
