@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import InvalidParameters, design_sta, design_stirap
-from .dynamics import (LindbladRates, PulsePair, evolve_lindblad,
-                       evolve_schrodinger, propagate_lindblad,
-                       propagate_schrodinger)
+from .dynamics import (LindbladRates, evolve_lindblad, evolve_schrodinger,
+                       propagate_lindblad)
 from .pulsefit import (GaussianComponent, GaussianPulse, fit_gaussian_sum,
                        fit_report, pulse_amplitude)
 
@@ -22,9 +21,8 @@ from .pulsefit import (GaussianComponent, GaussianPulse, fit_gaussian_sum,
 @dataclass(frozen=True)
 class TableRow:
     winding_phase: float      # |phi(T)| = m*pi
-    pulse_amplitude: float    # fitted peak amplitude, 1/T
+    pulse_amplitude: float    # fitted peak amplitude at T = 1, i.e. Omega0*T
     p2_max: float             # 2*kappa - kappa^2
-    transfer_infidelity: float
     fit_converged: bool
 
 
@@ -141,24 +139,20 @@ def fit_protocol_pulses(protocol, n_components=None, samples=1001):
     return (f1, r1), (f2, r2)
 
 
-def table_one(max_m=7, fit_budget=None, duration=1.0, steps=10_000):
+def table_one(max_m=7, fit_budget=None):
     """Fitted pulse amplitude and intermediate-population ceiling per
-    winding m = 1..max_m; each row also records the transfer infidelity
-    obtained when simulating with the fitted pulses."""
+    winding m = 1..max_m.  Every entry is dimensionless, so the pulses are
+    designed and fitted at T = 1."""
     if max_m > 10:
         raise ValueError("windings above 10 are not supported")
     rows = []
     for m in range(1, max_m + 1):
-        p = design_sta(m, duration)
+        p = design_sta(m)
         (f1, _), (f2, report) = fit_protocol_pulses(p, fit_budget)
-        amp = pulse_amplitude(f1, f2, 2001, duration)
-        tr = propagate_schrodinger(PulsePair(f1, f2), horizon=duration,
-                                   steps=steps, stride=steps)
         rows.append(TableRow(
             winding_phase=m * math.pi,
-            pulse_amplitude=amp,
+            pulse_amplitude=pulse_amplitude(f1, f2, 2001),
             p2_max=2 * p.kappa - p.kappa ** 2,
-            transfer_infidelity=float(1 - tr.final_populations[2]),
             fit_converged=report.converged))
     return rows
 
@@ -170,7 +164,7 @@ def stirap_dephasing_check(duration=1.0, steps=10_000):
     rates = LindbladRates(gamma_phi1=0.01 * proto.omega0,
                           gamma_phi2=0.01 * proto.omega0)
     tr = propagate_lindblad(proto, rates=rates, horizon=duration,
-                            steps=steps)
+                            steps=steps, stride=steps)
     return float(tr.final_populations[2])
 
 

@@ -116,7 +116,6 @@ def build_parser():
     p.add_argument("--fit-budget", type=int, default=None,
                    help="Gaussian components per pulse for every winding "
                         "(default m+1, at least 2)")
-    common(p)
 
     for name, help_text in [
             ("fig1", "shortcut schedules vs their Gaussian fits"),
@@ -211,9 +210,9 @@ def _resolved(parser, args):
     if (args.command == "fit" or protocol == "sta-fit") \
             and args.components is None:
         args.components = fit_components(args.m)
-    if protocol == "stirap":
-        p = design_stirap(args.omega0 / args.duration, args.t0, args.tc,
-                          args.duration)
+    if protocol == "stirap" or args.command == "stirap-curve":
+        # the timing does not depend on the amplitude
+        p = design_stirap(1.0, args.t0, args.tc, args.duration)
         args.t0, args.tc = p.t0, p.tc
     return args
 
@@ -334,7 +333,7 @@ def cmd_stirap_curve(args):
 
 
 def cmd_table1(args):
-    rows = table_one(args.max_m, args.fit_budget, args.duration, args.steps)
+    rows = table_one(args.max_m, args.fit_budget)
     return {"table1.csv": csv_text(
                 ["phiT_over_pi", "omega_tilde_0_T", "P2max"],
                 [[r.winding_phase / math.pi for r in rows],

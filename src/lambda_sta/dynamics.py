@@ -80,15 +80,7 @@ BLOCK_BYTES = 2 ** 21
 MAX_ROTATION = 1.0
 
 
-class InvalidState(InvalidParameters):
-    pass
-
-
 class InvalidSteps(InvalidParameters):
-    pass
-
-
-class InvalidDensity(InvalidParameters):
     pass
 
 
@@ -221,22 +213,21 @@ def _march(block, state, steps, stride):
 
 
 def evolve_schrodinger(pulses, horizon=1.0, steps=10_000, scale1=1.0,
-                       scale2=1.0, initial=None, stride=None):
+                       scale2=1.0, stride=None):
     """Batched midpoint propagation of the Schrodinger equation.
 
     `horizon`, `scale1` and `scale2` broadcast to one batch axis: run b
     integrates the pulses scaled by (scale1[b], scale2[b]) over
     [0, horizon[b]] in `steps` steps on its own midpoint grid.  Every run
-    starts from `initial` (default |1>).  Returns the states after steps
-    0, stride, 2*stride, ... and `steps`, shape (batch, samples, 3); the
-    default stride samples the start and the end only.
+    starts from |1>.  Returns the states after steps 0, stride, 2*stride,
+    ... and `steps`, shape (batch, samples, 3); the default stride samples
+    the start and the end only.
     """
     if steps < 100:
         raise InvalidSteps(f"need at least 100 steps, got {steps}")
     horizon, scale1, scale2 = np.broadcast_arrays(
         np.atleast_1d(np.asarray(horizon, dtype=float)), scale1, scale2)
     dt = horizon / steps
-    psi = np.array([1, 0, 0] if initial is None else initial, dtype=complex)
 
     def block(k0, k1):
         t = (np.arange(k0, k1) + 0.5)[:, None] * dt
@@ -244,23 +235,16 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=10_000, scale1=1.0,
         _check_rotation(o1, o2, dt)
         return step_propagators(o1, o2, dt)
 
-    start = np.broadcast_to(psi, (len(dt), 3))
+    start = np.broadcast_to(EYE3[0], (len(dt), 3))
     return _march(block, start, steps, stride or steps)
 
 
-def propagate_schrodinger(pulses, initial=None, horizon=1.0, steps=10_000,
-                          stride=1):
-    """Propagate the Schrodinger equation under a pulse pair.
+def propagate_schrodinger(pulses, horizon=1.0, steps=10_000, stride=1):
+    """Propagate the Schrodinger equation under a pulse pair from |1>.
 
     Samples populations every `stride` steps (plus t=0 and t=horizon).
     """
-    if initial is None:
-        initial = np.array([1, 0, 0], dtype=complex)
-    psi = np.asarray(initial, dtype=complex)
-    if psi.shape != (3,) or abs(np.linalg.norm(psi) - 1) > 1e-10:
-        raise InvalidState("initial state must be a unit-norm 3-vector")
-    states = evolve_schrodinger(pulses, horizon, steps, initial=psi,
-                                stride=stride)[0]
+    states = evolve_schrodinger(pulses, horizon, steps, stride=stride)[0]
     return Trajectory(times=_sample_steps(steps, stride) * (horizon / steps),
                       populations=np.abs(states) ** 2, duration=horizon,
                       steps=steps)
@@ -296,12 +280,11 @@ def _rk4_propagators(gen, dt):
     return acc
 
 
-def evolve_lindblad(pulses, rates, horizon=1.0, steps=10_000, initial=None,
-                    stride=None):
+def evolve_lindblad(pulses, rates, horizon=1.0, steps=10_000, stride=None):
     """Batched RK4 integration of the Lindblad master equation.
 
     Run b uses the jump operators of rates[b]; all runs share the pulses,
-    the time grid and the Hermitian `initial` (default |1><1|).  The coherent part uses
+    the time grid and the start |1><1|.  The coherent part uses
     the convention rho_dot = i[rho, H].  Returns the density matrices after
     steps 0, stride, 2*stride, ... and `steps`, shape (batch, samples, 3, 3);
     the default stride samples the start and the end only.
@@ -311,7 +294,6 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=10_000, initial=None,
     diss = _real_superoperator(
         np.array([_dissipator_matrix(r) for r in rates]).reshape(-1, 9, 9))
     dt = horizon / steps
-    rho = np.diag([1.0, 0, 0]) if initial is None else initial
 
     def block(k0, k1):
         t = np.arange(2 * k0, 2 * k1 + 1) * (dt / 2)
@@ -320,31 +302,21 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=10_000, initial=None,
         coherent = o1[:, None, None] * _K1 + o2[:, None, None] * _K2
         return _rk4_propagators(coherent[:, None] + diss, dt)
 
-    x = (_TO_REAL @ np.asarray(rho, dtype=complex).reshape(9)).real
-    out = _march(block, np.broadcast_to(x, (len(diss), 9)), steps,
-                 stride or steps)
+    # |1><1| in real coordinates: the first diagonal entry
+    start = np.broadcast_to(np.eye(9)[0], (len(diss), 9))
+    out = _march(block, start, steps, stride or steps)
     return (out @ _TO_REAL.conj()).reshape(len(diss), -1, 3, 3)
 
 
-def propagate_lindblad(pulses, initial=None, rates=None, horizon=1.0,
-                       steps=10_000, stride=None):
-    """Integrate the Lindblad master equation with fixed-step RK4.
+def propagate_lindblad(pulses, rates=None, horizon=1.0, steps=10_000,
+                       stride=1):
+    """Integrate the Lindblad master equation from |1><1| with fixed-step
+    RK4.
 
-    Samples populations every `stride` steps (default steps // 1000, at
-    least 1), plus t=0 and t=horizon.
+    Samples populations every `stride` steps (plus t=0 and t=horizon).
     """
-    if initial is None:
-        initial = np.diag([1.0, 0, 0]).astype(complex)
-    rho = np.asarray(initial, dtype=complex)
-    if rho.shape != (3, 3) or np.abs(rho - rho.conj().T).max() > 1e-10 \
-            or abs(np.trace(rho).real - 1) > 1e-10 \
-            or np.linalg.eigvalsh(rho).min() < -1e-10:
-        raise InvalidDensity("initial density matrix must be Hermitian, "
-                             "unit-trace and PSD")
-    if stride is None:
-        stride = max(1, steps // 1000)
     rhos = evolve_lindblad(pulses, [rates or LindbladRates()], horizon, steps,
-                           rho, stride)[0]
+                           stride)[0]
     rho = rhos[-1]
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
     if min_eig < -1e-7:

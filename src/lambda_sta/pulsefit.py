@@ -142,24 +142,19 @@ def _projection(t, y, q):
     return u, g, left, zeta
 
 
-def fit_gaussian_sum(samples, n_components=2, init=None):
+def fit_gaussian_sum(samples, n_components=2):
     """Least-squares fit of a sampled schedule by n Gaussian components.
 
-    `samples` is a sequence of (time, value) pairs or a pair of arrays.
-    Only the centers and widths are optimised; the amplitudes are solved
-    linearly at every point (variable projection), so `init` supplies the
-    starting (tau, chi) and its amplitudes are not read.  Returns the
-    fitted pulse together with a FitReport; on failure to converge the
-    best-so-far pulse is returned with the flag down.
+    `samples` is the pair of arrays (t, y).  Only the centers and widths
+    are optimised; the amplitudes are solved linearly at every point
+    (variable projection).  Returns the fitted pulse together with a
+    FitReport; on failure to converge the best-so-far pulse is returned
+    with the flag down.
     """
     # deferred: scipy.optimize is most of the package's import time
     from scipy.optimize import least_squares
 
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 2 and samples.shape[1] == 2:
-        t, y = samples[:, 0], samples[:, 1]
-    else:
-        t, y = samples
+    t, y = (np.asarray(a, dtype=float) for a in samples)
     if n_components < 1:
         raise InvalidParameters("need at least one component")
     if len(t) < 30 * n_components:
@@ -168,13 +163,7 @@ def fit_gaussian_sum(samples, n_components=2, init=None):
     if np.abs(y).max() == 0:
         raise DegenerateSamples("all sample values are zero")
 
-    if init is not None:
-        x0 = np.array([c.center for c in init.components]
-                      + [c.width for c in init.components])
-        n_components = len(init.components)
-    else:
-        x0 = _initial_guess(t, y, n_components)
-
+    x0 = _initial_guess(t, y, n_components)
     n = n_components
     span = t[-1] - t[0]
     lower = np.concatenate([np.full(n, t[0] - span), np.full(n, 1e-4 * span)])

@@ -70,7 +70,7 @@ def test_criterion_3_fit_regression(sta_m1, time_grid):
 
 
 def test_criterion_4_table_one():
-    rows = table_one(7, steps=10_000)
+    rows = table_one(7)
     ok = all(abs(r.p2_max - ref) <= 5e-5
              for r, ref in zip(rows, TABLE_P2MAX))
     ok &= abs(rows[0].pulse_amplitude / TABLE_AMPLITUDE[0] - 1) <= 0.03

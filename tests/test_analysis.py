@@ -163,7 +163,7 @@ class TestDecoherenceMap:
 class TestTableOne:
     @pytest.fixture(scope="class")
     def rows(self):
-        return table_one(4, steps=4000)
+        return table_one(4)
 
     def test_first_three_rows(self, rows):
         rows = rows[:3]
@@ -172,8 +172,6 @@ class TestTableOne:
         assert rows[0].pulse_amplitude == pytest.approx(3.5, rel=0.03)
         assert rows[1].pulse_amplitude == pytest.approx(6.2, rel=0.10)
         assert rows[2].pulse_amplitude == pytest.approx(8.0, rel=0.10)
-        for r in rows:
-            assert r.transfer_infidelity <= 1e-3
 
     def test_tradeoff_monotonicity(self, rows):
         amps = [r.pulse_amplitude for r in rows]
@@ -208,8 +206,8 @@ class TestCsvWriters:
                          ("0.01", "0.01")]
 
     def test_table_csv_and_text(self, tmp_path):
-        assert main(["--outdir", str(tmp_path), "table1", "--max-m", "2",
-                     "--steps", "4000"]) == 0
+        assert main(["--outdir", str(tmp_path), "table1", "--max-m",
+                     "2"]) == 0
         lines = (tmp_path / "table1.csv").read_text().splitlines()
         assert lines[0] == "phiT_over_pi,omega_tilde_0_T,P2max"
         assert len(lines) == 3
@@ -225,10 +223,9 @@ class TestCsvWriters:
 
 def test_table_text_flags_unconverged_fit():
     rows = [TableRow(winding_phase=np.pi, pulse_amplitude=3.5, p2_max=0.75,
-                     transfer_infidelity=1e-5, fit_converged=True),
+                     fit_converged=True),
             TableRow(winding_phase=3 * np.pi, pulse_amplitude=8.0,
-                     p2_max=0.3056, transfer_infidelity=1e-4,
-                     fit_converged=False)]
+                     p2_max=0.3056, fit_converged=False)]
     header, first, second = format_table(rows).splitlines()
     assert header.split()[-1] == "converged"
     assert first.split()[-1] == "yes"

@@ -66,7 +66,7 @@ def test_lindblad_run(tmp_path):
 
 
 def test_table1(tmp_path):
-    assert run(tmp_path, "table1", "--max-m", "2", "--steps", "4000") == 0
+    assert run(tmp_path, "table1", "--max-m", "2") == 0
     _, rows = read_csv(tmp_path / "table1.csv")
     assert len(rows) == 2
     assert rows[0][2] == pytest.approx(0.75)
@@ -145,6 +145,8 @@ def test_bad_input_exits_2(tmp_path, capsys, argv):
     (["simulate", "--protocol", "sta-fit", "--components", "3",
       "--steps", "1000"], {"m": 1, "components": 3}),
     (["fit", "--m", "3"], {"m": 3, "components": 4}),
+    (["stirap-curve", "--points", "2", "--steps", "1000"],
+     {"t0": 0.15, "tc": 0.2}),
 ])
 def test_manifest_lists_only_read_protocol_options(tmp_path, argv, read):
     assert run(tmp_path, *argv) == 0
@@ -193,10 +195,14 @@ def test_invalid_value_names_the_flag(tmp_path, capsys, argv, flag):
     assert f"invalid value for {flag}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["fig1", "fig5"])
-def test_steps_flag_absent_where_unused(tmp_path, command):
+@pytest.mark.parametrize("command, flag", [
+    ("fig1", "--steps"), ("fig5", "--steps"),
+    # the table is dimensionless: neither T nor a step count reaches it
+    ("table1", "--steps"), ("table1", "--T"),
+], ids=["fig1", "fig5", "table1-steps", "table1-T"])
+def test_steps_flag_absent_where_unused(tmp_path, command, flag):
     with pytest.raises(SystemExit) as exc:
-        run(tmp_path, command, "--steps", "2000")
+        run(tmp_path, command, flag, "2")
     assert exc.value.code == 2
 
 

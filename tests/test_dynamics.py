@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lambda_sta.cli import main
-from lambda_sta.dynamics import (InvalidDensity, InvalidRates, InvalidState,
-                                 InvalidSteps, LindbladRates, PulsePair,
+from lambda_sta.dynamics import (InvalidRates, InvalidSteps, LindbladRates,
+                                 PulsePair,
                                  StepTooCoarse, evolve_lindblad,
                                  evolve_schrodinger, lindblad_operators,
                                  propagate_lindblad, propagate_schrodinger,
@@ -57,10 +57,8 @@ def test_step_matches_spectral_projector_form():
 
 class TestSchrodinger:
     def test_free_evolution_is_constant(self):
-        initial = np.array([0.6, 0.8j, 0.0])
-        final = evolve_schrodinger(ZERO_PULSES, steps=200,
-                                   initial=initial)[0, -1]
-        assert np.abs(final - initial).max() < 1e-12
+        final = evolve_schrodinger(ZERO_PULSES, steps=200)[0, -1]
+        assert np.abs(final - [1, 0, 0]).max() < 1e-12
 
     def test_matches_analytic_oracle(self, sta_m1):
         traj = propagate_schrodinger(sta_m1, steps=10_000,
@@ -109,9 +107,6 @@ class TestSchrodinger:
     def test_invalid_inputs(self):
         with pytest.raises(InvalidSteps):
             propagate_schrodinger(ZERO_PULSES, steps=50)
-        with pytest.raises(InvalidState):
-            propagate_schrodinger(ZERO_PULSES, np.array([1.0, 1.0, 0.0]),
-                                  steps=200)
         with pytest.raises(StepTooCoarse):
             propagate_schrodinger(design_stirap(1e9),
                                   steps=100)
@@ -176,9 +171,6 @@ class TestLindblad:
     def test_invalid_inputs(self, reference_pulses):
         with pytest.raises(InvalidSteps):
             propagate_lindblad(reference_pulses, steps=500)
-        bad = np.diag([0.7, 0.7, -0.4]).astype(complex)
-        with pytest.raises(InvalidDensity):
-            propagate_lindblad(reference_pulses, initial=bad, steps=1000)
         with pytest.raises(StepTooCoarse):
             propagate_lindblad(design_stirap(1e5), steps=1000)
 

@@ -26,7 +26,7 @@ RUNS = {
     "fig3": ["fig3", "--steps", "2000"],
     "fig4": ["fig4", "--points", "5", "--steps", "2000"],
     "fig5": ["fig5", "--grid", "3"],
-    "table1": ["table1", "--max-m", "2", "--steps", "2000"],
+    "table1": ["table1", "--max-m", "2"],
     "simulate": ["simulate", "--steps", "2000"],
     "lindblad": ["lindblad", "--steps", "2000"],
 }
