@@ -32,7 +32,7 @@ def _final_p3(states):
 
 
 def timing_error_sweep(pulses, error_range=0.1, points=21, duration=1.0,
-                       steps=10_000):
+                       steps=1000):
     """Final target population when the interaction time is off by a
     relative error delta: integrate to T' = T*(1+delta) with the nominal
     pulse parameters frozen."""
@@ -46,7 +46,7 @@ def timing_error_sweep(pulses, error_range=0.1, points=21, duration=1.0,
 
 
 def amplitude_error_sweep(pulses, which=1, error_range=0.1, points=21,
-                          duration=1.0, steps=10_000):
+                          duration=1.0, steps=1000):
     """Final target population when one drive amplitude is scaled by
     (1+delta) while the other stays nominal."""
     if which not in (1, 2):
@@ -58,7 +58,7 @@ def amplitude_error_sweep(pulses, which=1, error_range=0.1, points=21,
 
 
 def stirap_infidelity_curve(t0=None, tc=None, duration=1.0, amplitudes=None,
-                            steps=10_000):
+                            steps=1000):
     """Final-state infidelity of the Gaussian adiabatic pair versus its
     peak amplitude."""
     if amplitudes is None:

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,18 @@ def test_simulated_p2_max_matches_ceiling(sta_m1):
     traj = propagate_schrodinger(sta_m1, steps=4000, stride=4)
     ceiling = 2 * sta_m1.kappa - sta_m1.kappa ** 2
     assert traj.populations[:, 1].max() == pytest.approx(ceiling, abs=1e-6)
+
+
+def test_default_steps_converged(reference_pulses):
+    # fig3's curve and fig4's sweeps at the default step count agree with
+    # 16x finer runs to 1e-10
+    runs = [partial(stirap_infidelity_curve, amplitudes=[1.0, 45.0, 80.0]),
+            partial(timing_error_sweep, reference_pulses, 0.1, 41),
+            partial(amplitude_error_sweep, reference_pulses, 1, 0.1, 41),
+            partial(amplitude_error_sweep, reference_pulses, 2, 0.1, 41)]
+    for run in runs:
+        default, fine = np.array(run()), np.array(run(steps=16_000))
+        assert np.abs(default - fine).max() <= 1e-10
 
 
 class TestCsvWriters:

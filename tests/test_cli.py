@@ -250,6 +250,22 @@ def test_config_value_type_error_exits_2(tmp_path, capsys, overrides):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, overrides", [
+    # table1 has neither --steps nor --T
+    (["table1", "--max-m", "1"], {"steps": 2000, "duration": 2}),
+    # --help takes no value
+    (["design"], {"help": 1}),
+])
+def test_config_key_of_no_option_exits_2(tmp_path, capsys, argv, overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                 *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(next(iter(overrides))) in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_coarse_steps_exit_3(tmp_path, capsys):
     assert run(tmp_path, "simulate", "--protocol", "stirap",
                "--omega0", "1e9", "--steps", "100") == 3
