@@ -12,10 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import InvalidParameters, design_sta, design_stirap
-from .dynamics import (LindbladRates, evolve_lindblad, evolve_schrodinger,
+from .dynamics import (LINDBLAD_STEPS, SCHRODINGER_STEPS, LindbladRates,
+                       evolve_lindblad, evolve_schrodinger,
                        propagate_lindblad)
 from .pulsefit import (GaussianComponent, GaussianPulse, fit_gaussian_sum,
                        fit_report, pulse_amplitude)
+
+
+# The two LindbladRates fields each decoherence_map mode varies.
+_MAP_CHANNELS = {"relaxation": ("gamma1", "gamma2"),
+                 "dephasing": ("gamma_phi1", "gamma_phi2")}
 
 
 @dataclass(frozen=True)
@@ -32,7 +38,7 @@ def _final_p3(states):
 
 
 def timing_error_sweep(pulses, error_range=0.1, points=21, duration=1.0,
-                       steps=1000):
+                       steps=SCHRODINGER_STEPS):
     """Final target population when the interaction time is off by a
     relative error delta: integrate to T' = T*(1+delta) with the nominal
     pulse parameters frozen."""
@@ -46,7 +52,7 @@ def timing_error_sweep(pulses, error_range=0.1, points=21, duration=1.0,
 
 
 def amplitude_error_sweep(pulses, which=1, error_range=0.1, points=21,
-                          duration=1.0, steps=1000):
+                          duration=1.0, steps=SCHRODINGER_STEPS):
     """Final target population when one drive amplitude is scaled by
     (1+delta) while the other stays nominal."""
     if which not in (1, 2):
@@ -58,7 +64,7 @@ def amplitude_error_sweep(pulses, which=1, error_range=0.1, points=21,
 
 
 def stirap_infidelity_curve(t0=None, tc=None, duration=1.0, amplitudes=None,
-                            steps=1000):
+                            steps=SCHRODINGER_STEPS):
     """Final-state infidelity of the Gaussian adiabatic pair versus its
     peak amplitude."""
     if amplitudes is None:
@@ -81,7 +87,7 @@ def decoherence_map(pulses, mode, max_ratio=0.01, grid=21, amplitude=None,
     channels).  Returns (ratios, matrix) with matrix[i, j] the final
     population at rate1 = ratios[i], rate2 = ratios[j].
     """
-    if mode not in ("relaxation", "dephasing"):
+    if mode not in _MAP_CHANNELS:
         raise ValueError(f"mode must be relaxation or dephasing, got {mode!r}")
     if max_ratio > 0.05:
         raise ValueError("decoherence ratios limited to 5%")
@@ -91,14 +97,9 @@ def decoherence_map(pulses, mode, max_ratio=0.01, grid=21, amplitude=None,
         amplitude = pulse_amplitude(pulses.omega1, pulses.omega2, 1001,
                                     duration)
     ratios = np.linspace(0.0, max_ratio, grid)
-
-    def cell(r1, r2):
-        if mode == "relaxation":
-            return LindbladRates(gamma1=r1 * amplitude, gamma2=r2 * amplitude)
-        return LindbladRates(gamma_phi1=r1 * amplitude,
-                             gamma_phi2=r2 * amplitude)
-
-    rates = [cell(r1, r2) for r1 in ratios for r2 in ratios]
+    c1, c2 = _MAP_CHANNELS[mode]
+    rates = [LindbladRates(**{c1: r1 * amplitude, c2: r2 * amplitude})
+             for r1 in ratios for r2 in ratios]
     rhos = evolve_lindblad(pulses, rates, duration, steps)
     return ratios, rhos[:, -1, 2, 2].real.reshape(grid, grid)
 
@@ -157,7 +158,7 @@ def table_one(max_m=7, fit_budget=None):
     return rows
 
 
-def stirap_dephasing_check(duration=1.0, steps=10_000):
+def stirap_dephasing_check(duration=1.0, steps=LINDBLAD_STEPS):
     """Final target population of the reference adiabatic protocol
     (amplitude 45/T) with both dephasing ratios at 1%."""
     proto = design_stirap(45.0 / duration, duration=duration)

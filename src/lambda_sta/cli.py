@@ -20,7 +20,9 @@ import numpy as np
 from . import __version__
 from .protocol import (design_sta, design_stirap, protocol_to_json,
                        InvalidParameters)
-from .dynamics import (LindbladRates, PulsePair, propagate_schrodinger,
+from .dynamics import (LINDBLAD_STEPS, MIN_LINDBLAD_STEPS,
+                       MIN_SCHRODINGER_STEPS, SCHRODINGER_STEPS,
+                       LindbladRates, PulsePair, propagate_schrodinger,
                        propagate_lindblad)
 from .pulsefit import pulse_to_json, reference_m1_fit
 from .analysis import (amplitude_error_sweep, decoherence_map,
@@ -29,10 +31,6 @@ from .analysis import (amplitude_error_sweep, decoherence_map,
                        timing_error_sweep)
 
 OUTDIR_ENV = "LAMBDA_STA_OUTDIR"
-# --steps defaults.  At 1000 steps the fourth-order Magnus step puts fig3
-# and fig4 within 4e-12 of 16x finer runs; RK4 needs more steps.
-SCHRODINGER_STEPS = 1000
-LINDBLAD_STEPS = 10_000
 SWEEP_KINDS = ("timing-error", "amp1-error", "amp2-error")
 # The options each --protocol reads, with their defaults (None: resolved
 # from the other options).  Giving one that the chosen protocol does not
@@ -184,10 +182,12 @@ def _resolved(parser, args):
     """Check the parsed options; return them with every unset option the
     run reads at the value it uses: the chosen protocol's defaults, the
     fit's component count and the STIRAP pulse timing."""
+    min_steps = (MIN_LINDBLAD_STEPS if args.command == "lindblad"
+                 else MIN_SCHRODINGER_STEPS)
     checks = {
         "m": lambda v: v >= 1,
         "duration": lambda v: v > 0,
-        "steps": lambda v: v >= 100,
+        "steps": lambda v: v >= min_steps,
         "samples": lambda v: v >= 100,
         "points": lambda v: v >= 2,
         "grid": lambda v: v >= 2,

@@ -34,17 +34,27 @@ RK4 is linear in the state, so each step is applied as its 9x9 one-step
 propagator, built from the generators at the step's start, midpoint and
 end.  The kernel works in real coordinates of the Hermitian rho (its
 diagonal and the real and imaginary parts of its upper triangle), where
-generators and propagators are real matrices.
+generators and propagators are real matrices.  The generator is linear
+in the drive and in the rates,
+
+    omega1 K1 + omega2 K2 + gamma1 D1 + gamma2 D2
+                          + gamma_phi1 D3 + gamma_phi2 D4,
+
+because each jump operator scales as sqrt(gamma); its six pieces are
+built once, at import, and a run only weighs them.
 
 Both kernels refuse a step that rotates the state by more than
 MAX_ROTATION rad (largest Omega*dt at the times where H is sampled), which
 would give meaningless populations from the Magnus step and diverge under
-RK4, and a run whose states turn non-finite (a duration or drive out of
-floating-point range).
+RK4.  The Lindblad kernel also refuses a step whose Gamma*dt exceeds
+MAX_ROTATION, Gamma = gamma1 + gamma2 + 2 gamma_phi1 + 2 gamma_phi2 being
+a bound on the decay rate of every element of rho, where RK4 would
+diverge too.  Both refuse a run whose states turn non-finite (a duration
+or drive out of floating-point range).
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,17 +85,19 @@ def _real_superoperator(s):
     return (_TO_REAL @ s @ _TO_REAL.conj().T).real
 
 
-# Coherent part of the Lindblad generator, i[rho, H] = omega1 _K1 + omega2 _K2
-# (on vec(rho): vec(A rho B) = (A kron B^T) vec(rho); G1, G2 are real
-# symmetric), in real coordinates.
-_K1 = _real_superoperator(1j * (np.kron(EYE3, G1) - np.kron(G1, EYE3)))
-_K2 = _real_superoperator(1j * (np.kron(EYE3, G2) - np.kron(G2, EYE3)))
-
 # Propagator bytes built per block: bounds the kernels' working set.
 BLOCK_BYTES = 2 ** 21
-# Largest accepted Omega*dt per step.  RK4 turns unstable near 1.4 rad;
-# the reproduction's runs stay below 0.1 rad.
+# Largest accepted Omega*dt, and Gamma*dt, per step.  RK4 turns unstable
+# near Omega*dt = 1.4 rad and Gamma*dt = 2.785; the reproduction's runs
+# stay below 0.1 rad and 7e-5 (fig5's dephasing corner).
 MAX_ROTATION = 1.0
+# Default step counts, and the least accepted.  At 1000 steps the
+# fourth-order Magnus step puts fig3 and fig4 within 4e-12 of 16x finer
+# runs; RK4 is less accurate and needs more steps.
+SCHRODINGER_STEPS = 1000
+LINDBLAD_STEPS = 10_000
+MIN_SCHRODINGER_STEPS = 100
+MIN_LINDBLAD_STEPS = 1000
 # Fourth-order commutator-free Magnus step: Gauss-Legendre nodes as
 # fractions of a step, and the node weights of its two exponents, the
 # first-acting one first.
@@ -141,6 +153,20 @@ def lindblad_operators(rates):
     return l1, l2, l3, l4
 
 
+# The Lindblad generator in real coordinates (on vec(rho): vec(A rho B) =
+# (A kron B^T) vec(rho)).  Coherent part, i[rho, H] = omega1 _K1 + omega2
+# _K2 (G1, G2 are real symmetric); jump part at unit rates, one 9x9 piece
+# per LindbladRates field, in field order (the unit jump operators L are
+# real, and L^T L is diagonal).
+_K1 = _real_superoperator(1j * (np.kron(EYE3, G1) - np.kron(G1, EYE3)))
+_K2 = _real_superoperator(1j * (np.kron(EYE3, G2) - np.kron(G2, EYE3)))
+_D = _real_superoperator(np.array([
+    np.kron(l, l) - 0.5 * (np.kron(l.T @ l, EYE3) + np.kron(EYE3, l.T @ l))
+    for l in lindblad_operators(LindbladRates(1, 1, 1, 1))]))
+# Gamma = _DECAY . rates bounds the decay rate of every element of rho.
+_DECAY = np.array([1.0, 1.0, 2.0, 2.0])
+
+
 @dataclass
 class Trajectory:
     """Time-ordered population samples, plus the final density matrix of
@@ -168,12 +194,13 @@ def _drive(pulses, t, scale1=1.0, scale2=1.0):
     return o1, o2
 
 
-def _check_rotation(o1, o2, dt):
-    """Raise StepTooCoarse when some Omega*dt exceeds MAX_ROTATION."""
-    worst = float(np.max(np.hypot(o1, o2) * dt, initial=0.0))
+def _check_step(rate, dt, effect="rotates the state by {:.3g} rad"):
+    """Raise StepTooCoarse when some rate*dt (by default Omega*dt, as
+    `effect` words it) exceeds MAX_ROTATION."""
+    worst = float(np.max(rate * dt, initial=0.0))
     if worst > MAX_ROTATION:
-        raise StepTooCoarse(f"a step rotates the state by {worst:.3g} rad "
-                            f"(limit {MAX_ROTATION:g}); use more steps")
+        raise StepTooCoarse(f"a step {effect.format(worst)} (limit "
+                            f"{MAX_ROTATION:g}); use more steps")
 
 
 def step_propagators(o1, o2, dt):
@@ -216,21 +243,23 @@ def _march(block, state, steps, stride, factors=1):
     out[0] = state
     x = state[..., None]
     i = 1
-    for k0 in range(0, steps, per_block):
-        for k, p in enumerate(block(k0, min(k0 + per_block, steps)),
-                              k0 * factors + 1):
-            x = p @ x
-            if k == at[i]:
-                out[i] = x[..., 0]
-                i += 1
+    # an overflow shows as the non-finite states reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, steps, per_block):
+            for k, p in enumerate(block(k0, min(k0 + per_block, steps)),
+                                  k0 * factors + 1):
+                x = p @ x
+                if k == at[i]:
+                    out[i] = x[..., 0]
+                    i += 1
     if not np.all(np.isfinite(out)):
         raise ValueError("propagation produced non-finite values (duration "
                          "or drive out of floating-point range)")
     return out.swapaxes(0, 1)
 
 
-def evolve_schrodinger(pulses, horizon=1.0, steps=1000, scale1=1.0,
-                       scale2=1.0, stride=None):
+def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
+                       scale1=1.0, scale2=1.0, stride=None):
     """Batched fourth-order Magnus propagation of the Schrodinger equation.
 
     `horizon`, `scale1` and `scale2` broadcast to one batch axis: run b
@@ -240,8 +269,9 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=1000, scale1=1.0,
     ... and `steps`, shape (batch, samples, 3); the default stride samples
     the start and the end only.
     """
-    if steps < 100:
-        raise InvalidSteps(f"need at least 100 steps, got {steps}")
+    if steps < MIN_SCHRODINGER_STEPS:
+        raise InvalidSteps(f"need at least {MIN_SCHRODINGER_STEPS} steps, "
+                           f"got {steps}")
     horizon, scale1, scale2 = np.broadcast_arrays(
         np.atleast_1d(np.asarray(horizon, dtype=float)), scale1, scale2)
     dt = horizon / steps
@@ -250,7 +280,7 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=1000, scale1=1.0,
         # drive at the two nodes of each step: shape (steps, 2, batch)
         t = (np.arange(k0, k1)[:, None, None] + _CF4_NODES[:, None]) * dt
         o1, o2 = _drive(pulses, t, scale1, scale2)
-        _check_rotation(o1, o2, dt)
+        _check_step(np.hypot(o1, o2), dt)
         u = step_propagators(_CF4_MIX @ o1, _CF4_MIX @ o2, dt)
         return u.reshape(-1, *u.shape[2:])
 
@@ -258,7 +288,8 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=1000, scale1=1.0,
     return _march(block, start, steps, stride or steps, factors=2)
 
 
-def propagate_schrodinger(pulses, horizon=1.0, steps=1000, stride=1):
+def propagate_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
+                          stride=1):
     """Propagate the Schrodinger equation under a pulse pair from |1>.
 
     Samples populations every `stride` steps (plus t=0 and t=horizon).
@@ -267,17 +298,6 @@ def propagate_schrodinger(pulses, horizon=1.0, steps=1000, stride=1):
     return Trajectory(times=_sample_steps(steps, stride) * (horizon / steps),
                       populations=np.abs(states) ** 2, duration=horizon,
                       steps=steps)
-
-
-def _dissipator_matrix(rates):
-    """Constant superoperator for the jump terms, acting on the row-major
-    vectorized density matrix (vec(A rho B) = (A kron B^T) vec(rho))."""
-    d = np.zeros((9, 9), dtype=complex)
-    for l in lindblad_operators(rates):
-        ldl = l.conj().T @ l
-        d += np.kron(l, l.conj())
-        d -= 0.5 * (np.kron(ldl, EYE3) + np.kron(EYE3, ldl.T))
-    return d
 
 
 def _rk4_propagators(gen, dt):
@@ -299,7 +319,8 @@ def _rk4_propagators(gen, dt):
     return acc
 
 
-def evolve_lindblad(pulses, rates, horizon=1.0, steps=10_000, stride=None):
+def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
+                    stride=None):
     """Batched RK4 integration of the Lindblad master equation.
 
     Run b uses the jump operators of rates[b]; all runs share the pulses,
@@ -308,26 +329,28 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=10_000, stride=None):
     steps 0, stride, 2*stride, ... and `steps`, shape (batch, samples, 3, 3);
     the default stride samples the start and the end only.
     """
-    if steps < 1000:
-        raise InvalidSteps(f"need at least 1000 steps, got {steps}")
-    diss = _real_superoperator(
-        np.array([_dissipator_matrix(r) for r in rates]).reshape(-1, 9, 9))
+    if steps < MIN_LINDBLAD_STEPS:
+        raise InvalidSteps(f"need at least {MIN_LINDBLAD_STEPS} steps, "
+                           f"got {steps}")
+    gammas = np.array([astuple(r) for r in rates], dtype=float).reshape(-1, 4)
     dt = horizon / steps
+    _check_step(gammas @ _DECAY, dt, "has Gamma*dt = {:.3g}")
+    diss = np.tensordot(gammas, _D, 1)
 
     def block(k0, k1):
         t = np.arange(2 * k0, 2 * k1 + 1) * (dt / 2)
         o1, o2 = _drive(pulses, t)
-        _check_rotation(o1, o2, dt)
+        _check_step(np.hypot(o1, o2), dt)
         coherent = o1[:, None, None] * _K1 + o2[:, None, None] * _K2
         return _rk4_propagators(coherent[:, None] + diss, dt)
 
     # |1><1| in real coordinates: the first diagonal entry
     start = np.broadcast_to(np.eye(9)[0], (len(diss), 9))
     out = _march(block, start, steps, stride or steps)
-    return (out @ _TO_REAL.conj()).reshape(len(diss), -1, 3, 3)
+    return (out @ _TO_REAL.conj()).reshape(*out.shape[:2], 3, 3)
 
 
-def propagate_lindblad(pulses, rates=None, horizon=1.0, steps=10_000,
+def propagate_lindblad(pulses, rates=None, horizon=1.0, steps=LINDBLAD_STEPS,
                        stride=1):
     """Integrate the Lindblad master equation from |1><1| with fixed-step
     RK4.

@@ -8,8 +8,8 @@ from lambda_sta.analysis import (TableRow, amplitude_error_sweep,
                                  stirap_infidelity_curve, table_one,
                                  timing_error_sweep)
 from lambda_sta.cli import csv_text, main
-from lambda_sta.dynamics import (LindbladRates, PulsePair, lindblad_operators,
-                                 propagate_schrodinger)
+from lambda_sta.dynamics import (LindbladRates, PulsePair, evolve_lindblad,
+                                 lindblad_operators, propagate_schrodinger)
 from lambda_sta.protocol import G1, G2, InvalidParameters, design_stirap
 from lambda_sta.pulsefit import pulse_amplitude, reference_m1_fit
 
@@ -152,6 +152,15 @@ class TestDecoherenceMap:
                                      names[1]: ratios[j] * amp})
             ref = stage_by_stage_p3(reference_pulses, rates)
             assert abs(grid[i, j] - ref) <= 1e-12
+
+    def test_all_four_channels_match_stage_by_stage_rk4(self,
+                                                         reference_pulses):
+        # relaxation and dephasing in one run, each rate its own value
+        rates = LindbladRates(gamma1=0.05, gamma2=0.11, gamma_phi1=0.07,
+                              gamma_phi2=0.13)
+        rho = evolve_lindblad(reference_pulses, [rates], steps=STEPS)[0, -1]
+        ref = stage_by_stage_p3(reference_pulses, rates)
+        assert abs(rho[2, 2].real - ref) <= 1e-12
 
     def test_mode_and_bounds_validation(self, reference_pulses):
         with pytest.raises(ValueError):

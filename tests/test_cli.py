@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -166,9 +167,13 @@ def test_manifest_lists_only_read_protocol_options(tmp_path, argv, read):
     ["lindblad", "--protocol", "sta", "--T", "1e-300", "--steps", "1000"],
 ])
 def test_non_finite_result_exits_3(tmp_path, capsys, argv):
-    assert run(tmp_path, *argv) == 3
+    # the failure line is all the run prints: no RuntimeWarning before it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(tmp_path, *argv) == 3
     err = capsys.readouterr().err
-    assert "non-finite" in err and "Traceback" not in err
+    assert err.startswith("computation failed:") and "non-finite" in err
+    assert err.count("\n") == 1 and not caught
     assert not any(tmp_path.iterdir())
 
 
@@ -189,6 +194,7 @@ def test_bad_outdir_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv, flag", [
     (["design", "--T", "-1"], "--T"),
     (["sweep", "--kind", "timing-error", "--range", "-0.1"], "--range"),
+    (["lindblad", "--steps", "500"], "--steps"),
 ])
 def test_invalid_value_names_the_flag(tmp_path, capsys, argv, flag):
     assert run(tmp_path, *argv) == 2
@@ -272,6 +278,27 @@ def test_coarse_steps_exit_3(tmp_path, capsys):
     assert run(tmp_path, "lindblad", "--protocol", "stirap",
                "--omega0", "1e5", "--steps", "1000") == 3
     assert "rotates the state" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", [["--gamma1", "3000"],
+                                  ["--gamma-phi1", "1400"]])
+def test_fast_decay_exits_3(tmp_path, capsys, rate):
+    # Gamma*dt = 3 and 2.8 at 1000 steps, past RK4's stability limit of
+    # 2.785, where the populations leave [0, 1]
+    assert run(tmp_path, "lindblad", "--protocol", "sta-ref", *rate,
+               "--steps", "1000") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("computation failed:") and "Gamma*dt" in err
+    assert err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_decay_within_bound_runs(tmp_path):
+    # Gamma*dt = 0.9 at 1000 steps
+    assert run(tmp_path, "lindblad", "--protocol", "sta-ref",
+               "--gamma-phi1", "450", "--steps", "1000") == 0
+    _, rows = read_csv(tmp_path / "trajectory.csv")
+    assert all(-1e-12 <= p <= 1 + 1e-12 for row in rows for p in row[1:])
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

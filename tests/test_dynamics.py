@@ -150,6 +150,10 @@ def test_non_finite_lindblad_raises():
 
 
 class TestLindblad:
+    def test_empty_batch(self, reference_pulses):
+        assert evolve_lindblad(reference_pulses, [],
+                               steps=1000).shape == (0, 2, 3, 3)
+
     def test_closed_limit_matches_schrodinger(self, reference_pulses):
         closed = propagate_schrodinger(reference_pulses, steps=4000)
         opened = propagate_lindblad(reference_pulses, steps=4000)
