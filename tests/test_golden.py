@@ -1,13 +1,16 @@
 """Regression oracle: every subcommand at a reduced size against the
-outputs stored under tests/golden/.
+outputs stored under tests/golden/, and every stage of
+scripts/reproduce_all.py at full size against tests/golden/full/.
 
 Each CSV must keep its header exactly and every value to within 1e-12
 (relative to the value for magnitudes above 1); each JSON document must
 keep its structure and its numbers to the same tolerance.  The stored
 files were produced by the CLI itself; regenerate them with the argv
-lists below only when a numerical change is intended.
+lists below (or reproduce_all's RUNS) only when a numerical change is
+intended.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -16,6 +19,7 @@ import pytest
 from lambda_sta.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+REPRODUCE_ALL = Path(__file__).parents[1] / "scripts" / "reproduce_all.py"
 TOLERANCE = 1e-12
 
 RUNS = {
@@ -30,6 +34,21 @@ RUNS = {
     "simulate": ["simulate", "--steps", "2000"],
     "lindblad": ["lindblad", "--steps", "2000"],
 }
+
+
+def _full_runs():
+    """reproduce_all's stages, read from the script so the two cannot
+    drift."""
+    spec = importlib.util.spec_from_file_location("reproduce_all",
+                                                  REPRODUCE_ALL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.RUNS)
+
+
+CASES = [(GOLDEN / name, argv) for name, argv in sorted(RUNS.items())]
+CASES += [(GOLDEN / "full" / name, argv)
+          for name, argv in sorted(_full_runs().items())]
 
 
 def close(a, b):
@@ -61,18 +80,19 @@ def assert_same_csv(got, want, where):
         assert len(g) == len(w) and all(map(close, g, w)), f"{where}:{n}"
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_matches_golden_output(tmp_path, name):
-    assert main(["--outdir", str(tmp_path), *RUNS[name]]) == 0
-    expected = sorted(p.name for p in (GOLDEN / name).iterdir())
+@pytest.mark.parametrize("golden, argv", CASES,
+                         ids=[str(g.relative_to(GOLDEN)) for g, _ in CASES])
+def test_matches_golden_output(tmp_path, golden, argv):
+    assert main(["--outdir", str(tmp_path), *argv]) == 0
+    expected = sorted(p.name for p in golden.iterdir())
     produced = sorted(p.name for p in tmp_path.iterdir()
                       if p.suffix in (".csv", ".json")
                       and p.name != "manifest.json")
     assert produced == expected
     for filename in expected:
         got = (tmp_path / filename).read_text()
-        want = (GOLDEN / name / filename).read_text()
-        where = f"{name}/{filename}"
+        want = (golden / filename).read_text()
+        where = f"{golden.relative_to(GOLDEN)}/{filename}"
         if filename.endswith(".json"):
             assert_same_json(json.loads(got), json.loads(want), where)
         else:
