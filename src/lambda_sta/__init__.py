@@ -14,6 +14,7 @@ from .dynamics import (LindbladRates, PulsePair, Trajectory,
 from .pulsefit import (FitReport, GaussianComponent, GaussianPulse,
                        fit_gaussian_sum, pulse_amplitude, reference_m1_fit)
 from .analysis import (TableRow, amplitude_error_sweep,
-                       decoherence_map, fit_protocol_pulses,
+                       decoherence_map, decoherence_maps,
+                       fit_protocol_pulses,
                        stirap_dephasing_check, stirap_infidelity_curve,
                        table_one, timing_error_sweep)

@@ -19,7 +19,7 @@ from .pulsefit import (GaussianComponent, GaussianPulse, fit_gaussian_sum,
                        fit_report, pulse_amplitude)
 
 
-# The two LindbladRates fields each decoherence_map mode varies.
+# The two LindbladRates fields each decoherence map mode varies.
 _MAP_CHANNELS = {"relaxation": ("gamma1", "gamma2"),
                  "dephasing": ("gamma_phi1", "gamma_phi2")}
 
@@ -78,17 +78,19 @@ def stirap_infidelity_curve(t0=None, tc=None, duration=1.0, amplitudes=None,
     return [(float(a), float(1 - p)) for a, p in zip(amplitudes, p3)]
 
 
-def decoherence_map(pulses, mode, max_ratio=0.01, grid=21, amplitude=None,
-                    duration=1.0, steps=2000):
+def decoherence_maps(pulses, modes, max_ratio=0.01, grid=21, amplitude=None,
+                     duration=1.0, steps=2000):
     """P3(T) over a grid of (rate1, rate2) pairs expressed as fractions of
-    the pulse amplitude.
+    the pulse amplitude, for each mode in `modes`, all in one kernel call.
 
-    mode selects relaxation (both decay paths) or dephasing (both phase
-    channels).  Returns (ratios, matrix) with matrix[i, j] the final
-    population at rate1 = ratios[i], rate2 = ratios[j].
+    A mode selects relaxation (both decay paths) or dephasing (both phase
+    channels).  Returns (ratios, maps) with maps[k, i, j] the final
+    population of modes[k] at rate1 = ratios[i], rate2 = ratios[j].
     """
-    if mode not in _MAP_CHANNELS:
-        raise ValueError(f"mode must be relaxation or dephasing, got {mode!r}")
+    for mode in modes:
+        if mode not in _MAP_CHANNELS:
+            raise ValueError(f"mode must be relaxation or dephasing, "
+                             f"got {mode!r}")
     if max_ratio > 0.05:
         raise ValueError("decoherence ratios limited to 5%")
     if grid < 2:
@@ -97,11 +99,21 @@ def decoherence_map(pulses, mode, max_ratio=0.01, grid=21, amplitude=None,
         amplitude = pulse_amplitude(pulses.omega1, pulses.omega2, 1001,
                                     duration)
     ratios = np.linspace(0.0, max_ratio, grid)
-    c1, c2 = _MAP_CHANNELS[mode]
     rates = [LindbladRates(**{c1: r1 * amplitude, c2: r2 * amplitude})
+             for c1, c2 in map(_MAP_CHANNELS.get, modes)
              for r1 in ratios for r2 in ratios]
     rhos = evolve_lindblad(pulses, rates, duration, steps)
-    return ratios, rhos[:, -1, 2, 2].real.reshape(grid, grid)
+    return ratios, rhos[:, -1, 2, 2].real.reshape(len(modes), grid, grid)
+
+
+def decoherence_map(pulses, mode, max_ratio=0.01, grid=21, amplitude=None,
+                    duration=1.0, steps=2000):
+    """The decoherence map of one mode: (ratios, matrix) with matrix[i, j]
+    the final population at rate1 = ratios[i], rate2 = ratios[j] (see
+    decoherence_maps)."""
+    ratios, maps = decoherence_maps(pulses, (mode,), max_ratio, grid,
+                                    amplitude, duration, steps)
+    return ratios, maps[0]
 
 
 def fit_components(m):

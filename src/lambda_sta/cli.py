@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .dynamics import (LINDBLAD_STEPS, MIN_LINDBLAD_STEPS,
                        LindbladRates, PulsePair, propagate_schrodinger,
                        propagate_lindblad)
 from .pulsefit import pulse_to_json, reference_m1_fit
-from .analysis import (amplitude_error_sweep, decoherence_map,
+from .analysis import (amplitude_error_sweep, decoherence_maps,
                        fit_components, fit_protocol_pulses, format_table,
                        stirap_infidelity_curve, table_one,
                        timing_error_sweep)
@@ -247,9 +248,11 @@ def _write(outdir, files):
 
 def csv_text(header, columns):
     """CSV text with the named columns, every value at 12 significant
-    digits."""
-    rows = (",".join(f"{x:.12g}" for x in row) for row in zip(*columns))
-    return "".join(line + "\n" for line in (",".join(header), *rows))
+    digits; the whole table is formatted by one `%` operation."""
+    rows = list(zip(*columns))
+    row = ",".join(["%.12g"] * len(header)) + "\n"
+    return (",".join(header) + "\n"
+            + row * len(rows) % tuple(chain.from_iterable(rows)))
 
 
 def _protocol_pulses(args):
@@ -378,16 +381,15 @@ def cmd_fig4(args):
 
 def cmd_fig5(args):
     pulses = PulsePair(*reference_m1_fit(args.duration))
-    outputs = {}
-    for label, mode, names in [("a", "relaxation", ("Gamma1", "Gamma2")),
-                               ("b", "dephasing", ("Gamma_phi1", "Gamma_phi2"))]:
-        ratios, grid = decoherence_map(pulses, mode, 0.01, args.grid,
-                                       duration=args.duration)
-        outputs[f"fig5{label}.csv"] = csv_text(
-            [f"{names[0]}_over_amp", f"{names[1]}_over_amp", "P3"],
-            [np.repeat(ratios, len(ratios)), np.tile(ratios, len(ratios)),
-             grid.ravel()])
-    return outputs
+    ratios, maps = decoherence_maps(pulses, ("relaxation", "dephasing"),
+                                    0.01, args.grid, duration=args.duration)
+    return {f"fig5{label}.csv": csv_text(
+                [f"{names[0]}_over_amp", f"{names[1]}_over_amp", "P3"],
+                [np.repeat(ratios, len(ratios)), np.tile(ratios, len(ratios)),
+                 grid.ravel()])
+            for label, names, grid in zip(
+                "ab", [("Gamma1", "Gamma2"), ("Gamma_phi1", "Gamma_phi2")],
+                maps)}
 
 
 COMMANDS = {

@@ -1,13 +1,13 @@
 """Time propagation for pulse-driven three-level dynamics.
 
 Each equation has one time-stepping kernel, `evolve_schrodinger` and
-`evolve_lindblad`.  A kernel carries a leading batch axis over independent
-runs (sweep points, map cells) and walks the time axis in blocks: it builds
-the one-step propagators of a whole block with array operations, then
-applies them with one batched matrix-vector product per propagator.  A
-block holds about BLOCK_BYTES of propagators, whatever the step count or
-batch size.  `propagate_schrodinger` and `propagate_lindblad` are the
-single-run cases with sampling.
+`evolve_lindblad`.  A kernel carries a batch axis over independent runs
+(sweep points, map cells) and walks the time axis in blocks: it evaluates
+the drive and builds the per-step operators of a whole block with array
+operations, then applies them step by step.  A block holds about
+BLOCK_BYTES of operators, whatever the step count or batch size.
+`propagate_schrodinger` and `propagate_lindblad` are the single-run cases
+with sampling.
 
 Pulses are duck-typed: the kernels read only `pulses.omega1(t)` and
 `pulses.omega2(t)`, so a protocol or a PulsePair drives them alike.
@@ -29,19 +29,33 @@ closed form
 
 which is unitary to machine precision, so the norm drift doubles as an
 integration diagnostic.  Open systems integrate the Lindblad master
-equation with classic fixed-step RK4 on the vectorized density matrix.
-RK4 is linear in the state, so each step is applied as its 9x9 one-step
-propagator, built from the generators at the step's start, midpoint and
-end.  The kernel works in real coordinates of the Hermitian rho (its
-diagonal and the real and imaginary parts of its upper triangle), where
-generators and propagators are real matrices.  The generator is linear
-in the drive and in the rates,
+equation with classic fixed-step RK4 on the vectorized density matrix,
+in real coordinates of the Hermitian rho (its diagonal and the real and
+imaginary parts of its upper triangle), where generators and propagators
+are real matrices.  The generator is linear in the drive and in the rates,
 
     omega1 K1 + omega2 K2 + gamma1 D1 + gamma2 D2
                           + gamma_phi1 D3 + gamma_phi2 D4,
 
 because each jump operator scales as sqrt(gamma); its six pieces are
-built once, at import, and a run only weighs them.
+built once, at import, and a run only weighs them.  The same RK4 step is
+applied in one of two ways, with the same drive samples, step checks,
+sampling and non-finite check:
+
+- one-step propagators: RK4 is linear in the state, so each run's step
+  is its 9x9 propagator, built from the generators at the step's start,
+  midpoint and end (three 9x9 products per step and run);
+- stage by stage: the states of the whole batch form one (9, batch)
+  array X, and each of the four stages is one matrix product of the
+  (9, 45) stack [omega1 K1 + omega2 K2 | D1 | D2 | D3 | D4], shared by
+  the batch, with [X; gamma1 X; gamma2 X; gamma_phi1 X; gamma_phi2 X].
+
+The stage march costs a fixed Python overhead per step but little per
+run, the propagators the reverse, so `evolve_lindblad` marches stage by
+stage from STAGE_MARCH_BATCH runs up.  On 2 vCPUs a single 10k-step run
+takes 0.05 s on propagators and 0.35 s stage by stage; the 882 runs of
+both 21x21 decoherence maps at 2000 steps take 2.9 s and 0.43 s.  The two
+ways agree to about 1e-14.
 
 Both kernels refuse a step that rotates the state by more than
 MAX_ROTATION rad (largest Omega*dt at the times where H is sampled), which
@@ -98,6 +112,10 @@ SCHRODINGER_STEPS = 1000
 LINDBLAD_STEPS = 10_000
 MIN_SCHRODINGER_STEPS = 100
 MIN_LINDBLAD_STEPS = 1000
+# Least Lindblad batch stepped stage by stage.  The crossover, as medians
+# of 11 interleaved 2000-step runs on 2 vCPUs (numpy 2.4.6, OpenBLAS):
+# propagators 96 ms and stages 101 ms at 22 runs, 108 and 97 ms at 24.
+STAGE_MARCH_BATCH = 24
 # Fourth-order commutator-free Magnus step: Gauss-Legendre nodes as
 # fractions of a step, and the node weights of its two exponents, the
 # first-acting one first.
@@ -163,6 +181,8 @@ _K2 = _real_superoperator(1j * (np.kron(EYE3, G2) - np.kron(G2, EYE3)))
 _D = _real_superoperator(np.array([
     np.kron(l, l) - 0.5 * (np.kron(l.T @ l, EYE3) + np.kron(EYE3, l.T @ l))
     for l in lindblad_operators(LindbladRates(1, 1, 1, 1))]))
+# The four unit-rate pieces side by side, [D1 | D2 | D3 | D4], shape (9, 36).
+_D_ROW = np.hstack(_D)
 # Gamma = _DECAY . rates bounds the decay rate of every element of rho.
 _DECAY = np.array([1.0, 1.0, 2.0, 2.0])
 
@@ -226,36 +246,32 @@ def _sample_steps(steps, stride):
     return np.unique(np.append(np.arange(0, steps + 1, stride), steps))
 
 
-def _march(block, state, steps, stride, factors=1):
-    """Apply one-step propagators to a batch of states, block by block.
+def _march(block, update, state, steps, stride, step_bytes):
+    """Step a batch of states through `steps` steps, block by block.
 
-    `block(k0, k1)` returns the propagators of steps k0..k1-1 stacked as
-    ((k1 - k0) * factors, batch, d, d): each step is `factors` consecutive
-    propagators, applied in order.  Returns the states after each sampled
-    step, shape (batch, samples, d); raises ValueError when any is
-    non-finite.
+    `block(k0, k1)` returns one operator per step k0..k1-1, each taking
+    about `step_bytes`, and `update(op, x)` returns the state after the
+    step of `op`.  Returns the states after each sampled step, stacked on a
+    new leading axis; raises ValueError when any is non-finite.
     """
-    batch, d = state.shape
-    per_block = max(1, BLOCK_BYTES // (factors * max(batch, 1) * d * d
-                                       * state.itemsize))
-    at = (_sample_steps(steps, stride) * factors).tolist()
-    out = np.empty((len(at), batch, d), dtype=state.dtype)
-    out[0] = state
-    x = state[..., None]
+    per_block = max(1, BLOCK_BYTES // step_bytes)
+    at = _sample_steps(steps, stride).tolist()
+    out = np.empty((len(at), *state.shape), dtype=state.dtype)
+    out[0] = x = state
     i = 1
     # an overflow shows as the non-finite states reported below
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, steps, per_block):
-            for k, p in enumerate(block(k0, min(k0 + per_block, steps)),
-                                  k0 * factors + 1):
-                x = p @ x
+            for k, op in enumerate(block(k0, min(k0 + per_block, steps)),
+                                   k0 + 1):
+                x = update(op, x)
                 if k == at[i]:
-                    out[i] = x[..., 0]
+                    out[i] = x
                     i += 1
     if not np.all(np.isfinite(out)):
         raise ValueError("propagation produced non-finite values (duration "
                          "or drive out of floating-point range)")
-    return out.swapaxes(0, 1)
+    return out
 
 
 def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
@@ -281,11 +297,13 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
         t = (np.arange(k0, k1)[:, None, None] + _CF4_NODES[:, None]) * dt
         o1, o2 = _drive(pulses, t, scale1, scale2)
         _check_step(np.hypot(o1, o2), dt)
-        u = step_propagators(_CF4_MIX @ o1, _CF4_MIX @ o2, dt)
-        return u.reshape(-1, *u.shape[2:])
+        return step_propagators(_CF4_MIX @ o1, _CF4_MIX @ o2, dt)
 
-    start = np.broadcast_to(EYE3[0], (len(dt), 3))
-    return _march(block, start, steps, stride or steps, factors=2)
+    batch = len(dt)
+    start = np.broadcast_to(EYE3[0], (batch, 3))[..., None]
+    out = _march(block, lambda u, x: u[1] @ (u[0] @ x), start, steps,
+                 stride or steps, 2 * max(batch, 1) * 9 * 16)
+    return out[..., 0].swapaxes(0, 1)
 
 
 def propagate_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
@@ -319,6 +337,28 @@ def _rk4_propagators(gen, dt):
     return acc
 
 
+def _rk4_stages(gen, x, weights, dt, work):
+    """One classic RK4 step of a batch of states x, shape (9, batch).
+
+    gen[0], gen[1] and gen[2] are the stacked generators [K | D1 .. D4]
+    (9, 45) at the step's start, midpoint and end.  Each stage applies one
+    of them to [y; gamma1 y; ..; gamma4 y], the stage state y weighted by
+    `weights` (5, 9, batch) into `work`, as one matrix product.
+    """
+    def rate(g, y):
+        np.multiply(weights, y, out=work)
+        return g @ work.reshape(-1, y.shape[1])
+
+    k = rate(gen[0], x)
+    out = x + (dt / 6) * k
+    k = rate(gen[1], x + (dt / 2) * k)
+    out += (dt / 3) * k
+    k = rate(gen[1], x + (dt / 2) * k)
+    out += (dt / 3) * k
+    out += (dt / 6) * rate(gen[2], x + dt * k)
+    return out
+
+
 def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
                     stride=None):
     """Batched RK4 integration of the Lindblad master equation.
@@ -327,7 +367,9 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
     the time grid and the start |1><1|.  The coherent part uses
     the convention rho_dot = i[rho, H].  Returns the density matrices after
     steps 0, stride, 2*stride, ... and `steps`, shape (batch, samples, 3, 3);
-    the default stride samples the start and the end only.
+    the default stride samples the start and the end only.  A batch of at
+    least STAGE_MARCH_BATCH runs is stepped stage by stage, a smaller one
+    by one-step propagators.
     """
     if steps < MIN_LINDBLAD_STEPS:
         raise InvalidSteps(f"need at least {MIN_LINDBLAD_STEPS} steps, "
@@ -335,18 +377,45 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
     gammas = np.array([astuple(r) for r in rates], dtype=float).reshape(-1, 4)
     dt = horizon / steps
     _check_step(gammas @ _DECAY, dt, "has Gamma*dt = {:.3g}")
-    diss = np.tensordot(gammas, _D, 1)
+    batch = len(gammas)
+    stages = batch >= STAGE_MARCH_BATCH
+    if stages:
+        # states (9, batch); per step, the stacked generators [K | D1 .. D4]
+        # at its start, midpoint and end
+        weights = np.repeat(np.vstack((np.ones(batch), gammas.T))[:, None],
+                            9, axis=1)
+        work = np.empty_like(weights)
+        start = np.zeros((9, batch))
+        start[0] = 1  # |1><1| in real coordinates: the first diagonal entry
+
+        def operators(coherent):
+            gen = np.concatenate((coherent, np.broadcast_to(
+                _D_ROW, (len(coherent), 9, 36))), axis=2)
+            return [gen[j:j + 3] for j in range(0, len(gen) - 1, 2)]
+
+        def update(gen, x):
+            return _rk4_stages(gen, x, weights, dt, work)
+
+        step_bytes = 2 * _D_ROW.itemsize * 9 * 45
+    else:
+        # states (batch, 9, 1); per step, its (batch, 9, 9) propagator
+        diss = np.tensordot(gammas, _D, 1)
+        start = np.broadcast_to(np.eye(9)[0], (batch, 9))[..., None]
+
+        def operators(coherent):
+            return _rk4_propagators(coherent[:, None] + diss, dt)
+
+        update = np.matmul
+        step_bytes = max(batch, 1) * _D.itemsize * 81
 
     def block(k0, k1):
         t = np.arange(2 * k0, 2 * k1 + 1) * (dt / 2)
         o1, o2 = _drive(pulses, t)
         _check_step(np.hypot(o1, o2), dt)
-        coherent = o1[:, None, None] * _K1 + o2[:, None, None] * _K2
-        return _rk4_propagators(coherent[:, None] + diss, dt)
+        return operators(o1[:, None, None] * _K1 + o2[:, None, None] * _K2)
 
-    # |1><1| in real coordinates: the first diagonal entry
-    start = np.broadcast_to(np.eye(9)[0], (len(diss), 9))
-    out = _march(block, start, steps, stride or steps)
+    out = _march(block, update, start, steps, stride or steps, step_bytes)
+    out = out.transpose(2, 0, 1) if stages else out[..., 0].swapaxes(0, 1)
     return (out @ _TO_REAL.conj()).reshape(*out.shape[:2], 3, 3)
 
 

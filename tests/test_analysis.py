@@ -2,13 +2,17 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lambda_sta.analysis import (TableRow, amplitude_error_sweep,
-                                 decoherence_map, format_table,
+                                 decoherence_map, decoherence_maps,
+                                 format_table,
                                  stirap_infidelity_curve, table_one,
                                  timing_error_sweep)
 from lambda_sta.cli import csv_text, main
-from lambda_sta.dynamics import (LindbladRates, PulsePair, evolve_lindblad,
+from lambda_sta.dynamics import (STAGE_MARCH_BATCH, LindbladRates,
+                                 PulsePair, evolve_lindblad,
                                  lindblad_operators, propagate_schrodinger)
 from lambda_sta.protocol import G1, G2, InvalidParameters, design_stirap
 from lambda_sta.pulsefit import pulse_amplitude, reference_m1_fit
@@ -162,9 +166,31 @@ class TestDecoherenceMap:
         ref = stage_by_stage_p3(reference_pulses, rates)
         assert abs(rho[2, 2].real - ref) <= 1e-12
 
+    def test_stage_march_matches_stage_by_stage_rk4(self, reference_pulses):
+        # a batch stepped stage by stage, all four channels on
+        rates = [LindbladRates(gamma1=0.05 + 0.01 * i, gamma2=0.11,
+                               gamma_phi1=0.07, gamma_phi2=0.13 - 0.002 * i)
+                 for i in range(STAGE_MARCH_BATCH)]
+        rhos = evolve_lindblad(reference_pulses, rates, steps=STEPS)
+        for b in (0, len(rates) - 1):
+            ref = stage_by_stage_p3(reference_pulses, rates[b])
+            assert abs(rhos[b, -1, 2, 2].real - ref) <= 1e-12
+
+    def test_both_maps_in_one_call(self, reference_pulses):
+        modes = ("relaxation", "dephasing")
+        ratios, maps = decoherence_maps(reference_pulses, modes, 0.01, 4,
+                                        steps=STEPS)
+        for mode, grid in zip(modes, maps):
+            r, single = decoherence_map(reference_pulses, mode, 0.01, 4,
+                                        steps=STEPS)
+            assert np.array_equal(r, ratios)
+            assert np.abs(grid - single).max() <= 1e-13
+
     def test_mode_and_bounds_validation(self, reference_pulses):
         with pytest.raises(ValueError):
             decoherence_map(reference_pulses, "thermal")
+        with pytest.raises(ValueError):
+            decoherence_maps(reference_pulses, ("relaxation", "thermal"))
         with pytest.raises(ValueError):
             decoherence_map(reference_pulses, "relaxation", max_ratio=0.2)
         with pytest.raises(ValueError):
@@ -242,6 +268,26 @@ class TestCsvWriters:
         a, b = (csv_text(["dT_over_T", "P3"], zip(*timing_error_sweep(
             reference_pulses, 0.05, 3, steps=1000))) for _ in range(2))
         assert a == b
+
+
+def per_value_csv(header, columns):
+    """The CSV writer formatting one value at a time (the reference)."""
+    rows = (",".join(f"{x:.12g}" for x in row) for row in zip(*columns))
+    return "".join(line + "\n" for line in (",".join(header), *rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                                        st.floats()),
+                              min_size=3, max_size=3), max_size=20))
+@example(rows=[[0, -0.0, 1e-300], [1e16, 7, -3], [0.1, 1 / 3, 2 ** 60]])
+@example(rows=[])
+def test_csv_text_matches_per_value_formatting(rows):
+    header = ["a", "b", "c"]
+    columns = list(zip(*rows)) or [(), (), ()]
+    assert csv_text(header, columns) == per_value_csv(header, columns)
+    floats = [np.array(c, dtype=float) for c in columns]
+    assert csv_text(header, floats) == per_value_csv(header, floats)
 
 
 def test_table_text_flags_unconverged_fit():

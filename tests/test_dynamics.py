@@ -4,9 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from lambda_sta import dynamics
 from lambda_sta.cli import main
-from lambda_sta.dynamics import (InvalidRates, InvalidSteps, LindbladRates,
-                                 PulsePair,
+from lambda_sta.dynamics import (STAGE_MARCH_BATCH, InvalidRates,
+                                 InvalidSteps, LindbladRates, PulsePair,
                                  StepTooCoarse, evolve_lindblad,
                                  evolve_schrodinger, lindblad_operators,
                                  propagate_lindblad, propagate_schrodinger,
@@ -153,6 +154,8 @@ class TestLindblad:
     def test_empty_batch(self, reference_pulses):
         assert evolve_lindblad(reference_pulses, [],
                                steps=1000).shape == (0, 2, 3, 3)
+        assert evolve_lindblad(reference_pulses, [], steps=1000,
+                               stride=300).shape == (0, 5, 3, 3)
 
     def test_closed_limit_matches_schrodinger(self, reference_pulses):
         closed = propagate_schrodinger(reference_pulses, steps=4000)
@@ -178,6 +181,45 @@ class TestLindblad:
             propagate_lindblad(reference_pulses, steps=500)
         with pytest.raises(StepTooCoarse):
             propagate_lindblad(design_stirap(1e5), steps=1000)
+
+
+def mixed_rates(n):
+    """n rate sets with all four channels on, each cell its own values."""
+    return [LindbladRates(gamma1=0.01 + 0.003 * i, gamma2=0.05 - 0.002 * i,
+                          gamma_phi1=0.02 + 0.001 * i,
+                          gamma_phi2=0.04 - 0.001 * i) for i in range(n)]
+
+
+class TestLindbladMarches:
+    """A batch of STAGE_MARCH_BATCH runs or more is stepped stage by stage,
+    a smaller one by one-step propagators: same RK4, same checks."""
+
+    @pytest.mark.parametrize("stride", [None, 7])
+    def test_stage_march_matches_single_runs(self, reference_pulses, stride):
+        rates = mixed_rates(STAGE_MARCH_BATCH)
+        batch = evolve_lindblad(reference_pulses, rates, steps=1000,
+                                stride=stride)
+        for rho, r in zip(batch, rates):
+            single = evolve_lindblad(reference_pulses, [r], steps=1000,
+                                     stride=stride)[0]
+            assert np.abs(rho - single).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, STAGE_MARCH_BATCH])
+    def test_step_guards(self, reference_pulses, n):
+        with pytest.raises(StepTooCoarse, match="rotates"):
+            evolve_lindblad(design_stirap(1e5), mixed_rates(n), steps=1000)
+        with pytest.raises(StepTooCoarse, match="Gamma"):
+            evolve_lindblad(reference_pulses,
+                            [LindbladRates(gamma1=3000)] * n, steps=1000)
+
+    @pytest.mark.parametrize("n", [1, STAGE_MARCH_BATCH])
+    def test_non_finite_raises(self, reference_pulses, monkeypatch, n):
+        # a coherent generator far out of range: the step guards read only
+        # the drive, so the states overflow
+        monkeypatch.setattr(dynamics, "_K1", 1e300 * dynamics._K1)
+        with pytest.raises(ValueError, match="propagation produced "
+                                             "non-finite"):
+            evolve_lindblad(reference_pulses, mixed_rates(n), steps=1000)
 
 
 def test_population_csv_format(tmp_path):
