@@ -246,16 +246,18 @@ def _sample_steps(steps, stride):
     return np.unique(np.append(np.arange(0, steps + 1, stride), steps))
 
 
-def _march(block, update, state, steps, stride, step_bytes):
+def _march(block, state, steps, stride, step_bytes, update=np.matmul,
+           factors=1):
     """Step a batch of states through `steps` steps, block by block.
 
-    `block(k0, k1)` returns one operator per step k0..k1-1, each taking
-    about `step_bytes`, and `update(op, x)` returns the state after the
-    step of `op`.  Returns the states after each sampled step, stacked on a
-    new leading axis; raises ValueError when any is non-finite.
+    `block(k0, k1)` returns the operators of steps k0..k1-1, `factors`
+    consecutive ones per step, taking about `step_bytes` a step;
+    `update(op, x)` returns the state after applying `op`, by default
+    op @ x.  Returns the states after each sampled step, stacked on a new
+    leading axis; raises ValueError when any is non-finite.
     """
     per_block = max(1, BLOCK_BYTES // step_bytes)
-    at = _sample_steps(steps, stride).tolist()
+    at = (_sample_steps(steps, stride) * factors).tolist()
     out = np.empty((len(at), *state.shape), dtype=state.dtype)
     out[0] = x = state
     i = 1
@@ -263,7 +265,7 @@ def _march(block, update, state, steps, stride, step_bytes):
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, steps, per_block):
             for k, op in enumerate(block(k0, min(k0 + per_block, steps)),
-                                   k0 + 1):
+                                   k0 * factors + 1):
                 x = update(op, x)
                 if k == at[i]:
                     out[i] = x
@@ -297,12 +299,13 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
         t = (np.arange(k0, k1)[:, None, None] + _CF4_NODES[:, None]) * dt
         o1, o2 = _drive(pulses, t, scale1, scale2)
         _check_step(np.hypot(o1, o2), dt)
-        return step_propagators(_CF4_MIX @ o1, _CF4_MIX @ o2, dt)
+        u = step_propagators(_CF4_MIX @ o1, _CF4_MIX @ o2, dt)
+        return u.reshape(-1, *u.shape[2:])
 
     batch = len(dt)
     start = np.broadcast_to(EYE3[0], (batch, 3))[..., None]
-    out = _march(block, lambda u, x: u[1] @ (u[0] @ x), start, steps,
-                 stride or steps, 2 * max(batch, 1) * 9 * 16)
+    out = _march(block, start, steps, stride or steps,
+                 2 * max(batch, 1) * 9 * 16, factors=2)
     return out[..., 0].swapaxes(0, 1)
 
 
@@ -414,7 +417,7 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
         _check_step(np.hypot(o1, o2), dt)
         return operators(o1[:, None, None] * _K1 + o2[:, None, None] * _K2)
 
-    out = _march(block, update, start, steps, stride or steps, step_bytes)
+    out = _march(block, start, steps, stride or steps, step_bytes, update)
     out = out.transpose(2, 0, 1) if stages else out[..., 0].swapaxes(0, 1)
     return (out @ _TO_REAL.conj()).reshape(*out.shape[:2], 3, 3)
 
