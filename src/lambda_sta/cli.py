@@ -295,9 +295,9 @@ def _sweep_csv(kind, error_range, points, duration, steps):
 
 
 def _stirap_curve_csv(amp_min, amp_max, points, t0, tc, duration, steps):
-    amplitudes = np.linspace(amp_min, amp_max, points)
-    data = stirap_infidelity_curve(t0, tc, duration, amplitudes / duration,
-                                   steps)
+    with np.errstate(over="ignore"):  # an infinite amplitude fails the run
+        amplitudes = np.linspace(amp_min, amp_max, points) / duration
+    data = stirap_infidelity_curve(t0, tc, duration, amplitudes, steps)
     return csv_text(["Omega0_T", "infidelity"], zip(*data))
 
 

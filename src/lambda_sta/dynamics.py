@@ -4,10 +4,10 @@ Each equation has one time-stepping kernel, `evolve_schrodinger` and
 `evolve_lindblad`.  A kernel carries a batch axis over independent runs
 (sweep points, map cells) and walks the time axis in blocks: it evaluates
 the drive and builds the per-step operators of a whole block with array
-operations, then applies them step by step.  A block holds about
-BLOCK_BYTES of operators, whatever the step count or batch size.
-`propagate_schrodinger` and `propagate_lindblad` are the single-run cases
-with sampling.
+operations, then applies them (Lindblad) or composes them (Schrodinger).
+A block holds about BLOCK_BYTES of operators, whatever the step count or
+batch size.  `propagate_schrodinger` and `propagate_lindblad` are the
+single-run cases with sampling.
 
 Pulses are duck-typed: the kernels read only `pulses.omega1(t)` and
 `pulses.omega2(t)`, so a protocol or a PulsePair drives them alike.
@@ -20,15 +20,29 @@ Gauss-Legendre nodes t1,2 = t + (1/2 -+ sqrt(3)/6) dt of a step,
 
 a1,2 = 1/4 -+ sqrt(3)/6, the right-hand factor acting first.  H =
 omega1 G1 + omega2 G2, so each exponent is H' = o1 G1 + o2 G2 with o1, o2
-mixed from the node amplitudes.  H' has eigenvalues 0 and +-Omega, Omega =
-hypot(o1, o2), so (H'/Omega)^3 = H'/Omega and the exponential has the
-closed form
+mixed from the node amplitudes.  G1, G2 and G3 span su(2) ([G1, G2] =
+i G3 and cyclic): in the frame psi' = D psi, D = diag(1, i, 1), -i H' is
+real and antisymmetric, the generator of a rotation of R^3 about
+(-o2, 0, o1) at the rate Omega = hypot(o1, o2), and the state, which
+starts at |1>, stays a real unit vector.  So each exponent is the unit
+quaternion
 
-    exp(-i H' dt) = I - i (sin(Omega dt)/Omega) H'
-                      - (2 sin^2(Omega dt/2)/Omega^2) H'^2,
+    (cos(Omega dt/2), sin(Omega dt/2)/Omega * (-o2, 0, o1)),
 
-which is unitary to machine precision, so the norm drift doubles as an
-integration diagnostic.  Open systems integrate the Lindblad master
+held as its Cayley-Klein pair (a, b) = (w - iz, y - ix), in which a
+product takes four complex multiplications.  A step is the product of its
+two quaternions, and a run's state is the first column of the rotation
+of the product of its steps, mapped back by D^dagger.  The product is
+associative, so a block's steps are composed without a loop over them:
+by a pairwise product tree when only the run's end is sampled, and when
+it is sampled every `stride` steps, by a tree within each stride chunk
+and a prefix product over the chunks in log2(chunks) rounds (Hillis &
+Steele 1986; Blelloch 1990).  Only the block results are chained in
+Python.  The step angles are formed as Omega*dt, so there is no dt^2 or
+Omega^2 term to leave floating-point range: a run gives the same
+populations at any duration its drive can be evaluated at.  The
+rotations are unitary to machine precision, so the norm drift doubles as
+an integration diagnostic.  Open systems integrate the Lindblad master
 equation with classic fixed-step RK4 on the vectorized density matrix,
 in real coordinates of the Hermitian rho (its diagonal and the real and
 imaginary parts of its upper triangle), where generators and propagators
@@ -44,7 +58,8 @@ sampling and non-finite check:
 
 - one-step propagators: RK4 is linear in the state, so each run's step
   is its 9x9 propagator, built from the generators at the step's start,
-  midpoint and end (three 9x9 products per step and run);
+  midpoint and end, each scaled by dt first so that every product stays
+  in range at any duration (three 9x9 products per step and run);
 - stage by stage: the states of the whole batch form one (9, batch)
   array X, and each of the four stages is one matrix product of the
   (9, 45) stack [omega1 K1 + omega2 K2 | D1 | D2 | D3 | D4], shared by
@@ -63,8 +78,8 @@ would give meaningless populations from the Magnus step and diverge under
 RK4.  The Lindblad kernel also refuses a step whose Gamma*dt exceeds
 MAX_ROTATION, Gamma = gamma1 + gamma2 + 2 gamma_phi1 + 2 gamma_phi2 being
 a bound on the decay rate of every element of rho, where RK4 would
-diverge too.  Both refuse a run whose states turn non-finite (a duration
-or drive out of floating-point range).
+diverge too.  Both refuse a run whose states turn non-finite (a drive out
+of floating-point range).
 """
 
 import warnings
@@ -122,6 +137,11 @@ STAGE_MARCH_BATCH = 24
 _CF4_NODES = np.array([0.5 - 3 ** 0.5 / 6, 0.5 + 3 ** 0.5 / 6])
 _CF4_MIX = np.array([[0.25 + 3 ** 0.5 / 6, 0.25 - 3 ** 0.5 / 6],
                      [0.25 - 3 ** 0.5 / 6, 0.25 + 3 ** 0.5 / 6]])
+# Bytes a Schrodinger block holds per step and run: the drive samples, the
+# step rotations and their temporaries.
+_STEP_BYTES = 288
+# The identity rotation as a Cayley-Klein pair, shape (2, 1, 1).
+_IDENTITY = np.array([1.0, 0j])[:, None, None]
 
 
 class InvalidSteps(InvalidParameters):
@@ -214,30 +234,57 @@ def _drive(pulses, t, scale1=1.0, scale2=1.0):
     return o1, o2
 
 
-def _check_step(rate, dt, effect="rotates the state by {:.3g} rad"):
-    """Raise StepTooCoarse when some rate*dt (by default Omega*dt, as
-    `effect` words it) exceeds MAX_ROTATION."""
-    worst = float(np.max(rate * dt, initial=0.0))
+def _check_step(angle, effect="rotates the state by {:.3g} rad"):
+    """Raise StepTooCoarse when some per-step rate*dt (by default
+    Omega*dt, as `effect` words it) exceeds MAX_ROTATION."""
+    worst = float(np.max(angle, initial=0.0))
     if worst > MAX_ROTATION:
         raise StepTooCoarse(f"a step {effect.format(worst)} (limit "
                             f"{MAX_ROTATION:g}); use more steps")
 
 
-def step_propagators(o1, o2, dt):
-    """exp(-i (o1 G1 + o2 G2) dt) in closed form, elementwise over the
-    broadcast shape of o1, o2 and dt; returns shape (..., 3, 3)."""
-    theta = np.hypot(o1, o2) * dt
-    # sinc keeps both coefficients finite at Omega = 0, where U = I
-    s = dt * np.sinc(theta / np.pi)                          # sin(W dt)/W
-    c = 0.5 * dt * dt * np.sinc(theta / (2 * np.pi)) ** 2    # 2sin^2(W dt/2)/W^2
-    u = np.empty(theta.shape + (3, 3), dtype=complex)
-    u[..., 0, 0] = 1 - c * o1 * o1
-    u[..., 1, 1] = 1 - c * (o1 * o1 + o2 * o2)
-    u[..., 2, 2] = 1 - c * o2 * o2
-    u[..., 0, 1] = u[..., 1, 0] = -1j * s * o1
-    u[..., 1, 2] = u[..., 2, 1] = -1j * s * o2
-    u[..., 0, 2] = u[..., 2, 0] = -c * o1 * o2
-    return u
+def step_rotation(x1, x2):
+    """exp(-i (x1 G1 + x2 G2)), x1, x2 being o1*dt, o2*dt, in the frame
+    D = diag(1, i, 1): the rotation by hypot(x1, x2) about (-x2, 0, x1), as
+    the Cayley-Klein pair (a, b) of its unit quaternion; elementwise over
+    the broadcast shape of x1 and x2, pair first: shape (2, ...)."""
+    half = 0.5 * np.sqrt(x1 * x1 + x2 * x2)
+    # sin(half)/(2 half), 1/2 in the limit half = 0
+    s = np.divide(np.sin(half), 2 * half, out=np.full(np.shape(half), 0.5),
+                  where=half > 0)
+    q = np.zeros((2, *half.shape), dtype=complex)
+    q.real[0] = np.cos(half)
+    q.imag[0] = -s * x1
+    q.imag[1] = s * x2
+    return q
+
+
+def _qmul(p, q):
+    """Quaternion products p q of Cayley-Klein pairs, pair first; the
+    rotation of q acts first."""
+    (a1, b1), (a2, b2) = p, q
+    return np.array([a1 * a2 - b1.conj() * b2, b1 * a2 + a1.conj() * b2])
+
+
+def _tree(q):
+    """Product q[.., n-1, :] ... q[.., 0, :] over the time axis -2 of q,
+    shape (2, ..., n, batch), by pairwise products."""
+    while q.shape[-2] > 1:
+        pairs = _qmul(q[..., 1::2, :], q[..., :-1:2, :])
+        q = pairs if q.shape[-2] % 2 == 0 else np.concatenate(
+            (pairs, q[..., -1:, :]), axis=-2)
+    return q[..., 0, :]
+
+
+def _prefix(q):
+    """Inclusive prefix products q[:, j] ... q[:, 0] along axis 1, in
+    log2(n) rounds of products (Hillis & Steele)."""
+    shift = 1
+    while shift < q.shape[1]:
+        q = np.concatenate((q[:, :shift], _qmul(q[:, shift:], q[:, :-shift])),
+                           axis=1)
+        shift *= 2
+    return q
 
 
 def _sample_steps(steps, stride):
@@ -246,18 +293,22 @@ def _sample_steps(steps, stride):
     return np.unique(np.append(np.arange(0, steps + 1, stride), steps))
 
 
-def _march(block, state, steps, stride, step_bytes, update=np.matmul,
-           factors=1):
+def _check_finite(out):
+    if not np.all(np.isfinite(out)):
+        raise ValueError("propagation produced non-finite values (drive "
+                         "out of floating-point range)")
+
+
+def _march(block, state, steps, stride, step_bytes, update=np.matmul):
     """Step a batch of states through `steps` steps, block by block.
 
-    `block(k0, k1)` returns the operators of steps k0..k1-1, `factors`
-    consecutive ones per step, taking about `step_bytes` a step;
-    `update(op, x)` returns the state after applying `op`, by default
-    op @ x.  Returns the states after each sampled step, stacked on a new
-    leading axis; raises ValueError when any is non-finite.
+    `block(k0, k1)` returns the operators of steps k0..k1-1, taking about
+    `step_bytes` a step; `update(op, x)` returns the state after applying
+    `op`, by default op @ x.  Returns the states after each sampled step,
+    stacked on a new leading axis; raises ValueError when any is non-finite.
     """
     per_block = max(1, BLOCK_BYTES // step_bytes)
-    at = (_sample_steps(steps, stride) * factors).tolist()
+    at = _sample_steps(steps, stride).tolist()
     out = np.empty((len(at), *state.shape), dtype=state.dtype)
     out[0] = x = state
     i = 1
@@ -265,14 +316,12 @@ def _march(block, state, steps, stride, step_bytes, update=np.matmul,
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, steps, per_block):
             for k, op in enumerate(block(k0, min(k0 + per_block, steps)),
-                                   k0 * factors + 1):
+                                   k0 + 1):
                 x = update(op, x)
                 if k == at[i]:
                     out[i] = x
                     i += 1
-    if not np.all(np.isfinite(out)):
-        raise ValueError("propagation produced non-finite values (duration "
-                         "or drive out of floating-point range)")
+    _check_finite(out)
     return out
 
 
@@ -293,20 +342,46 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
     horizon, scale1, scale2 = np.broadcast_arrays(
         np.atleast_1d(np.asarray(horizon, dtype=float)), scale1, scale2)
     dt = horizon / steps
-
-    def block(k0, k1):
-        # drive at the two nodes of each step: shape (steps, 2, batch)
-        t = (np.arange(k0, k1)[:, None, None] + _CF4_NODES[:, None]) * dt
-        o1, o2 = _drive(pulses, t, scale1, scale2)
-        _check_step(np.hypot(o1, o2), dt)
-        u = step_propagators(_CF4_MIX @ o1, _CF4_MIX @ o2, dt)
-        return u.reshape(-1, *u.shape[2:])
-
     batch = len(dt)
-    start = np.broadcast_to(EYE3[0], (batch, 3))[..., None]
-    out = _march(block, start, steps, stride or steps,
-                 2 * max(batch, 1) * 9 * 16, factors=2)
-    return out[..., 0].swapaxes(0, 1)
+    stride = min(stride or steps, steps)
+    per_block = max(1, BLOCK_BYTES // (max(batch, 1) * _STEP_BYTES))
+    length = per_block // stride * stride
+    if length:  # whole stride chunks per block
+        edges = np.append(np.arange(0, steps, length), steps)
+    else:  # a chunk spans blocks: cut them at every sample too
+        edges = np.union1d(np.arange(0, steps, per_block),
+                           _sample_steps(steps, stride))
+    acc = _IDENTITY.repeat(batch, 2)
+    out = [acc]
+    # an overflow fails the step check or shows as non-finite states
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0, k1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
+            # drive at the two nodes of each step, times dt: rotation
+            # angles, shape (steps, 2, batch), kept in range at any duration
+            t = (np.arange(k0, k1)[:, None, None] + _CF4_NODES[:, None]) * dt
+            x1, x2 = (o * dt for o in _drive(pulses, t, scale1, scale2))
+            _check_step(np.sqrt(x1 * x1 + x2 * x2))
+            # the two exponents of each step in acting order: (2, 2n, batch)
+            q = step_rotation(_CF4_MIX @ x1, _CF4_MIX @ x2).reshape(
+                2, 2 * (k1 - k0), batch)
+            # compose each chunk of `chunk` steps (the last one padded with
+            # identities), then the prefixes of the chunks
+            chunk = min(stride, k1 - k0)
+            pad = -(k1 - k0) % chunk
+            if pad:
+                q = np.concatenate((q, _IDENTITY.repeat(2 * pad, 1).repeat(
+                    batch, 2)), axis=1)
+            q = q.reshape(2, q.shape[1] // (2 * chunk), 2 * chunk, batch)
+            q = _qmul(_prefix(_tree(q)), acc[:, -1:])
+            ends = np.minimum(np.arange(1, q.shape[1] + 1) * chunk + k0, k1)
+            out.append(q[:, (ends % stride == 0) | (ends == steps)])
+            acc = q
+    a, b = q = np.concatenate(out, axis=1).swapaxes(1, 2)
+    _check_finite(q)
+    # the first column of the rotation, back from the D frame
+    aa, bb = a * a, b * b
+    return np.stack(((aa - bb).real, 1j * (aa + bb).imag,
+                     -2 * (a * b).real), axis=-1)
 
 
 def propagate_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
@@ -325,17 +400,20 @@ def _rk4_propagators(gen, dt):
     """One-step RK4 propagators from generators on the half-step grid.
 
     gen[2k], gen[2k+1] and gen[2k+2] are the generators at the start,
-    midpoint and end of step k.  With those A, B, C the classic stages are
-    k_i = q_i r, so r' = P r with P = I + dt/6 (A + 2 q2 + 2 q3 + q4) and
-    q2 = B + dt/2 B A, q3 = B + dt/2 B q2, q4 = C + dt C q3.
+    midpoint and end of step k, scaled in place to dt times themselves.
+    With those A, B, C the classic stages are k_i = q_i r / dt, so r' = P r
+    with P = I + (A + 2 q2 + 2 q3 + q4)/6 and q2 = B + B A/2,
+    q3 = B + B q2/2, q4 = C + C q3.  Scaling first keeps every product of
+    order 1 where dt*Omega is, whatever the duration.
     """
+    gen *= dt
     a, b, c = gen[:-1:2], gen[1::2], gen[2::2]
-    q = b + (dt / 2) * (b @ a)
+    q = b + 0.5 * (b @ a)
     acc = a + 2 * q
-    q = b + (dt / 2) * (b @ q)
+    q = b + 0.5 * (b @ q)
     acc += 2 * q
-    acc += c + dt * (c @ q)
-    acc *= dt / 6
+    acc += c + c @ q
+    acc /= 6
     acc += np.eye(9)
     return acc
 
@@ -379,7 +457,8 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
                            f"got {steps}")
     gammas = np.array([astuple(r) for r in rates], dtype=float).reshape(-1, 4)
     dt = horizon / steps
-    _check_step(gammas @ _DECAY, dt, "has Gamma*dt = {:.3g}")
+    with np.errstate(over="ignore"):  # an infinite Gamma fails the check
+        _check_step(gammas @ _DECAY * dt, "has Gamma*dt = {:.3g}")
     batch = len(gammas)
     stages = batch >= STAGE_MARCH_BATCH
     if stages:
@@ -414,7 +493,7 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
     def block(k0, k1):
         t = np.arange(2 * k0, 2 * k1 + 1) * (dt / 2)
         o1, o2 = _drive(pulses, t)
-        _check_step(np.hypot(o1, o2), dt)
+        _check_step(np.hypot(o1, o2) * dt)
         return operators(o1[:, None, None] * _K1 + o2[:, None, None] * _K2)
 
     out = _march(block, start, steps, stride or steps, step_bytes, update)

@@ -156,24 +156,63 @@ def test_manifest_lists_only_read_protocol_options(tmp_path, argv, read):
     assert {k: v for k, v in config.items() if k in options} == read
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--protocol", "sta", "--T", "1e300", "--steps", "200"],
-    ["simulate", "--protocol", "sta", "--T", "1e-300", "--steps", "200"],
-    ["fig2", "--T", "1e-300", "--steps", "200"],
-    ["sweep", "--kind", "amp1-error", "--T", "1e-300", "--points", "2",
-     "--steps", "200"],
-    ["stirap-curve", "--T", "1e-300", "--points", "2", "--steps", "200"],
-    ["fig5", "--grid", "2", "--T", "1e-300"],
-    ["lindblad", "--protocol", "sta", "--T", "1e-300", "--steps", "1000"],
+@pytest.mark.parametrize("argv, duration", [
+    (["simulate", "--protocol", "sta", "--steps", "200"], "1e300"),
+    (["simulate", "--protocol", "sta", "--steps", "200"], "1e-300"),
+    (["fig2", "--steps", "200"], "1e-300"),
+    (["sweep", "--kind", "amp1-error", "--points", "2", "--steps", "200"],
+     "1e-300"),
+    (["stirap-curve", "--points", "2", "--steps", "200"], "1e-300"),
+    (["fig5", "--grid", "2"], "1e-300"),
+    (["lindblad", "--protocol", "sta", "--steps", "1000"], "1e-300"),
 ])
-def test_non_finite_result_exits_3(tmp_path, capsys, argv):
+def test_duration_scale_invariance(tmp_path, argv, duration):
+    # the drive scales as 1/T, so a duration far from 1 writes the
+    # populations of T = 1; stirap_curve.csv's first column holds the
+    # amplitude itself, which scales as 1/T, and is left out
+    outputs = {}
+    for t in (duration, "1"):
+        assert run(tmp_path / t, *argv, "--T", t) == 0
+        outputs[t] = {p.name: read_csv(p)
+                      for p in (tmp_path / t).glob("*.csv")}
+    assert outputs[duration].keys() == outputs["1"].keys()
+    for name, (header, rows) in outputs["1"].items():
+        header_t, rows_t = outputs[duration][name]
+        assert header_t == header and len(rows_t) == len(rows)
+        first = 1 if name == "stirap_curve.csv" else 0
+        assert max(abs(x - y) for r, r_t in zip(rows, rows_t)
+                   for x, y in zip(r[first:], r_t[first:])) <= 1e-12
+
+
+NON_FINITE_DRIVE = "pulse evaluation produced non-finite values"
+BAD_FIT_COMPONENT = "bad component GaussianComponent(amplitude=-inf"
+# a duration of 1e-310 puts the drive itself out of floating-point range
+OUT_OF_RANGE = [
+    (["simulate", "--protocol", "sta", "--T", "1e-310", "--steps", "200"],
+     NON_FINITE_DRIVE),
+    (["fig2", "--T", "1e-310", "--steps", "200"], NON_FINITE_DRIVE),
+    (["sweep", "--kind", "amp1-error", "--T", "1e-310", "--points", "2",
+      "--steps", "200"], BAD_FIT_COMPONENT),
+    (["stirap-curve", "--points", "2", "--steps", "200", "--T", "1e-310"],
+     NON_FINITE_DRIVE),
+    (["fig5", "--grid", "2", "--T", "1e-310"], BAD_FIT_COMPONENT),
+    (["lindblad", "--protocol", "sta", "--T", "1e-310", "--steps", "1000"],
+     NON_FINITE_DRIVE),
+    (["lindblad", "--gamma1", "1e308", "--gamma2", "1e308"],
+     "a step has Gamma*dt = inf (limit 1); use more steps"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OUT_OF_RANGE,
+                         ids=[f"argv{i}" for i in range(len(OUT_OF_RANGE))])
+def test_non_finite_result_exits_3(tmp_path, capsys, argv, message):
     # the failure line is all the run prints: no RuntimeWarning before it
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(tmp_path, *argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("computation failed:") and "non-finite" in err
-    assert err.count("\n") == 1 and not caught
+    assert err.startswith(f"computation failed: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n") and not caught
     assert not any(tmp_path.iterdir())
 
 

@@ -11,12 +11,25 @@ from lambda_sta.dynamics import (STAGE_MARCH_BATCH, InvalidRates,
                                  StepTooCoarse, evolve_lindblad,
                                  evolve_schrodinger, lindblad_operators,
                                  propagate_lindblad, propagate_schrodinger,
-                                 step_propagators)
+                                 step_rotation)
 from lambda_sta.protocol import (G1, G2, analytic_state_constant_mu,
                                  design_sta, design_stirap, m_eigenbasis)
 
 ZERO_PULSES = PulsePair(omega1=lambda t: 0.0 * np.asarray(t),
                         omega2=lambda t: 0.0 * np.asarray(t))
+D = np.diag([1, 1j, 1])
+
+
+def propagator(pair):
+    """D^dagger R D, R the rotation of the unit quaternion w + xi + yj + zk
+    held as the Cayley-Klein pair (a, b) = (w - iz, y - ix): the 3x3
+    propagator of a step_rotation, shape (..., 3, 3)."""
+    a, b = pair
+    w, x, y, z = a.real, -b.imag, b.real, -a.imag
+    r = [[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]]
+    return D.conj() @ np.stack([np.stack(row, -1) for row in r], -2) @ D
 
 
 @settings(max_examples=200, deadline=None)
@@ -25,22 +38,26 @@ ZERO_PULSES = PulsePair(omega1=lambda t: 0.0 * np.asarray(t),
 @example(o1=0.0, o2=0.0, dt=0.01)
 def test_closed_form_step_matches_expm(o1, o2, dt):
     exact = expm(-1j * (o1 * G1 + o2 * G2) * dt)
-    assert np.abs(step_propagators(o1, o2, dt) - exact).max() <= 1e-13
+    u = propagator(step_rotation(o1 * dt, o2 * dt))
+    assert np.abs(u - exact).max() <= 1e-13
 
 
 @settings(max_examples=50, deadline=None)
 @given(o1=st.floats(-10, 10), o2=st.floats(-10, 10), s=st.floats(-1, 1),
        t=st.floats(-1, 1))
 def test_step_unitary_and_group_property(o1, o2, s, t):
-    u = step_propagators(o1, o2, s)
+    qs, qt = step_rotation(o1 * s, o2 * s), step_rotation(o1 * t, o2 * t)
+    u = propagator(qs)
     assert np.abs(u @ u.conj().T - np.eye(3)).max() <= 1e-12
-    lhs = u @ step_propagators(o1, o2, t)
-    assert np.abs(lhs - step_propagators(o1, o2, s + t)).max() <= 1e-12
+    product = propagator(step_rotation(o1 * (s + t), o2 * (s + t)))
+    assert np.abs(u @ propagator(qt) - product).max() <= 1e-12
+    # the kernel's quaternion product is the product of the propagators
+    assert np.abs(propagator(dynamics._qmul(qs, qt)) - product).max() <= 1e-12
 
 
 def test_step_identity_at_zero_dt():
     o1, o2 = np.array([1.0, -3.0, 0.0]), np.array([2.0, 0.5, 0.0])
-    u = step_propagators(o1, o2, 0.0)
+    u = propagator(step_rotation(0.0 * o1, 0.0 * o2))
     assert np.abs(u - np.eye(3)).max() < 1e-14
 
 
@@ -52,8 +69,59 @@ def test_step_matches_spectral_projector_form():
     expected = (np.outer(xi0, xi0.conj())
                 + np.exp(-1j * w * dt) * np.outer(xip, xip.conj())
                 + np.exp(1j * w * dt) * np.outer(xim, xim.conj()))
-    u = step_propagators(w * np.sin(phi), w * np.cos(phi), dt)
+    u = propagator(step_rotation(w * dt * np.sin(phi), w * dt * np.cos(phi)))
     assert np.abs(u - expected).max() < 1e-12
+
+
+def expm_cf4_states(pulses, horizon, steps, scale1, scale2, stride):
+    """The fourth-order commutator-free Magnus march as a sequential
+    product of scipy expm steps: U = exp(-i dt (a1 H(t1) + a2 H(t2)))
+    exp(-i dt (a2 H(t1) + a1 H(t2))), a1,2 = 1/4 -+ sqrt(3)/6, at the
+    Gauss-Legendre nodes t1,2; shape (batch, samples, 3)."""
+    horizon, scale1, scale2 = np.broadcast_arrays(horizon, scale1, scale2)
+    dt = horizon / steps
+    c = 3 ** 0.5 / 6
+    t = (np.arange(steps)[:, None, None] + [[0.5 - c], [0.5 + c]]) * dt
+
+    def h(t):
+        return ((scale1 * pulses.omega1(t))[..., None, None] * G1
+                + (scale2 * pulses.omega2(t))[..., None, None] * G2)
+
+    h1, h2 = h(t[:, 0]), h(t[:, 1])
+    exponent = -1j * dt[:, None, None]
+    first = expm(exponent * ((0.25 + c) * h1 + (0.25 - c) * h2))
+    second = expm(exponent * ((0.25 - c) * h1 + (0.25 + c) * h2))
+    psi = np.zeros((len(dt), 3, 1), dtype=complex)
+    psi[:, 0] = 1
+    out = [psi]
+    for k in range(steps):
+        psi = second[k] @ (first[k] @ psi)
+        if (k + 1) % stride == 0 or k + 1 == steps:
+            out.append(psi)
+    return np.concatenate(out, axis=2).swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("steps, stride, block_steps", [
+    (1000, None, None),   # end only, one block: a product tree
+    (999, 10, None),      # prefix products over ten-step chunks
+    (2000, 1, None),      # every step sampled
+    (1000, None, 70),     # end only, several blocks chained
+    (999, 10, 75),        # seven whole chunks a block
+    (999, 64, 25),        # a chunk spans several blocks
+])
+def test_evolve_schrodinger_matches_expm_product(monkeypatch, steps, stride,
+                                                 block_steps):
+    horizon, scale1, scale2 = [0.9, 1, 1.2], [1, 0.95, 1.05], [1.1, 1, 0.9]
+    if block_steps:
+        monkeypatch.setattr(dynamics, "BLOCK_BYTES",
+                            3 * block_steps * dynamics._STEP_BYTES)
+    proto = design_sta(2)
+    states = evolve_schrodinger(proto, horizon, steps, scale1, scale2,
+                                stride)
+    expected = expm_cf4_states(proto, horizon, steps, scale1, scale2,
+                               stride or steps)
+    assert states.shape == expected.shape
+    assert np.abs(states - expected).max() <= 1e-13
 
 
 class TestSchrodinger:
@@ -139,15 +207,25 @@ class TestLindbladOperators:
 
 
 @pytest.mark.parametrize("duration", [1e300, 1e-300])
-def test_non_finite_schrodinger_raises(duration):
-    with pytest.raises(ValueError, match="non-finite"):
-        evolve_schrodinger(design_sta(1, duration), duration, 200)
+def test_schrodinger_duration_scale_invariance(duration):
+    # the drive scales as 1/T, so the populations are those of T = 1
+    final = evolve_schrodinger(design_sta(1, duration), duration, 200)
+    unit = evolve_schrodinger(design_sta(1), 1.0, 200)
+    assert np.abs(np.abs(final) ** 2 - np.abs(unit) ** 2).max() <= 1e-12
 
 
-def test_non_finite_lindblad_raises():
+def test_drive_out_of_range_raises():
     with pytest.raises(ValueError, match="non-finite"):
-        evolve_lindblad(design_sta(1, 1e-300), [LindbladRates()], 1e-300,
-                        1000)
+        evolve_schrodinger(design_sta(1, 1e-310), 1e-310, 200)
+
+
+@pytest.mark.parametrize("n", [1, STAGE_MARCH_BATCH])
+@pytest.mark.parametrize("duration", [1e300, 1e-300])
+def test_lindblad_duration_scale_invariance(duration, n):
+    final = evolve_lindblad(design_sta(1, duration), [LindbladRates()] * n,
+                            duration, 1000)
+    unit = evolve_lindblad(design_sta(1), [LindbladRates()] * n, 1.0, 1000)
+    assert np.abs(final - unit).max() <= 1e-12
 
 
 class TestLindblad:
