@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import lambda_sta
-from lambda_sta.cli import main
+from lambda_sta.cli import COMMANDS, main
 
 
 def run(tmp_path, *argv):
@@ -380,3 +380,41 @@ def test_import_defers_scipy_optimize():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "False"
+
+
+def test_config_does_not_leak_into_the_next_call(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 501, "m": 2}))
+    assert main(["--config", str(cfg), "--outdir", str(tmp_path / "a"),
+                 "design"]) == 0
+    assert main(["--outdir", str(tmp_path / "b"), "design"]) == 0
+    config = json.loads((tmp_path / "b" / "manifest.json").read_text())[
+        "config"]
+    assert config["samples"] == 1001 and config["m"] == 1
+
+
+@pytest.mark.parametrize("argv", [[]] + [[c] for c in COMMANDS])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["design", "--m", "1"], 0),
+    (["table1", "--steps", "2"], 2),
+    (["lindblad", "--protocol", "sta-ref", "--gamma1", "3000",
+      "--steps", "1000"], 3),
+], ids=["ok", "usage", "computation"])
+def test_exit_code_reaches_the_process(tmp_path, argv, code):
+    src = str(Path(lambda_sta.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "lambda_sta.cli",
+                          "--outdir", str(tmp_path), *argv],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == code
+    if code == 3:
+        assert out.stderr.startswith("computation failed:")
+        assert out.stderr.count("\n") == 1

@@ -4,10 +4,11 @@ scripts/reproduce_all.py at full size against tests/golden/full/.
 
 Each CSV must keep its header exactly and every value to within 1e-12
 (relative to the value for magnitudes above 1); each JSON document must
-keep its structure and its numbers to the same tolerance.  The stored
-files were produced by the CLI itself; regenerate them with the argv
-lists below (or reproduce_all's RUNS) only when a numerical change is
-intended.
+keep its structure and its numbers to the same tolerance.  Each
+manifest.json, the fully resolved configuration of its run, must match
+byte for byte.  The stored files were produced by the CLI itself;
+regenerate them with the argv lists below (or reproduce_all's RUNS) only
+when a numerical or configuration change is intended.
 """
 
 import importlib.util
@@ -33,6 +34,8 @@ RUNS = {
     "table1": ["table1", "--max-m", "2"],
     "simulate": ["simulate", "--steps", "2000"],
     "lindblad": ["lindblad", "--steps", "2000"],
+    "sweep": ["sweep", "--kind", "amp2-error", "--points", "3"],
+    "stirap-curve": ["stirap-curve", "--points", "3"],
 }
 
 
@@ -86,14 +89,15 @@ def test_matches_golden_output(tmp_path, golden, argv):
     assert main(["--outdir", str(tmp_path), *argv]) == 0
     expected = sorted(p.name for p in golden.iterdir())
     produced = sorted(p.name for p in tmp_path.iterdir()
-                      if p.suffix in (".csv", ".json")
-                      and p.name != "manifest.json")
+                      if p.suffix in (".csv", ".json"))
     assert produced == expected
     for filename in expected:
         got = (tmp_path / filename).read_text()
         want = (golden / filename).read_text()
         where = f"{golden.relative_to(GOLDEN)}/{filename}"
-        if filename.endswith(".json"):
+        if filename == "manifest.json":
+            assert got == want, where
+        elif filename.endswith(".json"):
             assert_same_json(json.loads(got), json.loads(want), where)
         else:
             assert_same_csv(got, want, where)
