@@ -1,18 +1,24 @@
 """Command-line front end.
 
-One subcommand per reproducible artifact: protocol design, pulse fitting,
-closed/open-system simulation, robustness sweeps, the adiabatic baseline
-curve, the amplitude table, and the data behind each figure.  Each
-command returns its outputs as {filename: text}; `main` writes them, then
-a manifest.json with the fully resolved configuration, so that reruns are
-byte-reproducible and a failed run writes none of its files.
+One subcommand per reproducible artifact.  Every option is declared once,
+as an `Option` in the `OPTIONS` table (flag, dest, type, default, value
+check, help and the --protocol choices that read it), and the parser, the
+--config check and the run's resolved configuration are all read off it:
+each option comes from its flag, else the --config file, else its declared
+default, and is checked the same way wherever it came from.  fig2, fig3
+and fig4 are presets of the primitive commands simulate, stirap-curve and
+sweep.  Each command returns its outputs as {filename: text}; `main`
+writes them, then a manifest.json with the resolved configuration, so
+that reruns are byte-reproducible and a failed run writes none of them.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 
@@ -32,202 +38,186 @@ from .analysis import (amplitude_error_sweep, decoherence_maps,
                        timing_error_sweep)
 
 OUTDIR_ENV = "LAMBDA_STA_OUTDIR"
-SWEEP_KINDS = ("timing-error", "amp1-error", "amp2-error")
-# The options each --protocol reads, with their defaults (None: resolved
-# from the other options).  Giving one that the chosen protocol does not
-# read is a configuration error.
-PROTOCOL_OPTIONS = {
-    "sta": {"m": 1},
-    "sta-fit": {"m": 1, "components": None},
-    "sta-ref": {"m": 1},
-    "stirap": {"omega0": 45.0, "t0": None, "tc": None},
-}
 
 
 class ConfigError(Exception):
     pass
 
 
-def build_parser():
+@dataclass(frozen=True)
+class Option:
+    """One command-line option.  `check` tests a value that is not None;
+    `protocols`, in a command with --protocol, names the choices that
+    read the option (empty: every choice)."""
+    flag: str
+    type: type = str
+    default: object = None
+    check: object = None
+    help: str = ""
+    dest: str = None  # default: the flag's name, "-" read as "_"
+    choices: tuple = None
+    required: bool = False
+    protocols: tuple = ()
+
+    def __post_init__(self):
+        if self.dest is None:
+            object.__setattr__(self, "dest",
+                               self.flag[2:].replace("-", "_"))
+
+
+STA = ("sta", "sta-fit", "sta-ref")
+SWEEP_KINDS = ("timing-error", "amp1-error", "amp2-error")
+
+GLOBAL = (Option("--config", help="JSON file of option values keyed by "
+                 "dest (flags given win over it)"),
+          Option("--outdir", help=f"output directory (default: "
+                 f"${OUTDIR_ENV} or .)"))
+T = Option("--T", float, 1.0, lambda v: v > 0, "total interaction time",
+           "duration")
+STEPS = Option("--steps", int, SCHRODINGER_STEPS,
+               lambda v: v >= MIN_SCHRODINGER_STEPS, "integration steps")
+M = Option("--m", int, 1, lambda v: v >= 1, "winding integer",
+           protocols=STA)
+COMPONENTS = Option("--components", int, help="Gaussian components per "
+                    "pulse (default m+1, at least 2)", protocols=("sta-fit",))
+SAMPLES = Option("--samples", int, 1001, lambda v: v >= 100, "time samples")
+POINTS = Option("--points", int, 21, lambda v: v >= 2, "curve points")
+T0 = Option("--t0", float, help="STIRAP pulse delay (default 0.15T)",
+            protocols=("stirap",))
+TC = Option("--tc", float, help="STIRAP pulse width (default 0.2T)",
+            protocols=("stirap",))
+DRIVE = (M, COMPONENTS,
+         Option("--omega0", float, 45.0, lambda v: v > 0,
+                "STIRAP peak amplitude times T", protocols=("stirap",)),
+         T0, TC, T)
+PROTOCOL = Option("--protocol", default="sta-fit", help="drive pulses",
+                  choices=(*STA, "stirap"))
+
+OPTIONS = {
+    "design": (M, SAMPLES, T),
+    "fit": (M, COMPONENTS, SAMPLES, T),
+    "simulate": (PROTOCOL, *DRIVE, STEPS),
+    "lindblad": (replace(PROTOCOL, default="sta-ref"), *DRIVE,
+                 replace(STEPS, default=LINDBLAD_STEPS,
+                         check=lambda v: v >= MIN_LINDBLAD_STEPS),
+                 *(Option(f"--{name}", float, 0.0, help="Lindblad rate")
+                   for name in ("gamma1", "gamma2", "gamma-phi1",
+                                "gamma-phi2"))),
+    "sweep": (Option("--kind", help="parameter in error",
+                     choices=SWEEP_KINDS, required=True),
+              Option("--range", float, 0.1, lambda v: 0 < v <= 0.2,
+                     "largest relative error", "error_range"),
+              POINTS, T, STEPS),
+    "stirap-curve": (Option("--min", float, 1.0, help="least peak "
+                            "amplitude times T", dest="amp_min"),
+                     Option("--max", float, 80.0, help="greatest peak "
+                            "amplitude times T", dest="amp_max"),
+                     replace(POINTS, default=50), T0, TC, T, STEPS),
+    "table1": (Option("--max-m", int, 7, lambda v: 1 <= v <= 10,
+                      "largest winding"),
+               Option("--fit-budget", int, help="Gaussian components per "
+                      "pulse for every winding (default m+1, at least 2)")),
+    "fig1": (T,),
+    "fig2": (T, STEPS),
+    "fig3": (T, STEPS),
+    "fig4": (replace(POINTS, default=41), T, STEPS),
+    "fig5": (Option("--grid", int, 21, lambda v: v >= 2,
+                    "map points per axis"), T),
+}
+
+
+def _add_options(parser, options):
+    for o in options:
+        default = "" if o.default is None else f" (default {o.default})"
+        parser.add_argument(o.flag, dest=o.dest, type=o.type,
+                            choices=o.choices, help=o.help + default)
+
+
+@functools.cache
+def _parser():
+    """The parser of every command; it records only the flags given."""
     parser = argparse.ArgumentParser(
-        prog="lambda-sta",
+        prog="lambda-sta", argument_default=argparse.SUPPRESS,
         description="Shortcut-to-adiabaticity pulse design and simulation "
                     "for three-level Lambda systems.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    parser.add_argument("--config", help="JSON file with default options "
-                        "(overridden by explicit flags)")
-    parser.add_argument("--outdir", default=None,
-                        help=f"output directory (default: ${OUTDIR_ENV} or .)")
-
+    _add_options(parser, GLOBAL)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, steps=None):
-        """--T, and --steps with the given default unless it is None."""
-        p.add_argument("--T", type=float, default=1.0, dest="duration",
-                       help="total interaction time (default 1)")
-        if steps is not None:
-            p.add_argument("--steps", type=int, default=steps,
-                           help=f"integration steps (default {steps})")
-
-    p = sub.add_parser("design", help="build a shortcut protocol")
-    p.add_argument("--m", type=int, default=1, help="winding integer")
-    p.add_argument("--samples", type=int, default=1001)
-    common(p)
-
-    p = sub.add_parser("fit", help="fit the shortcut schedules to Gaussians")
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--components", type=int, default=None,
-                   help="Gaussian components per pulse (default m+1, "
-                        "at least 2)")
-    p.add_argument("--samples", type=int, default=1001)
-    common(p)
-
-    def drive(p, protocol, steps):
-        p.add_argument("--protocol", default=protocol,
-                       choices=list(PROTOCOL_OPTIONS))
-        for dest, kind in [("m", int), ("components", int),
-                           ("omega0", float), ("t0", float), ("tc", float)]:
-            p.add_argument(f"--{dest}", type=kind)
-        common(p, steps)
-
-    drive(sub.add_parser("simulate", help="closed-system trajectory"),
-          "sta-fit", SCHRODINGER_STEPS)
-
-    p = sub.add_parser("lindblad", help="open-system trajectory")
-    drive(p, "sta-ref", LINDBLAD_STEPS)
-    p.add_argument("--gamma1", type=float, default=0.0)
-    p.add_argument("--gamma2", type=float, default=0.0)
-    p.add_argument("--gamma-phi1", type=float, default=0.0)
-    p.add_argument("--gamma-phi2", type=float, default=0.0)
-
-    p = sub.add_parser("sweep", help="parameter-error robustness sweep")
-    p.add_argument("--kind", required=True, choices=SWEEP_KINDS)
-    p.add_argument("--range", type=float, default=0.1, dest="error_range")
-    p.add_argument("--points", type=int, default=21)
-    common(p, SCHRODINGER_STEPS)
-
-    p = sub.add_parser("stirap-curve", help="baseline infidelity vs amplitude")
-    p.add_argument("--min", type=float, default=1.0, dest="amp_min")
-    p.add_argument("--max", type=float, default=80.0, dest="amp_max")
-    p.add_argument("--points", type=int, default=50)
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--tc", type=float, default=None)
-    common(p, SCHRODINGER_STEPS)
-
-    p = sub.add_parser("table1", help="amplitude/population table per winding")
-    p.add_argument("--max-m", type=int, default=7)
-    p.add_argument("--fit-budget", type=int, default=None,
-                   help="Gaussian components per pulse for every winding "
-                        "(default m+1, at least 2)")
-
-    for name, help_text in [
-            ("fig1", "shortcut schedules vs their Gaussian fits"),
-            ("fig2", "population trajectories for m = 1, 2, 3"),
-            ("fig3", "baseline infidelity curve"),
-            ("fig4", "parameter-error robustness sweeps"),
-            ("fig5", "decoherence robustness maps")]:
-        p = sub.add_parser(name, help=help_text)
-        if name == "fig4":
-            p.add_argument("--points", type=int, default=41)
-        if name == "fig5":
-            p.add_argument("--grid", type=int, default=21)
-        common(p, None if name in ("fig1", "fig5") else SCHRODINGER_STEPS)
-
+    for command, handler in COMMANDS.items():
+        _add_options(sub.add_parser(command, help=handler.__doc__,
+                                    argument_default=argparse.SUPPRESS),
+                     OPTIONS[command])
     return parser
 
 
-def _parsers(parser, command):
-    """The main parser and `command`'s subparser."""
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return parser, sub.choices[command]
-
-
-def _set_config_defaults(parser, args):
-    """Make the --config values the defaults of the flags they name.
-
-    Keys name option destinations (`duration` for --T); a key that names
-    no option of the chosen command is a ConfigError.  Each value goes
-    through its flag's argparse type converter and choices, as if it had
-    been given on the command line; parsing argv again then lets every
-    explicit flag, abbreviated or not, win over the config.
-    """
+def _config_values(path, command):
+    """The --config file's values, each put through its flag's type and
+    choices.  Keys name option dests (`duration` for --T)."""
     try:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
+        with open(path) as fh:
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}")
-    if not isinstance(overrides, dict):
+    if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
-    # --help and --version take no value
-    actions = {a.dest: (p, a) for p in _parsers(parser, args.command)
-               for a in p._actions
-               if a.option_strings and a.default is not argparse.SUPPRESS}
-    for key, value in overrides.items():
-        p, action = actions.get(key.replace("-", "_"), (None, None))
-        if action is None:
+    options = {o.dest: o for o in (*GLOBAL, *OPTIONS[command])}
+    values = {}
+    for key, value in doc.items():
+        o = options.get(key.replace("-", "_"))
+        if o is None:
             raise ConfigError(f"config key {key!r} names no option of "
-                              f"{args.command}")
+                              f"{command}")
         try:
-            value = (action.type or str)(str(value))
+            values[o.dest] = o.type(str(value))
         except ValueError:
             raise ConfigError(f"invalid config value for {key}: {value!r}")
-        if action.choices is not None and value not in action.choices:
+        if o.choices is not None and values[o.dest] not in o.choices:
             raise ConfigError(f"invalid config value for {key}: {value!r} "
-                              f"(choose from {', '.join(action.choices)})")
-        p.set_defaults(**{action.dest: value})
+                              f"(choose from {', '.join(o.choices)})")
+    return values
 
 
-def _resolved(parser, args):
-    """Check the parsed options; return them with every unset option the
-    run reads at the value it uses: the chosen protocol's defaults, the
-    fit's component count and the STIRAP pulse timing."""
-    min_steps = (MIN_LINDBLAD_STEPS if args.command == "lindblad"
-                 else MIN_SCHRODINGER_STEPS)
-    checks = {
-        "m": lambda v: v >= 1,
-        "duration": lambda v: v > 0,
-        "steps": lambda v: v >= min_steps,
-        "samples": lambda v: v >= 100,
-        "points": lambda v: v >= 2,
-        "grid": lambda v: v >= 2,
-        "omega0": lambda v: v > 0,
-        "max_m": lambda v: 1 <= v <= 10,
-        "error_range": lambda v: 0 < v <= 0.2,
-    }
-    for p in _parsers(parser, args.command):
-        for action in p._actions:
-            value = getattr(args, action.dest, None)
-            ok = checks.get(action.dest, lambda v: True)
-            if value is not None and not (
-                    (action.type is not float or math.isfinite(value))
-                    and ok(value)):
-                raise ConfigError(f"invalid value for "
-                                  f"{action.option_strings[0]}: {value}")
-    protocol = getattr(args, "protocol", None)
-    defaults = {}
-    if protocol is not None:
-        read = PROTOCOL_OPTIONS[protocol]
-        for dest in set().union(*PROTOCOL_OPTIONS.values()) - set(read):
-            if getattr(args, dest) is not None:
-                raise ConfigError(f"--protocol {protocol} does not "
-                                  f"read --{dest}")
-        defaults = {k: v for k, v in read.items() if getattr(args, k) is None}
-    args = argparse.Namespace(**{**vars(args), **defaults})
-    if (args.command == "fit" or protocol == "sta-fit") \
-            and args.components is None:
-        args.components = fit_components(args.m)
-    if protocol == "stirap" or args.command == "stirap-curve":
+def _resolve(command, given):
+    """The configuration of a `command` run: every option the run reads,
+    at its `given` value or else its declared default, checked, with the
+    fit's component count and the STIRAP pulse timing resolved.  A figure
+    passes its own configuration as `given` to run a primitive command."""
+    values = {o.dest: given.get(o.dest, o.default)
+              for o in OPTIONS[command]}
+    protocol = values.get("protocol")
+    for o in OPTIONS[command]:
+        value = values[o.dest]
+        if protocol and o.protocols and protocol not in o.protocols:
+            if o.dest in given:
+                raise ConfigError(f"--protocol {protocol} does not read "
+                                  f"{o.flag}")
+            del values[o.dest]
+        elif value is None and o.required:
+            raise ConfigError(f"{command} needs {o.flag}, from the command "
+                              f"line or --config")
+        elif value is not None and not (
+                (o.type is not float or math.isfinite(value))
+                and (o.check is None or o.check(value))):
+            raise ConfigError(f"invalid value for {o.flag}: {value}")
+    if "components" in values and values["components"] is None:
+        values["components"] = fit_components(values["m"])
+    if "t0" in values:
         # the timing does not depend on the amplitude
-        p = design_stirap(1.0, args.t0, args.tc, args.duration)
-        args.t0, args.tc = p.t0, p.tc
-    return args
+        try:
+            p = design_stirap(1.0, values["t0"], values["tc"],
+                              values["duration"])
+        except InvalidParameters:
+            flags = [f"{o.flag} {values[o.dest]}" for o in (T0, TC, T)
+                     if values[o.dest] is not None]
+            raise ConfigError(f"no STIRAP timing at {', '.join(flags)}: "
+                              f"it needs 0 < t0 < T/2 and tc > 0")
+        values["t0"], values["tc"] = p.t0, p.tc
+    return argparse.Namespace(command=command, **values)
 
 
 def _manifest(args, outputs):
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("config", "outdir") and v is not None}
+    config = {k: v for k, v in sorted(vars(args).items()) if v is not None}
     doc = {"tool": "lambda-sta", "version": __version__,
            "config": config, "outputs": sorted(outputs)}
     return json.dumps(doc, indent=2) + "\n"
@@ -279,29 +269,8 @@ def _trajectory_csv(propagate, pulses, args, **options):
                     [traj.times / traj.duration, *traj.populations.T])
 
 
-def _sweep_csv(kind, error_range, points, duration, steps):
-    """One robustness sweep of the reference m=1 pulses."""
-    pulses = PulsePair(*reference_m1_fit(duration))
-    if kind == "timing-error":
-        data = timing_error_sweep(pulses, error_range, points, duration,
-                                  steps)
-        x_name = "dT_over_T"
-    else:
-        which = 1 if kind == "amp1-error" else 2
-        data = amplitude_error_sweep(pulses, which, error_range, points,
-                                     duration, steps)
-        x_name = f"dOmega{which}_over_Omega{which}"
-    return csv_text([x_name, "P3"], zip(*data))
-
-
-def _stirap_curve_csv(amp_min, amp_max, points, t0, tc, duration, steps):
-    with np.errstate(over="ignore"):  # an infinite amplitude fails the run
-        amplitudes = np.linspace(amp_min, amp_max, points) / duration
-    data = stirap_infidelity_curve(t0, tc, duration, amplitudes, steps)
-    return csv_text(["Omega0_T", "infidelity"], zip(*data))
-
-
 def cmd_design(args):
+    """build a shortcut protocol"""
     p = design_sta(args.m, args.duration)
     t = np.linspace(0, args.duration, args.samples)
     return {"protocol.json": protocol_to_json(p) + "\n",
@@ -312,6 +281,7 @@ def cmd_design(args):
 
 
 def cmd_fit(args):
+    """fit the shortcut schedules to Gaussians"""
     p = design_sta(args.m, args.duration)
     (f1, r1), (f2, r2) = fit_protocol_pulses(p, args.components, args.samples)
     return {"pulse1.json": pulse_to_json(f1, r1) + "\n",
@@ -319,11 +289,13 @@ def cmd_fit(args):
 
 
 def cmd_simulate(args):
+    """closed-system trajectory"""
     return {"trajectory.csv": _trajectory_csv(
         propagate_schrodinger, _protocol_pulses(args), args)}
 
 
 def cmd_lindblad(args):
+    """open-system trajectory"""
     rates = LindbladRates(gamma1=args.gamma1, gamma2=args.gamma2,
                           gamma_phi1=args.gamma_phi1,
                           gamma_phi2=args.gamma_phi2)
@@ -332,17 +304,34 @@ def cmd_lindblad(args):
 
 
 def cmd_sweep(args):
-    return {"sweep.csv": _sweep_csv(args.kind, args.error_range, args.points,
-                                    args.duration, args.steps)}
+    """parameter-error robustness sweep of the reference m=1 pulses"""
+    T = args.duration
+    pulses = PulsePair(*reference_m1_fit(T))
+    if args.kind == "timing-error":
+        data = timing_error_sweep(pulses, args.error_range, args.points, T,
+                                  args.steps)
+        x_name = "dT_over_T"
+    else:
+        which = 1 if args.kind == "amp1-error" else 2
+        data = amplitude_error_sweep(pulses, which, args.error_range,
+                                     args.points, T, args.steps)
+        x_name = f"dOmega{which}_over_Omega{which}"
+    return {"sweep.csv": csv_text([x_name, "P3"], zip(*data))}
 
 
 def cmd_stirap_curve(args):
-    return {"stirap_curve.csv": _stirap_curve_csv(
-        args.amp_min, args.amp_max, args.points, args.t0, args.tc,
-        args.duration, args.steps)}
+    """baseline infidelity vs amplitude"""
+    with np.errstate(over="ignore"):  # an infinite amplitude fails the run
+        amplitudes = np.linspace(args.amp_min, args.amp_max,
+                                 args.points) / args.duration
+    data = stirap_infidelity_curve(args.t0, args.tc, args.duration,
+                                   amplitudes, args.steps)
+    return {"stirap_curve.csv": csv_text(["Omega0_T", "infidelity"],
+                                         zip(*data))}
 
 
 def cmd_table1(args):
+    """amplitude/population table per winding"""
     rows = table_one(args.max_m, args.fit_budget)
     return {"table1.csv": csv_text(
                 ["phiT_over_pi", "omega_tilde_0_T", "P2max"],
@@ -353,6 +342,7 @@ def cmd_table1(args):
 
 
 def cmd_fig1(args):
+    """shortcut schedules vs their Gaussian fits"""
     p = design_sta(1, args.duration)
     f1, f2 = reference_m1_fit(args.duration)
     t = np.linspace(0, args.duration, 1001)
@@ -363,23 +353,28 @@ def cmd_fig1(args):
 
 
 def cmd_fig2(args):
-    return {f"fig2{label}.csv": _trajectory_csv(
-                propagate_schrodinger, design_sta(m, args.duration), args)
+    """population trajectories for m = 1, 2, 3"""
+    return {f"fig2{label}.csv": cmd_simulate(_resolve(
+                "simulate", {**vars(args), "protocol": "sta", "m": m})
+            )["trajectory.csv"]
             for label, m in zip("abc", (1, 2, 3))}
 
 
 def cmd_fig3(args):
-    return {"fig3.csv": _stirap_curve_csv(1.0, 80.0, 50, None, None,
-                                          args.duration, args.steps)}
+    """baseline infidelity curve"""
+    return {"fig3.csv": cmd_stirap_curve(
+        _resolve("stirap-curve", vars(args)))["stirap_curve.csv"]}
 
 
 def cmd_fig4(args):
-    return {f"fig4_{kind.split('-')[0]}.csv": _sweep_csv(
-                kind, 0.1, args.points, args.duration, args.steps)
+    """parameter-error robustness sweeps"""
+    return {f"fig4_{kind.split('-')[0]}.csv": cmd_sweep(
+                _resolve("sweep", {**vars(args), "kind": kind}))["sweep.csv"]
             for kind in SWEEP_KINDS}
 
 
 def cmd_fig5(args):
+    """decoherence robustness maps"""
     pulses = PulsePair(*reference_m1_fit(args.duration))
     ratios, maps = decoherence_maps(pulses, ("relaxation", "dephasing"),
                                     0.01, args.grid, duration=args.duration)
@@ -409,17 +404,17 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    given = vars(_parser().parse_args(argv))
+    command = given.pop("command")
     try:
-        if args.config:
-            _set_config_defaults(parser, args)
-            args = parser.parse_args(argv)
-        args = _resolved(parser, args)
-        outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
+        if "config" in given:
+            given = {**_config_values(given["config"], command), **given}
+        args = _resolve(command, given)
+        outdir = Path(given.get("outdir") or os.environ.get(OUTDIR_ENV)
+                      or ".")
         outdir.mkdir(parents=True, exist_ok=True)
         try:
-            outputs = COMMANDS[args.command](args)
+            outputs = COMMANDS[command](args)
         except (ConfigError, InvalidParameters):
             raise
         except Exception as exc:

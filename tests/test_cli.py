@@ -418,3 +418,31 @@ def test_exit_code_reaches_the_process(tmp_path, argv, code):
     if code == 3:
         assert out.stderr.startswith("computation failed:")
         assert out.stderr.count("\n") == 1
+
+
+def test_config_supplies_a_required_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "timing-error"}))
+    argv = ["--config", str(cfg), "sweep", "--points", "3", "--steps", "200"]
+    for out, flags, kind in [("a", [], "timing-error"),
+                             ("b", ["--kind", "amp1-error"], "amp1-error")]:
+        assert main(["--outdir", str(tmp_path / out), *argv, *flags]) == 0
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert manifest["config"]["kind"] == kind
+    # given by neither the flag nor the config
+    assert run(tmp_path / "c", "sweep", "--points", "3") == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["simulate", "--protocol", "stirap", "--t0", "0.5", "--tc", "0.1"],
+     "--t0 0.5, --tc 0.1, --T 1.0"),
+    (["stirap-curve", "--t0", "2"], "--t0 2.0, --T 1.0"),
+    (["stirap-curve", "--tc", "-1", "--T", "2"], "--tc -1.0, --T 2.0"),
+])
+def test_stirap_timing_error_names_the_flags(tmp_path, capsys, argv, flags):
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flags in err
+    assert "omega0" not in err
