@@ -168,6 +168,8 @@ def _config_values(path, command):
         if o is None:
             raise ConfigError(f"config key {key!r} names no option of "
                               f"{command}")
+        if value is None:  # str(None) would pass as the text "None"
+            raise ConfigError(f"invalid config value for {key}: None")
         try:
             values[o.dest] = o.type(str(value))
         except ValueError:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import lambda_sta
-from lambda_sta.cli import COMMANDS, main
+from lambda_sta.cli import COMMANDS, GLOBAL, OPTIONS, OUTDIR_ENV, main
 
 
 def run(tmp_path, *argv):
@@ -295,6 +295,22 @@ def test_config_value_type_error_exits_2(tmp_path, capsys, overrides):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, key", [
+    (command, o.dest) for command in COMMANDS
+    for o in (*GLOBAL, *OPTIONS[command])])
+def test_config_null_value_exits_2(tmp_path, monkeypatch, capsys, command,
+                                   key):
+    # a JSON null once passed as the text "None": {"outdir": null} wrote
+    # None/protocol.json
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+    (tmp_path / "cfg.json").write_text(json.dumps({key: None}))
+    assert main(["--config", "cfg.json", command]) == 2
+    assert capsys.readouterr().err == \
+        f"error: invalid config value for {key}: None\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("argv, overrides", [
     # table1 has neither --steps nor --T
     (["table1", "--max-m", "1"], {"steps": 2000, "duration": 2}),
@@ -371,15 +387,20 @@ def test_fig2_emits_three_files(tmp_path):
     assert rows[-1][3] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_import_defers_scipy_optimize():
-    # scipy.optimize is most of the CLI's import time and only fits use it
+def test_runtime_never_imports_scipy(tmp_path):
+    # scipy is a test dependency only: the fits run on numpy alone
     src = str(Path(lambda_sta.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, lambda_sta.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
+    code = ("import sys\n"
+            "from lambda_sta.cli import main\n"
+            "for argv in (['fit'], ['table1', '--max-m', '2']):\n"
+            "    assert main(['--outdir', sys.argv[1], *argv]) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_config_does_not_leak_into_the_next_call(tmp_path):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from lambda_sta import analysis
-from lambda_sta.analysis import fit_protocol_pulses
+from lambda_sta.analysis import fit_components, fit_protocol_pulses
 from lambda_sta.cli import main
 from lambda_sta.dynamics import PulsePair, propagate_schrodinger
 from lambda_sta.protocol import InvalidParameters, design_sta
 from lambda_sta.pulsefit import (DegenerateSamples, GaussianComponent,
-                                 GaussianPulse, fit_gaussian_sum,
+                                 GaussianPulse, _initial_guess, _projection,
+                                 fit_gaussian_sum, fit_report,
                                  pulse_amplitude, pulse_to_json,
                                  reference_m1_fit)
 
@@ -91,6 +92,118 @@ def test_table_fits_converge(m, time_grid):
     assert 1 - tr.final_populations[2] <= 1e-3
 
 
+def oracle_case(case):
+    """Samples (t, y) and component count of a scipy oracle case: the
+    table fit of Omega2 for m = 1..7 ("m1".."m7"), or criterion 3's direct
+    two-component fit of an m = 1 schedule ("pulse1", "pulse2")."""
+    t = np.linspace(0.0, 1.0, 1001)
+    if case.startswith("m"):
+        m = int(case[1:])
+        return t, design_sta(m).omega2(t), fit_components(m)
+    p = design_sta(1)
+    return t, (p.omega1 if case == "pulse1" else p.omega2)(t), 2
+
+
+def scipy_fit(t, y, n):
+    """The variable-projection fit as scipy's least_squares makes it, with
+    the amplitudes from an SVD of the Gaussian basis: the oracle that
+    fit_gaussian_sum's own trust-region iteration follows.  Returns the
+    fitted pulse and scipy's result."""
+    from scipy.optimize import least_squares
+
+    def projection(q):
+        u = (t[:, None] - q[:n]) / q[n:]
+        g = np.exp(-u * u)
+        left, s, right = np.linalg.svd(g, full_matrices=False)
+        rank = int(np.sum(s > s[0] * max(g.shape) * np.finfo(float).eps))
+        left, s, right = left[:, :rank], s[:rank], right[:rank]
+        return u, g, left, right.T @ ((left.T @ y) / s)
+
+    def residual(q):
+        _, g, _, zeta = projection(q)
+        return g @ zeta - y
+
+    def jacobian(q):
+        u, g, basis, zeta = projection(q)
+        d = g * u * (2 * zeta / q[n:])
+        d = np.hstack([d, d * u])
+        return d - basis @ (basis.T @ d)
+
+    span = t[-1] - t[0]
+    lower = np.concatenate([np.full(n, t[0] - span), np.full(n, 1e-4 * span)])
+    upper = np.concatenate([np.full(n, t[-1] + span), np.full(n, 2 * span)])
+    x0 = np.clip(_initial_guess(t, y, n), lower + 1e-12, upper - 1e-12)
+    res = least_squares(residual, x0, jac=jacobian, bounds=(lower, upper),
+                        method="trf", ftol=1e-12, xtol=1e-12, gtol=1e-12,
+                        max_nfev=1500 * n)
+    zeta = projection(res.x)[3]
+    return GaussianPulse(tuple(
+        GaussianComponent(zeta[i], res.x[i], res.x[n + i])
+        for i in range(n))), res
+
+
+@pytest.fixture(scope="module")
+def scipy_fits():
+    return {case: scipy_fit(*oracle_case(case))
+            for case in (*(f"m{m}" for m in range(1, 8)), "pulse1", "pulse2")}
+
+
+@pytest.mark.parametrize("case", ["m1", "m2", "m3", "m4", "m6",
+                                  "pulse1", "pulse2"])
+def test_fit_follows_scipy_step_for_step(case, scipy_fits):
+    t, y, n = oracle_case(case)
+    fitted, report = fit_gaussian_sum((t, y), n)
+    want, res = scipy_fits[case]
+    assert report.iterations == res.nfev
+    assert report.converged == (res.status > 0)
+    q = [(c.center, c.width) for c in fitted.components]
+    q_want = [(c.center, c.width) for c in want.components]
+    # 1e-12, not just 1e-10: leaving out the one reflected step m = 3
+    # takes moves its centres and widths by 4e-11
+    assert np.abs(np.subtract(q, q_want)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["m5", "m7"])
+def test_dipole_fit_matches_scipy_pulse(case, scipy_fits):
+    # scipy's m = 5 and m = 7 minima each hold a near-cancelling pair of
+    # coincident components (|zeta| ~ 7e4), so only the sum is pinned down
+    t, y, n = oracle_case(case)
+    fitted, report = fit_gaussian_sum((t, y), n)
+    want, res = scipy_fits[case]
+    assert report.converged and res.status > 0
+    assert np.abs(fitted(t) - want(t)).max() <= 1e-6
+    oracle = fit_report(want, t, y, res.nfev, True)
+    assert report.rms_residual == pytest.approx(oracle.rms_residual,
+                                                rel=1e-9)
+    assert report.peak_amplitude == pytest.approx(oracle.peak_amplitude,
+                                                  rel=1e-8)
+
+
+def test_rank_deficient_fit():
+    # three components for one Gaussian: two of them merge, the Gaussian
+    # basis loses rank, and the amplitudes must stay finite
+    t = np.linspace(0.0, 1.0, 1001)
+    y = 2.0 * np.exp(-((t - 0.4) / 0.1) ** 2)
+    fitted, report = fit_gaussian_sum((t, y), 3)
+    assert report.iterations <= 1500 * 3
+    assert np.isfinite([(c.amplitude, c.center, c.width)
+                        for c in fitted.components]).all()
+    assert report.rms_residual <= 1e-5 * 2.0
+
+
+def test_coincident_components_share_one_basis_vector():
+    # three identical columns: the Gram matrix's two zero eigenvalues come
+    # out at rounding level and must be cut, or the basis is not
+    # orthonormal and the amplitudes are arbitrary
+    t = np.linspace(0.0, 1.0, 1001)
+    y = 2.0 * np.exp(-((t - 0.4) / 0.1) ** 2)
+    _, g, basis, zeta = _projection(t, y, np.array([0.37] * 3 + [0.09] * 3))
+    assert basis.shape == (1001, 1)
+    assert basis.T @ basis == pytest.approx(1.0, abs=1e-12)
+    assert zeta == pytest.approx(np.linalg.lstsq(g, y, rcond=None)[0],
+                                 rel=1e-12)
+
+
 def test_fit_rejects_asymmetric_kappa():
     with pytest.raises(InvalidParameters):
         fit_protocol_pulses(design_sta(3, kappa=0.3))
@@ -127,6 +240,13 @@ def test_degenerate_samples_rejected():
     t = np.linspace(0, 1, 200)
     with pytest.raises(DegenerateSamples):
         fit_gaussian_sum((t, np.zeros_like(t)), 1)
+
+
+def test_too_short_span_rejected():
+    # the seeds cannot start 1e-10 inside bounds only 1e-300 apart
+    t = np.linspace(0, 1e-300, 200)
+    with pytest.raises(ValueError, match="too short"):
+        fit_gaussian_sum((t, np.exp(-(t / 1e-300 - 0.5) ** 2)), 1)
 
 
 def test_too_few_samples_rejected():
