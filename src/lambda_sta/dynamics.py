@@ -4,13 +4,13 @@ Each equation has one time-stepping kernel, `evolve_schrodinger` and
 `evolve_lindblad`.  A kernel carries a batch axis over independent runs
 (sweep points, map cells) and walks the time axis in blocks: it evaluates
 the drive and builds the per-step operators of a whole block with array
-operations, then applies them (Lindblad) or composes them (Schrodinger).
-A block holds about BLOCK_BYTES of operators, whatever the step count or
+operations, then composes them by product trees or, on the Lindblad stage
+march, applies them step by step.  A block holds about BLOCK_BYTES of operators, whatever the step count or
 batch size.  `propagate_schrodinger` and `propagate_lindblad` are the
 single-run cases with sampling.
 
-Pulses are duck-typed: the kernels read only `pulses.omega1(t)` and
-`pulses.omega2(t)`, so a protocol or a PulsePair drives them alike.
+Pulses are duck-typed: the kernels read only `pulses.drive(t)`, the pair
+(omega1(t), omega2(t)), so a protocol or a PulsePair drives them alike.
 
 Closed systems take the fourth-order commutator-free Magnus step of
 Blanes & Moan (2006, Appl. Numer. Math. 56): with H sampled at the two
@@ -52,14 +52,19 @@ are real matrices.  The generator is linear in the drive and in the rates,
                           + gamma_phi1 D3 + gamma_phi2 D4,
 
 because each jump operator scales as sqrt(gamma); its six pieces are
-built once, at import, and a run only weighs them.  The same RK4 step is
+built once, at import, and a block's generators are one product of its
+drive samples (omega1, omega2, 1) with K1, K2 and the weighted D pieces.
+The same RK4 step is
 applied in one of two ways, with the same drive samples, step checks,
 sampling and non-finite check:
 
 - one-step propagators: RK4 is linear in the state, so each run's step
   is its 9x9 propagator, built from the generators at the step's start,
   midpoint and end, each scaled by dt first so that every product stays
-  in range at any duration (three 9x9 products per step and run);
+  in range at any duration (three 9x9 products per step and run).  As
+  the Schrodinger rotations are, the propagators of each stride chunk
+  are composed by a pairwise product tree, and only the chunk products
+  are applied to the states in Python;
 - stage by stage: the states of the whole batch form one (9, batch)
   array X, and each of the four stages is one matrix product of the
   (9, 45) stack [omega1 K1 + omega2 K2 | D1 | D2 | D3 | D4], shared by
@@ -68,8 +73,9 @@ sampling and non-finite check:
 The stage march costs a fixed Python overhead per step but little per
 run, the propagators the reverse, so `evolve_lindblad` marches stage by
 stage from STAGE_MARCH_BATCH runs up.  On 2 vCPUs a single 10k-step run
-takes 0.05 s on propagators and 0.35 s stage by stage; the 882 runs of
-both 21x21 decoherence maps at 2000 steps take 2.9 s and 0.43 s.  The two
+takes 0.025 s on propagators (0.036 s sampled every 10 steps, as
+`lindblad` writes it) and 0.4 s stage by stage; the 882 runs of both
+21x21 decoherence maps at 2000 steps take 4.0 s and 0.52 s.  The two
 ways agree to about 1e-14.
 
 Both kernels refuse a step that rotates the state by more than
@@ -164,6 +170,9 @@ class PulsePair:
     omega1: Callable
     omega2: Callable
 
+    def drive(self, t):
+        return self.omega1(t), self.omega2(t)
+
 
 @dataclass(frozen=True)
 class LindbladRates:
@@ -201,8 +210,6 @@ _K2 = _real_superoperator(1j * (np.kron(EYE3, G2) - np.kron(G2, EYE3)))
 _D = _real_superoperator(np.array([
     np.kron(l, l) - 0.5 * (np.kron(l.T @ l, EYE3) + np.kron(EYE3, l.T @ l))
     for l in lindblad_operators(LindbladRates(1, 1, 1, 1))]))
-# The four unit-rate pieces side by side, [D1 | D2 | D3 | D4], shape (9, 36).
-_D_ROW = np.hstack(_D)
 # Gamma = _DECAY . rates bounds the decay rate of every element of rho.
 _DECAY = np.array([1.0, 1.0, 2.0, 2.0])
 
@@ -225,10 +232,9 @@ class Trajectory:
 
 def _drive(pulses, t, scale1=1.0, scale2=1.0):
     """Scaled drive amplitudes at the times t (any shape), checked finite."""
-    o1 = np.broadcast_to(scale1 * np.asarray(pulses.omega1(t), dtype=float),
-                         t.shape)
-    o2 = np.broadcast_to(scale2 * np.asarray(pulses.omega2(t), dtype=float),
-                         t.shape)
+    o1, o2 = pulses.drive(t)
+    o1 = np.broadcast_to(scale1 * np.asarray(o1, dtype=float), t.shape)
+    o2 = np.broadcast_to(scale2 * np.asarray(o2, dtype=float), t.shape)
     if not (np.all(np.isfinite(o1)) and np.all(np.isfinite(o2))):
         raise ValueError("pulse evaluation produced non-finite values")
     return o1, o2
@@ -266,14 +272,27 @@ def _qmul(p, q):
     return np.array([a1 * a2 - b1.conj() * b2, b1 * a2 + a1.conj() * b2])
 
 
-def _tree(q):
-    """Product q[.., n-1, :] ... q[.., 0, :] over the time axis -2 of q,
-    shape (2, ..., n, batch), by pairwise products."""
-    while q.shape[-2] > 1:
-        pairs = _qmul(q[..., 1::2, :], q[..., :-1:2, :])
-        q = pairs if q.shape[-2] % 2 == 0 else np.concatenate(
-            (pairs, q[..., -1:, :]), axis=-2)
-    return q[..., 0, :]
+def _chunk_products(q, mul, eye, axis, k0, k1, stride):
+    """Compose the operators of steps k0..k1-1, stacked in acting order
+    along `axis` of q (a fixed number per step), over each chunk of
+    `stride` steps (the block's last chunk may be shorter): pairwise
+    products mul(later, earlier) in log2(chunk) rounds, the last chunk
+    padded with the identities `eye`.  Returns the end step of each chunk
+    and the chunk products, the chunk axis in place of `axis`."""
+    chunk = min(stride, k1 - k0)
+    size = chunk * q.shape[axis] // (k1 - k0)
+    pad = -q.shape[axis] % size
+    if pad:
+        q = np.concatenate((q, np.broadcast_to(
+            eye, (*q.shape[:axis], pad, *q.shape[axis + 1:]))), axis)
+    q = q.reshape(*q.shape[:axis], q.shape[axis] // size, size,
+                  *q.shape[axis + 1:])
+    at = (slice(None),) * (axis + 1)  # index prefix of the in-chunk axis
+    while q.shape[axis + 1] > 1:
+        pairs = mul(q[at + (np.s_[1::2],)], q[at + (np.s_[:-1:2],)])
+        q = pairs if q.shape[axis + 1] % 2 == 0 else np.concatenate(
+            (pairs, q[at + (np.s_[-1:],)]), axis + 1)
+    return np.append(np.arange(k0 + chunk, k1, chunk), k1), q[at + (0,)]
 
 
 def _prefix(q):
@@ -299,24 +318,35 @@ def _check_finite(out):
                          "out of floating-point range)")
 
 
-def _march(block, state, steps, stride, step_bytes, update=np.matmul):
+def _edges(steps, stride, per_block):
+    """Edges of blocks of at most per_block steps that hold whole stride
+    chunks or, when a chunk is longer, are cut at every sample too."""
+    length = per_block // stride * stride
+    if length:
+        return np.append(np.arange(0, steps, length), steps)
+    return np.union1d(np.arange(0, steps, per_block),
+                      _sample_steps(steps, stride))
+
+
+def _march(block, state, steps, stride, per_block, update):
     """Step a batch of states through `steps` steps, block by block.
 
-    `block(k0, k1)` returns the operators of steps k0..k1-1, taking about
-    `step_bytes` a step; `update(op, x)` returns the state after applying
-    `op`, by default op @ x.  Returns the states after each sampled step,
-    stacked on a new leading axis; raises ValueError when any is non-finite.
+    `block(k0, k1)` returns (end step, operator) pairs that take the states
+    from step k0 to step k1 in order; the blocks, of at most per_block
+    steps, are cut by _edges, so every sample is an end step.
+    `update(op, x)` returns the states after applying `op`.  Returns the
+    states after each sampled step, stacked on a new leading axis; raises
+    ValueError when any is non-finite.
     """
-    per_block = max(1, BLOCK_BYTES // step_bytes)
     at = _sample_steps(steps, stride).tolist()
+    edges = _edges(steps, stride, per_block).tolist()
     out = np.empty((len(at), *state.shape), dtype=state.dtype)
     out[0] = x = state
     i = 1
     # an overflow shows as the non-finite states reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, steps, per_block):
-            for k, op in enumerate(block(k0, min(k0 + per_block, steps)),
-                                   k0 + 1):
+        for k0, k1 in zip(edges[:-1], edges[1:]):
+            for k, op in block(k0, k1):
                 x = update(op, x)
                 if k == at[i]:
                     out[i] = x
@@ -344,13 +374,8 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
     dt = horizon / steps
     batch = len(dt)
     stride = min(stride or steps, steps)
-    per_block = max(1, BLOCK_BYTES // (max(batch, 1) * _STEP_BYTES))
-    length = per_block // stride * stride
-    if length:  # whole stride chunks per block
-        edges = np.append(np.arange(0, steps, length), steps)
-    else:  # a chunk spans blocks: cut them at every sample too
-        edges = np.union1d(np.arange(0, steps, per_block),
-                           _sample_steps(steps, stride))
+    edges = _edges(steps, stride,
+                   max(1, BLOCK_BYTES // (max(batch, 1) * _STEP_BYTES)))
     acc = _IDENTITY.repeat(batch, 2)
     out = [acc]
     # an overflow fails the step check or shows as non-finite states
@@ -364,16 +389,9 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
             # the two exponents of each step in acting order: (2, 2n, batch)
             q = step_rotation(_CF4_MIX @ x1, _CF4_MIX @ x2).reshape(
                 2, 2 * (k1 - k0), batch)
-            # compose each chunk of `chunk` steps (the last one padded with
-            # identities), then the prefixes of the chunks
-            chunk = min(stride, k1 - k0)
-            pad = -(k1 - k0) % chunk
-            if pad:
-                q = np.concatenate((q, _IDENTITY.repeat(2 * pad, 1).repeat(
-                    batch, 2)), axis=1)
-            q = q.reshape(2, q.shape[1] // (2 * chunk), 2 * chunk, batch)
-            q = _qmul(_prefix(_tree(q)), acc[:, -1:])
-            ends = np.minimum(np.arange(1, q.shape[1] + 1) * chunk + k0, k1)
+            # compose each stride chunk, then the prefixes of the chunks
+            ends, q = _chunk_products(q, _qmul, _IDENTITY, 1, k0, k1, stride)
+            q = _qmul(_prefix(q), acc[:, -1:])
             out.append(q[:, (ends % stride == 0) | (ends == steps)])
             acc = q
     a, b = q = np.concatenate(out, axis=1).swapaxes(1, 2)
@@ -396,23 +414,30 @@ def propagate_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
                       steps=steps)
 
 
-def _rk4_propagators(gen, dt):
-    """One-step RK4 propagators from generators on the half-step grid.
+def _rk4_propagators(gen, work):
+    """One-step RK4 propagators from generators on the half-step grid,
+    built in work[0] with work[1], work[2] as scratch.
 
-    gen[2k], gen[2k+1] and gen[2k+2] are the generators at the start,
-    midpoint and end of step k, scaled in place to dt times themselves.
-    With those A, B, C the classic stages are k_i = q_i r / dt, so r' = P r
-    with P = I + (A + 2 q2 + 2 q3 + q4)/6 and q2 = B + B A/2,
-    q3 = B + B q2/2, q4 = C + C q3.  Scaling first keeps every product of
-    order 1 where dt*Omega is, whatever the duration.
+    gen[2k], gen[2k+1] and gen[2k+2] are dt times the generators at the
+    start, midpoint and end of step k.  With those A, B, C the classic
+    stages are k_i = q_i r / dt, so r' = P r with P = I + (A + 2 q2 + 2 q3
+    + q4)/6 and q2 = B + B A/2, q3 = B + B q2/2, q4 = C + C q3.  Scaling
+    first keeps every product of order 1 where dt*Omega is, whatever the
+    duration.
     """
-    gen *= dt
     a, b, c = gen[:-1:2], gen[1::2], gen[2::2]
-    q = b + 0.5 * (b @ a)
-    acc = a + 2 * q
-    q = b + 0.5 * (b @ q)
-    acc += 2 * q
-    acc += c + c @ q
+    acc, q, r = work
+    np.matmul(b, a, out=q)
+    q *= 0.5
+    q += b  # q2
+    np.multiply(q, 2, out=acc)
+    acc += a
+    np.matmul(b, q, out=r)
+    r *= 0.5
+    r += b  # q3
+    acc += np.multiply(r, 2, out=q)
+    np.matmul(c, r, out=q)
+    acc += np.add(c, q, out=q)  # q4
     acc /= 6
     acc += np.eye(9)
     return acc
@@ -457,10 +482,13 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
                            f"got {steps}")
     gammas = np.array([astuple(r) for r in rates], dtype=float).reshape(-1, 4)
     dt = horizon / steps
+    stride = min(stride or steps, steps)
     with np.errstate(over="ignore"):  # an infinite Gamma fails the check
         _check_step(gammas @ _DECAY * dt, "has Gamma*dt = {:.3g}")
     batch = len(gammas)
     stages = batch >= STAGE_MARCH_BATCH
+    # A block's generators, built into `gens`, are the drive (scale omega1,
+    # scale omega2, 1) at each half step times the rows of `basis`.
     if stages:
         # states (9, batch); per step, the stacked generators [K | D1 .. D4]
         # at its start, midpoint and end
@@ -469,34 +497,50 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
         work = np.empty_like(weights)
         start = np.zeros((9, batch))
         start[0] = 1  # |1><1| in real coordinates: the first diagonal entry
+        basis = np.zeros((3, 9, 45))
+        basis[0, :, :9], basis[1, :, :9], basis[2, :, 9:] = (_K1, _K2,
+                                                             np.hstack(_D))
+        scale = 1.0
+        per_block = max(1, BLOCK_BYTES // (2 * basis[0].nbytes))
 
-        def operators(coherent):
-            gen = np.concatenate((coherent, np.broadcast_to(
-                _D_ROW, (len(coherent), 9, 36))), axis=2)
-            return [gen[j:j + 3] for j in range(0, len(gen) - 1, 2)]
+        def operators(k0, k1, gen):
+            return zip(range(k0 + 1, k1 + 1),
+                       (gen[j:j + 3] for j in range(0, len(gen) - 1, 2)))
 
         def update(gen, x):
             return _rk4_stages(gen, x, weights, dt, work)
-
-        step_bytes = 2 * _D_ROW.itemsize * 9 * 45
     else:
-        # states (batch, 9, 1); per step, its (batch, 9, 9) propagator
-        diss = np.tensordot(gammas, _D, 1)
+        # states (batch, 9, 1); per stride chunk, the (batch, 9, 9) product
+        # of its steps' propagators, built in `props` from the generators
+        # times dt
         start = np.broadcast_to(np.eye(9)[0], (batch, 9))[..., None]
+        diss = dt * np.tensordot(gammas, _D, 1)
+        basis = np.stack((np.broadcast_to(_K1, diss.shape),
+                          np.broadcast_to(_K2, diss.shape), diss))
+        scale = dt
+        per_block = max(1, BLOCK_BYTES // (max(batch, 1) * _D[0].nbytes))
+        props = np.empty((3, min(per_block, steps), batch, 9, 9))
 
-        def operators(coherent):
-            return _rk4_propagators(coherent[:, None] + diss, dt)
+        def operators(k0, k1, gen):
+            ends, p = _chunk_products(
+                _rk4_propagators(gen, props[:, :k1 - k0]), np.matmul,
+                np.eye(9), 0, k0, k1, stride)
+            return zip(ends.tolist(), p)
 
         update = np.matmul
-        step_bytes = max(batch, 1) * _D.itemsize * 81
+    # fresh multi-megabyte arrays in every block would page-fault each time
+    gens = np.empty((2 * min(per_block, steps) + 1, basis[0].size))
 
     def block(k0, k1):
         t = np.arange(2 * k0, 2 * k1 + 1) * (dt / 2)
         o1, o2 = _drive(pulses, t)
         _check_step(np.hypot(o1, o2) * dt)
-        return operators(o1[:, None, None] * _K1 + o2[:, None, None] * _K2)
+        gen = np.einsum("nk,km->nm", np.column_stack(
+            (scale * o1, scale * o2, np.ones_like(t))), basis.reshape(3, -1),
+            out=gens[:len(t)])
+        return operators(k0, k1, gen.reshape(len(t), *basis.shape[1:]))
 
-    out = _march(block, start, steps, stride or steps, step_bytes, update)
+    out = _march(block, start, steps, stride, per_block, update)
     out = out.transpose(2, 0, 1) if stages else out[..., 0].swapaxes(0, 1)
     return (out @ _TO_REAL.conj()).reshape(*out.shape[:2], 3, 3)
 

@@ -108,13 +108,16 @@ class StaProtocol:
     def omega(self, t):
         return self._frame(t).omega
 
-    def omega1(self, t):
+    def drive(self, t):
+        """(omega1, omega2) at the times t, from one frame."""
         f = self._frame(t)
-        return f.omega * np.sin(f.theta)
+        return f.omega * np.sin(f.theta), f.omega * np.cos(f.theta)
+
+    def omega1(self, t):
+        return self.drive(t)[0]
 
     def omega2(self, t):
-        f = self._frame(t)
-        return f.omega * np.cos(f.theta)
+        return self.drive(t)[1]
 
 
 def design_sta(m, duration=1.0, kappa=None):
@@ -175,6 +178,9 @@ class StirapProtocol:
     def omega2(self, t):
         u = (np.asarray(t) + self.t0 - self.duration / 2) / self.tc
         return self.omega0 * np.exp(-u * u)
+
+    def drive(self, t):
+        return self.omega1(t), self.omega2(t)
 
 
 def design_stirap(omega0, t0=None, tc=None, duration=1.0):

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -266,6 +268,51 @@ def mixed_rates(n):
     return [LindbladRates(gamma1=0.01 + 0.003 * i, gamma2=0.05 - 0.002 * i,
                           gamma_phi1=0.02 + 0.001 * i,
                           gamma_phi2=0.04 - 0.001 * i) for i in range(n)]
+
+
+def rk4_loop_states(pulses, rates, horizon, steps, stride):
+    """RK4 as a plain step-by-step loop over each run's one-step
+    propagators, sampled after steps 0, stride, 2*stride, ... and `steps`;
+    shape (batch, samples, 3, 3)."""
+    dt = horizon / steps
+    t = np.arange(2 * steps + 1) * (dt / 2)
+    coherent = (pulses.omega1(t)[:, None, None] * dynamics._K1
+                + pulses.omega2(t)[:, None, None] * dynamics._K2)
+    out = []
+    for r in rates:
+        diss = np.tensordot(astuple(r), dynamics._D, 1)
+        p = dynamics._rk4_propagators((coherent + diss) * dt,
+                                      np.empty((3, steps, 9, 9)))
+        x = np.eye(9)[0]
+        out.append([x])
+        for k in range(steps):
+            x = p[k] @ x
+            if (k + 1) % stride == 0 or k + 1 == steps:
+                out[-1].append(x)
+    samples = len(range(0, steps, stride)) + 1
+    real = np.reshape(out, (len(rates), samples, 9))
+    return (real @ dynamics._TO_REAL.conj()).reshape(-1, samples, 3, 3)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("stride, block_steps", [
+    (None, None),   # end only, one block: one product tree
+    (None, 70),     # end only, several blocks chained
+    (1, None),      # every step sampled
+    (7, None),      # seven-step chunks, the last one six steps
+    (7, 75),        # ten whole chunks a block
+    (64, 25),       # a chunk spans several blocks
+])
+def test_lindblad_propagators_match_step_loop(monkeypatch, n, stride,
+                                              block_steps):
+    if block_steps:
+        monkeypatch.setattr(dynamics, "BLOCK_BYTES",
+                            max(n, 1) * block_steps * 81 * 8)
+    proto, rates = design_sta(2), mixed_rates(n)
+    rhos = evolve_lindblad(proto, rates, 0.9, 1000, stride)
+    expected = rk4_loop_states(proto, rates, 0.9, 1000, stride or 1000)
+    assert rhos.shape == expected.shape
+    assert np.abs(rhos - expected).max(initial=0.0) <= 1e-13
 
 
 class TestLindbladMarches:
