@@ -5,9 +5,10 @@ Each equation has one time-stepping kernel, `evolve_schrodinger` and
 (sweep points, map cells) and walks the time axis in blocks: it evaluates
 the drive and builds the per-step operators of a whole block with array
 operations, then composes them by product trees or, on the Lindblad stage
-march, applies them step by step.  A block holds about BLOCK_BYTES of operators, whatever the step count or
-batch size.  `propagate_schrodinger` and `propagate_lindblad` are the
-single-run cases with sampling.
+march, applies them step by step.  A block holds about BLOCK_BYTES of
+operators and their temporaries, whatever the step count or batch size.
+`propagate_schrodinger` and `propagate_lindblad` are the single-run
+cases with sampling.
 
 Pulses are duck-typed: the kernels read only `pulses.drive(t)`, the pair
 (omega1(t), omega2(t)), so a protocol or a PulsePair drives them alike.
@@ -44,38 +45,42 @@ populations at any duration its drive can be evaluated at.  The
 rotations are unitary to machine precision, so the norm drift doubles as
 an integration diagnostic.  Open systems integrate the Lindblad master
 equation with classic fixed-step RK4 on the vectorized density matrix,
-in real coordinates of the Hermitian rho (its diagonal and the real and
-imaginary parts of its upper triangle), where generators and propagators
-are real matrices.  The generator is linear in the drive and in the rates,
+in real coordinates of the Hermitian rho, where generators and
+propagators are real matrices.  Of its nine coordinates (the diagonal
+and the real and imaginary parts of the upper triangle) it steps six: the
+diagonal, Im rho01, Re rho02 and Im rho12.  In the frame D, rho' = D rho
+D^dagger starts real at |1><1| and stays real, since -i H' is real and
+the jump operators are real up to a phase, so Re rho01, Im rho02 and
+Re rho12 are zero at all times and no generator couples them to the
+other six.  The generator is linear in the drive and in the rates,
 
     omega1 K1 + omega2 K2 + gamma1 D1 + gamma2 D2
                           + gamma_phi1 D3 + gamma_phi2 D4,
 
-because each jump operator scales as sqrt(gamma); its six pieces are
-built once, at import, and a block's generators are one product of its
-drive samples (omega1, omega2, 1) with K1, K2 and the weighted D pieces.
-The same RK4 step is
-applied in one of two ways, with the same drive samples, step checks,
-sampling and non-finite check:
+because each jump operator scales as sqrt(gamma); its six 6x6 pieces
+are built once, at import, and a block's generators are one matrix
+product of its drive samples (omega1, omega2, 1) with K1, K2 and the
+weighted D pieces.  The same RK4 step is applied in one of two ways,
+with the same drive samples, step checks, sampling and non-finite check:
 
 - one-step propagators: RK4 is linear in the state, so each run's step
-  is its 9x9 propagator, built from the generators at the step's start,
+  is its 6x6 propagator, built from the generators at the step's start,
   midpoint and end, each scaled by dt first so that every product stays
-  in range at any duration (three 9x9 products per step and run).  As
+  in range at any duration (three 6x6 products per step and run).  As
   the Schrodinger rotations are, the propagators of each stride chunk
   are composed by a pairwise product tree, and only the chunk products
   are applied to the states in Python;
-- stage by stage: the states of the whole batch form one (9, batch)
+- stage by stage: the states of the whole batch form one (6, batch)
   array X, and each of the four stages is one matrix product of the
-  (9, 45) stack [omega1 K1 + omega2 K2 | D1 | D2 | D3 | D4], shared by
+  (6, 30) stack [omega1 K1 + omega2 K2 | D1 | D2 | D3 | D4], shared by
   the batch, with [X; gamma1 X; gamma2 X; gamma_phi1 X; gamma_phi2 X].
 
 The stage march costs a fixed Python overhead per step but little per
 run, the propagators the reverse, so `evolve_lindblad` marches stage by
 stage from STAGE_MARCH_BATCH runs up.  On 2 vCPUs a single 10k-step run
-takes 0.025 s on propagators (0.036 s sampled every 10 steps, as
-`lindblad` writes it) and 0.4 s stage by stage; the 882 runs of both
-21x21 decoherence maps at 2000 steps take 4.0 s and 0.52 s.  The two
+takes 0.011 s on propagators (0.013 s sampled every 10 steps, as
+`lindblad` writes it) and 0.28 s stage by stage; the 882 runs of both
+21x21 decoherence maps at 2000 steps take 1.6 s and 0.40 s.  The two
 ways agree to about 1e-14.
 
 Both kernels refuse a step that rotates the state by more than
@@ -100,9 +105,11 @@ EYE3 = np.eye(3, dtype=complex)
 
 
 def _real_coordinates():
-    """Unitary map from the row-major vec(rho) to real coordinates of a
-    Hermitian rho: its diagonal, then sqrt(2) Re and sqrt(2) Im of rho01,
-    rho02 and rho12."""
+    """Unitary map from the row-major vec(rho) to the nine real
+    coordinates of a Hermitian rho: its diagonal, then sqrt(2) Re and
+    sqrt(2) Im of rho01, rho02 and rho12.  The Lindblad kernel drops rows
+    3, 6 and 7 (Re rho01, Im rho02, Re rho12), which stay zero from
+    |1><1|: D rho D^dagger stays real, D = diag(1, i, 1)."""
     t = np.zeros((9, 9), dtype=complex)
     t[[0, 1, 2], [0, 4, 8]] = 1
     for a, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
@@ -111,12 +118,13 @@ def _real_coordinates():
     return t
 
 
-_TO_REAL = _real_coordinates()
+_TO_REAL = _real_coordinates()[[0, 1, 2, 4, 5, 8]]
+_DIM = len(_TO_REAL)
 
 
 def _real_superoperator(s):
     """A Hermiticity-preserving superoperator (or a stack of them) on
-    vec(rho), in the real coordinates of _TO_REAL."""
+    vec(rho), restricted to the six real coordinates of _TO_REAL."""
     return (_TO_REAL @ s @ _TO_REAL.conj().T).real
 
 
@@ -134,9 +142,11 @@ LINDBLAD_STEPS = 10_000
 MIN_SCHRODINGER_STEPS = 100
 MIN_LINDBLAD_STEPS = 1000
 # Least Lindblad batch stepped stage by stage.  The crossover, as medians
-# of 11 interleaved 2000-step runs on 2 vCPUs (numpy 2.4.6, OpenBLAS):
-# propagators 96 ms and stages 101 ms at 22 runs, 108 and 97 ms at 24.
-STAGE_MARCH_BATCH = 24
+# of 11 interleaved 2000-step runs on 2 vCPUs (numpy 2.4.6, OpenBLAS), in
+# two rounds: propagators 102.5/91.0 ms and stages 106.8/99.7 ms at 54
+# runs, 110.4/109.1 and 109.6/105.2 ms at 56.  So fig5's 5x5 grids (50
+# runs) take propagators and its 21x21 grids (882 runs) the stage march.
+STAGE_MARCH_BATCH = 56
 # Fourth-order commutator-free Magnus step: Gauss-Legendre nodes as
 # fractions of a step, and the node weights of its two exponents, the
 # first-acting one first.
@@ -146,6 +156,12 @@ _CF4_MIX = np.array([[0.25 + 3 ** 0.5 / 6, 0.25 - 3 ** 0.5 / 6],
 # Bytes a Schrodinger block holds per step and run: the drive samples, the
 # step rotations and their temporaries.
 _STEP_BYTES = 288
+# Bytes a Lindblad propagator block holds per step and run: the generators
+# at two half steps, the propagators and their two scratch buffers, and
+# the product tree's temporaries.  Tracemalloc peaks of one-block runs of
+# 1-16 runs grow by 1659-1785 B a step and run (end only to stride 10),
+# six times the 288 B of one 6x6 propagator.
+_RK4_STEP_BYTES = 1728
 # The identity rotation as a Cayley-Klein pair, shape (2, 1, 1).
 _IDENTITY = np.array([1.0, 0j])[:, None, None]
 
@@ -200,11 +216,13 @@ def lindblad_operators(rates):
     return l1, l2, l3, l4
 
 
-# The Lindblad generator in real coordinates (on vec(rho): vec(A rho B) =
-# (A kron B^T) vec(rho)).  Coherent part, i[rho, H] = omega1 _K1 + omega2
-# _K2 (G1, G2 are real symmetric); jump part at unit rates, one 9x9 piece
-# per LindbladRates field, in field order (the unit jump operators L are
-# real, and L^T L is diagonal).
+# The Lindblad generator in the six real coordinates of _TO_REAL (on
+# vec(rho): vec(A rho B) = (A kron B^T) vec(rho)), cut from its nine-
+# coordinate form, whose rows and columns for Re rho01, Im rho02 and Re
+# rho12 couple to nothing else.  Coherent part, i[rho, H] = omega1 _K1 +
+# omega2 _K2 (G1, G2 are real symmetric); jump part at unit rates, one 6x6
+# piece per LindbladRates field, in field order (the unit jump operators L
+# are real, and L^T L is diagonal).
 _K1 = _real_superoperator(1j * (np.kron(EYE3, G1) - np.kron(G1, EYE3)))
 _K2 = _real_superoperator(1j * (np.kron(EYE3, G2) - np.kron(G2, EYE3)))
 _D = _real_superoperator(np.array([
@@ -439,17 +457,19 @@ def _rk4_propagators(gen, work):
     np.matmul(c, r, out=q)
     acc += np.add(c, q, out=q)  # q4
     acc /= 6
-    acc += np.eye(9)
+    acc += np.eye(gen.shape[-1])
     return acc
 
 
 def _rk4_stages(gen, x, weights, dt, work):
-    """One classic RK4 step of a batch of states x, shape (9, batch).
+    """One classic RK4 step of a batch of states x, shape (6, batch), in
+    the six real coordinates of _TO_REAL (Re rho01, Im rho02 and Re rho12
+    stay zero and are not stepped).
 
     gen[0], gen[1] and gen[2] are the stacked generators [K | D1 .. D4]
-    (9, 45) at the step's start, midpoint and end.  Each stage applies one
+    (6, 30) at the step's start, midpoint and end.  Each stage applies one
     of them to [y; gamma1 y; ..; gamma4 y], the stage state y weighted by
-    `weights` (5, 9, batch) into `work`, as one matrix product.
+    `weights` (5, 6, batch) into `work`, as one matrix product.
     """
     def rate(g, y):
         np.multiply(weights, y, out=work)
@@ -490,16 +510,16 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
     # A block's generators, built into `gens`, are the drive (scale omega1,
     # scale omega2, 1) at each half step times the rows of `basis`.
     if stages:
-        # states (9, batch); per step, the stacked generators [K | D1 .. D4]
+        # states (6, batch); per step, the stacked generators [K | D1 .. D4]
         # at its start, midpoint and end
         weights = np.repeat(np.vstack((np.ones(batch), gammas.T))[:, None],
-                            9, axis=1)
+                            _DIM, axis=1)
         work = np.empty_like(weights)
-        start = np.zeros((9, batch))
+        start = np.zeros((_DIM, batch))
         start[0] = 1  # |1><1| in real coordinates: the first diagonal entry
-        basis = np.zeros((3, 9, 45))
-        basis[0, :, :9], basis[1, :, :9], basis[2, :, 9:] = (_K1, _K2,
-                                                             np.hstack(_D))
+        basis = np.zeros((3, _DIM, 5 * _DIM))
+        basis[0, :, :_DIM], basis[1, :, :_DIM], basis[2, :, _DIM:] = (
+            _K1, _K2, np.hstack(_D))
         scale = 1.0
         per_block = max(1, BLOCK_BYTES // (2 * basis[0].nbytes))
 
@@ -510,21 +530,21 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
         def update(gen, x):
             return _rk4_stages(gen, x, weights, dt, work)
     else:
-        # states (batch, 9, 1); per stride chunk, the (batch, 9, 9) product
+        # states (batch, 6, 1); per stride chunk, the (batch, 6, 6) product
         # of its steps' propagators, built in `props` from the generators
         # times dt
-        start = np.broadcast_to(np.eye(9)[0], (batch, 9))[..., None]
+        start = np.broadcast_to(np.eye(_DIM)[0], (batch, _DIM))[..., None]
         diss = dt * np.tensordot(gammas, _D, 1)
         basis = np.stack((np.broadcast_to(_K1, diss.shape),
                           np.broadcast_to(_K2, diss.shape), diss))
         scale = dt
-        per_block = max(1, BLOCK_BYTES // (max(batch, 1) * _D[0].nbytes))
-        props = np.empty((3, min(per_block, steps), batch, 9, 9))
+        per_block = max(1, BLOCK_BYTES // (max(batch, 1) * _RK4_STEP_BYTES))
+        props = np.empty((3, min(per_block, steps), batch, _DIM, _DIM))
 
         def operators(k0, k1, gen):
             ends, p = _chunk_products(
                 _rk4_propagators(gen, props[:, :k1 - k0]), np.matmul,
-                np.eye(9), 0, k0, k1, stride)
+                np.eye(_DIM), 0, k0, k1, stride)
             return zip(ends.tolist(), p)
 
         update = np.matmul
@@ -535,9 +555,9 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
         t = np.arange(2 * k0, 2 * k1 + 1) * (dt / 2)
         o1, o2 = _drive(pulses, t)
         _check_step(np.hypot(o1, o2) * dt)
-        gen = np.einsum("nk,km->nm", np.column_stack(
-            (scale * o1, scale * o2, np.ones_like(t))), basis.reshape(3, -1),
-            out=gens[:len(t)])
+        gen = np.matmul(np.column_stack((scale * o1, scale * o2,
+                                         np.ones_like(t))),
+                        basis.reshape(3, -1), out=gens[:len(t)])
         return operators(k0, k1, gen.reshape(len(t), *basis.shape[1:]))
 
     out = _march(block, start, steps, stride, per_block, update)

@@ -20,6 +20,10 @@ from lambda_sta.protocol import (G1, G2, analytic_state_constant_mu,
 ZERO_PULSES = PulsePair(omega1=lambda t: 0.0 * np.asarray(t),
                         omega2=lambda t: 0.0 * np.asarray(t))
 D = np.diag([1, 1j, 1])
+# Lindblad batch sizes, one for each way of stepping: a single run takes
+# one-step propagators, STAGE_MARCH_BATCH runs the stage march.  The id
+# keeps test names from following the measured constant.
+BOTH_PATHS = [1, pytest.param(STAGE_MARCH_BATCH, id="stage-march")]
 
 
 def propagator(pair):
@@ -221,7 +225,7 @@ def test_drive_out_of_range_raises():
         evolve_schrodinger(design_sta(1, 1e-310), 1e-310, 200)
 
 
-@pytest.mark.parametrize("n", [1, STAGE_MARCH_BATCH])
+@pytest.mark.parametrize("n", BOTH_PATHS)
 @pytest.mark.parametrize("duration", [1e300, 1e-300])
 def test_lindblad_duration_scale_invariance(duration, n):
     final = evolve_lindblad(design_sta(1, duration), [LindbladRates()] * n,
@@ -265,33 +269,46 @@ class TestLindblad:
 
 def mixed_rates(n):
     """n rate sets with all four channels on, each cell its own values."""
-    return [LindbladRates(gamma1=0.01 + 0.003 * i, gamma2=0.05 - 0.002 * i,
+    return [LindbladRates(gamma1=0.01 + 0.003 * i,
+                          gamma2=0.05 - 0.002 * (i % 25),
                           gamma_phi1=0.02 + 0.001 * i,
-                          gamma_phi2=0.04 - 0.001 * i) for i in range(n)]
+                          gamma_phi2=0.04 - 0.001 * (i % 25))
+            for i in range(n)]
+
+
+def lindblad_pieces():
+    """The generator pieces on the row-major vec(rho), in the nine complex
+    entries of rho: the coherent i(I kron G - G kron I) for G1 and G2, then
+    the four dissipators at unit rates; shape (6, 9, 9)."""
+    eye = np.eye(3)
+    coherent = [1j * (np.kron(eye, g) - np.kron(g, eye)) for g in (G1, G2)]
+    jumps = [np.kron(l, l.conj()) - 0.5 * (np.kron(l.conj().T @ l, eye)
+                                           + np.kron(eye, l.T @ l.conj()))
+             for l in lindblad_operators(LindbladRates(1, 1, 1, 1))]
+    return np.array(coherent + jumps)
 
 
 def rk4_loop_states(pulses, rates, horizon, steps, stride):
-    """RK4 as a plain step-by-step loop over each run's one-step
-    propagators, sampled after steps 0, stride, 2*stride, ... and `steps`;
-    shape (batch, samples, 3, 3)."""
+    """RK4 on all nine entries of rho, as a plain step-by-step loop over
+    each run's one-step propagators, sampled after steps 0, stride,
+    2*stride, ... and `steps`; shape (batch, samples, 3, 3)."""
     dt = horizon / steps
     t = np.arange(2 * steps + 1) * (dt / 2)
-    coherent = (pulses.omega1(t)[:, None, None] * dynamics._K1
-                + pulses.omega2(t)[:, None, None] * dynamics._K2)
+    drive = np.column_stack((pulses.omega1(t), pulses.omega2(t)))
+    pieces = lindblad_pieces()
     out = []
     for r in rates:
-        diss = np.tensordot(astuple(r), dynamics._D, 1)
-        p = dynamics._rk4_propagators((coherent + diss) * dt,
-                                      np.empty((3, steps, 9, 9)))
-        x = np.eye(9)[0]
+        weights = np.column_stack((drive, np.tile(astuple(r), (len(t), 1))))
+        p = dynamics._rk4_propagators(np.tensordot(weights * dt, pieces, 1),
+                                      np.empty((3, steps, 9, 9), complex))
+        x = np.eye(9)[0]  # vec(|1><1|)
         out.append([x])
         for k in range(steps):
             x = p[k] @ x
             if (k + 1) % stride == 0 or k + 1 == steps:
                 out[-1].append(x)
     samples = len(range(0, steps, stride)) + 1
-    real = np.reshape(out, (len(rates), samples, 9))
-    return (real @ dynamics._TO_REAL.conj()).reshape(-1, samples, 3, 3)
+    return np.reshape(out, (len(rates), samples, 3, 3))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
@@ -307,12 +324,39 @@ def test_lindblad_propagators_match_step_loop(monkeypatch, n, stride,
                                               block_steps):
     if block_steps:
         monkeypatch.setattr(dynamics, "BLOCK_BYTES",
-                            max(n, 1) * block_steps * 81 * 8)
+                            max(n, 1) * block_steps
+                            * dynamics._RK4_STEP_BYTES)
     proto, rates = design_sta(2), mixed_rates(n)
     rhos = evolve_lindblad(proto, rates, 0.9, 1000, stride)
     expected = rk4_loop_states(proto, rates, 0.9, 1000, stride or 1000)
     assert rhos.shape == expected.shape
     assert np.abs(rhos - expected).max(initial=0.0) <= 1e-13
+
+
+def test_lindblad_generator_keeps_six_coordinates():
+    """In the nine real coordinates of a Hermitian rho, every generator
+    piece has zero blocks between Re rho01, Im rho02, Re rho12 (3, 6, 7) and
+    the other six; the kernel's pieces are the block of those six."""
+    nine = dynamics._real_coordinates()
+    pieces = nine @ lindblad_pieces() @ nine.conj().T
+    assert np.abs(pieces.imag).max() <= 1e-15
+    keep, drop = [0, 1, 2, 4, 5, 8], [3, 6, 7]
+    assert not pieces.real[:, keep][..., drop].any()
+    assert not pieces.real[:, drop][..., keep].any()
+    six = np.array([dynamics._K1, dynamics._K2, *dynamics._D])
+    assert np.abs(six - pieces.real[:, keep][..., keep]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", BOTH_PATHS)
+@pytest.mark.parametrize("proto", [design_sta(1), design_sta(3),
+                                   design_stirap(50)],
+                         ids=["sta-m1", "sta-m3", "stirap-50"])
+def test_lindblad_dropped_coordinates_are_zero(proto, n):
+    rhos = evolve_lindblad(proto, mixed_rates(n), 1.0, 1000, stride=50)
+    assert rhos[..., 0, 1].imag.any() and rhos[..., 0, 2].real.any()
+    for i, j in [(0, 1), (1, 0), (1, 2), (2, 1)]:
+        assert not rhos[..., i, j].real.any()
+    assert not rhos[..., 0, 2].imag.any() and not rhos[..., 2, 0].imag.any()
 
 
 class TestLindbladMarches:
@@ -329,7 +373,7 @@ class TestLindbladMarches:
                                      stride=stride)[0]
             assert np.abs(rho - single).max() <= 1e-13
 
-    @pytest.mark.parametrize("n", [1, STAGE_MARCH_BATCH])
+    @pytest.mark.parametrize("n", BOTH_PATHS)
     def test_step_guards(self, reference_pulses, n):
         with pytest.raises(StepTooCoarse, match="rotates"):
             evolve_lindblad(design_stirap(1e5), mixed_rates(n), steps=1000)
@@ -337,7 +381,7 @@ class TestLindbladMarches:
             evolve_lindblad(reference_pulses,
                             [LindbladRates(gamma1=3000)] * n, steps=1000)
 
-    @pytest.mark.parametrize("n", [1, STAGE_MARCH_BATCH])
+    @pytest.mark.parametrize("n", BOTH_PATHS)
     def test_non_finite_raises(self, reference_pulses, monkeypatch, n):
         # a coherent generator far out of range: the step guards read only
         # the drive, so the states overflow
