@@ -7,7 +7,7 @@ carries plain numbers or arrays; the CLI writes them out.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -129,12 +129,15 @@ def fit_protocol_pulses(protocol, n_components=None, samples=1001):
     """Gaussian sums for both drive schedules of a shortcut protocol,
     with `fit_components(m)` Gaussians per pulse unless told otherwise.
 
-    With kappa = 1/(2m) the schedules are mirror images, Omega1(t) =
-    (-1)^m Omega2(T - t), so only Omega2 is fitted.  Pulse 1 is its exact
-    mirror: each component (zeta, tau, chi) becomes ((-1)^m zeta, T - tau,
-    chi).  Its report holds its own residuals against the Omega1 samples
-    and the nfev and convergence flag of the one fit.  Any other kappa
-    raises InvalidParameters.
+    The schedules scale as Omega(t; T) = Omega(t/T; 1)/T, so the fit is
+    made at T = 1 and then stretched to T (GaussianPulse.stretched), its
+    report's residuals and peak divided by T: the fit, its nfev and its
+    convergence do not depend on T.  With kappa = 1/(2m) the schedules
+    are mirror images, Omega1(t) = (-1)^m Omega2(T - t), so only Omega2
+    is fitted.  Pulse 1 is its exact mirror: each component (zeta, tau,
+    chi) becomes ((-1)^m zeta, T - tau, chi).  Its report holds its own
+    residuals against the Omega1 samples and the nfev and convergence
+    flag of the one fit.  Any other kappa raises InvalidParameters.
     """
     m, T = protocol.m, protocol.duration
     if protocol.kappa != 1.0 / (2 * m):
@@ -143,13 +146,16 @@ def fit_protocol_pulses(protocol, n_components=None, samples=1001):
             f"{1.0 / (2 * m)}, got {protocol.kappa}")
     if n_components is None:
         n_components = fit_components(m)
-    t = np.linspace(0.0, T, samples)
-    f2, r2 = fit_gaussian_sum((t, protocol.omega2(t)), n_components)
+    unit = replace(protocol, duration=1.0)
+    t = np.linspace(0.0, 1.0, samples)
+    f2, r2 = fit_gaussian_sum((t, unit.omega2(t)), n_components)
     f1 = GaussianPulse(tuple(
-        GaussianComponent((-1) ** m * c.amplitude, T - c.center, c.width)
+        GaussianComponent((-1) ** m * c.amplitude, 1 - c.center, c.width)
         for c in f2.components))
-    r1 = fit_report(f1, t, protocol.omega1(t), r2.iterations, r2.converged)
-    return (f1, r1), (f2, r2)
+    r1 = fit_report(f1, t, unit.omega1(t), r2.iterations, r2.converged)
+    return tuple((f.stretched(T), replace(
+        r, rms_residual=r.rms_residual / T, max_residual=r.max_residual / T,
+        peak_amplitude=r.peak_amplitude / T)) for f, r in ((f1, r1), (f2, r2)))
 
 
 def table_one(max_m=7, fit_budget=None):

@@ -2,13 +2,16 @@
 
 Each equation has one time-stepping kernel, `evolve_schrodinger` and
 `evolve_lindblad`.  A kernel carries a batch axis over independent runs
-(sweep points, map cells) and walks the time axis in blocks: it evaluates
-the drive and builds the per-step operators of a whole block with array
-operations, then composes them by product trees or, on the Lindblad stage
-march, applies them step by step.  A block holds about BLOCK_BYTES of
-operators and their temporaries, whatever the step count or batch size.
-`propagate_schrodinger` and `propagate_lindblad` are the single-run
-cases with sampling.
+(sweep points, map cells) and supplies only a block function: from the
+states at a block's start it evaluates the drive and builds the per-step
+operators of the whole block with array operations, composes them by
+product trees or, on the Lindblad stage march, applies them step by step,
+and returns the states at the ends of its stride chunks.  One march,
+`_march`, walks the time axis for both: it cuts the blocks, carries the
+states from each to the next, keeps the samples and checks them finite.
+A block holds about BLOCK_BYTES of operators and their temporaries,
+whatever the step count or batch size.  `propagate_schrodinger` and
+`propagate_lindblad` are the single-run cases with sampling.
 
 Pulses are duck-typed: the kernels read only `pulses.drive(t)`, the pair
 (omega1(t), omega2(t)), so a protocol or a PulsePair drives them alike.
@@ -60,8 +63,8 @@ other six.  The generator is linear in the drive and in the rates,
 because each jump operator scales as sqrt(gamma); its six 6x6 pieces
 are built once, at import, and a block's generators are one matrix
 product of its drive samples (omega1, omega2, 1) with K1, K2 and the
-weighted D pieces.  The same RK4 step is applied in one of two ways,
-with the same drive samples, step checks, sampling and non-finite check:
+weighted D pieces.  One block function applies the same RK4 step in one
+of two ways, with the same drive samples and step checks:
 
 - one-step propagators: RK4 is linear in the state, so each run's step
   is its 6x6 propagator, built from the generators at the step's start,
@@ -290,15 +293,20 @@ def _qmul(p, q):
     return np.array([a1 * a2 - b1.conj() * b2, b1 * a2 + a1.conj() * b2])
 
 
+def _chunk_ends(k0, k1, stride):
+    """End steps of the chunks of `stride` steps, the last one possibly
+    shorter, that make up steps k0..k1-1."""
+    return np.append(np.arange(k0 + stride, k1, stride), k1)
+
+
 def _chunk_products(q, mul, eye, axis, k0, k1, stride):
     """Compose the operators of steps k0..k1-1, stacked in acting order
     along `axis` of q (a fixed number per step), over each chunk of
     `stride` steps (the block's last chunk may be shorter): pairwise
     products mul(later, earlier) in log2(chunk) rounds, the last chunk
-    padded with the identities `eye`.  Returns the end step of each chunk
-    and the chunk products, the chunk axis in place of `axis`."""
-    chunk = min(stride, k1 - k0)
-    size = chunk * q.shape[axis] // (k1 - k0)
+    padded with the identities `eye`.  Returns the chunk products, the
+    chunk axis in place of `axis`; _chunk_ends gives their end steps."""
+    size = min(stride, k1 - k0) * q.shape[axis] // (k1 - k0)
     pad = -q.shape[axis] % size
     if pad:
         q = np.concatenate((q, np.broadcast_to(
@@ -310,7 +318,7 @@ def _chunk_products(q, mul, eye, axis, k0, k1, stride):
         pairs = mul(q[at + (np.s_[1::2],)], q[at + (np.s_[:-1:2],)])
         q = pairs if q.shape[axis + 1] % 2 == 0 else np.concatenate(
             (pairs, q[at + (np.s_[-1:],)]), axis + 1)
-    return np.append(np.arange(k0 + chunk, k1, chunk), k1), q[at + (0,)]
+    return q[at + (0,)]
 
 
 def _prefix(q):
@@ -330,12 +338,6 @@ def _sample_steps(steps, stride):
     return np.unique(np.append(np.arange(0, steps + 1, stride), steps))
 
 
-def _check_finite(out):
-    if not np.all(np.isfinite(out)):
-        raise ValueError("propagation produced non-finite values (drive "
-                         "out of floating-point range)")
-
-
 def _edges(steps, stride, per_block):
     """Edges of blocks of at most per_block steps that hold whole stride
     chunks or, when a chunk is longer, are cut at every sample too."""
@@ -346,30 +348,29 @@ def _edges(steps, stride, per_block):
                       _sample_steps(steps, stride))
 
 
-def _march(block, state, steps, stride, per_block, update):
-    """Step a batch of states through `steps` steps, block by block.
+def _march(block, state, steps, stride, per_block):
+    """Step a batch of states through `steps` steps in blocks of at most
+    per_block steps, cut by _edges so that every sample ends a stride
+    chunk: the one loop over time of both kernels.
 
-    `block(k0, k1)` returns (end step, operator) pairs that take the states
-    from step k0 to step k1 in order; the blocks, of at most per_block
-    steps, are cut by _edges, so every sample is an end step.
-    `update(op, x)` returns the states after applying `op`.  Returns the
-    states after each sampled step, stacked on a new leading axis; raises
-    ValueError when any is non-finite.
+    `block(k0, k1, x)` takes the states x after step k0 and returns the
+    end steps of its stride chunks and the states after each, stacked on
+    a leading axis; the next block starts from the last of them, sampled
+    or not.  Returns the states after each sampled step, stacked on a new
+    leading axis; raises ValueError when any is non-finite.
     """
-    at = _sample_steps(steps, stride).tolist()
     edges = _edges(steps, stride, per_block).tolist()
-    out = np.empty((len(at), *state.shape), dtype=state.dtype)
-    out[0] = x = state
-    i = 1
-    # an overflow shows as the non-finite states reported below
+    out = [state[None]]
+    # an overflow fails a step check or shows as non-finite states
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, k1 in zip(edges[:-1], edges[1:]):
-            for k, op in block(k0, k1):
-                x = update(op, x)
-                if k == at[i]:
-                    out[i] = x
-                    i += 1
-    _check_finite(out)
+            ends, xs = block(k0, k1, state)
+            out.append(xs[(ends % stride == 0) | (ends == steps)])
+            state = xs[-1]
+    out = np.concatenate(out)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("propagation produced non-finite values (drive "
+                         "out of floating-point range)")
     return out
 
 
@@ -392,28 +393,24 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
     dt = horizon / steps
     batch = len(dt)
     stride = min(stride or steps, steps)
-    edges = _edges(steps, stride,
-                   max(1, BLOCK_BYTES // (max(batch, 1) * _STEP_BYTES)))
-    acc = _IDENTITY.repeat(batch, 2)
-    out = [acc]
-    # an overflow fails the step check or shows as non-finite states
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k0, k1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
-            # drive at the two nodes of each step, times dt: rotation
-            # angles, shape (steps, 2, batch), kept in range at any duration
-            t = (np.arange(k0, k1)[:, None, None] + _CF4_NODES[:, None]) * dt
-            x1, x2 = (o * dt for o in _drive(pulses, t, scale1, scale2))
-            _check_step(np.sqrt(x1 * x1 + x2 * x2))
-            # the two exponents of each step in acting order: (2, 2n, batch)
-            q = step_rotation(_CF4_MIX @ x1, _CF4_MIX @ x2).reshape(
-                2, 2 * (k1 - k0), batch)
-            # compose each stride chunk, then the prefixes of the chunks
-            ends, q = _chunk_products(q, _qmul, _IDENTITY, 1, k0, k1, stride)
-            q = _qmul(_prefix(q), acc[:, -1:])
-            out.append(q[:, (ends % stride == 0) | (ends == steps)])
-            acc = q
-    a, b = q = np.concatenate(out, axis=1).swapaxes(1, 2)
-    _check_finite(q)
+
+    def block(k0, k1, x):
+        # drive at the two nodes of each step, times dt: rotation angles,
+        # shape (steps, 2, batch), kept in range at any duration
+        t = (np.arange(k0, k1)[:, None, None] + _CF4_NODES[:, None]) * dt
+        x1, x2 = (o * dt for o in _drive(pulses, t, scale1, scale2))
+        _check_step(np.sqrt(x1 * x1 + x2 * x2))
+        # the two exponents of each step in acting order: (2, 2n, batch)
+        q = step_rotation(_CF4_MIX @ x1, _CF4_MIX @ x2).reshape(
+            2, 2 * (k1 - k0), batch)
+        # compose each stride chunk, then the prefixes of the chunks
+        q = _chunk_products(q, _qmul, _IDENTITY, 1, k0, k1, stride)
+        return (_chunk_ends(k0, k1, stride),
+                _qmul(_prefix(q), x[:, None]).swapaxes(0, 1))
+
+    a, b = _march(block, _IDENTITY[:, 0].repeat(batch, 1), steps, stride,
+                  max(1, BLOCK_BYTES // (max(batch, 1) * _STEP_BYTES))
+                  ).transpose(1, 2, 0)
     # the first column of the rotation, back from the D frame
     aa, bb = a * a, b * b
     return np.stack(((aa - bb).real, 1j * (aa + bb).imag,
@@ -522,13 +519,6 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
             _K1, _K2, np.hstack(_D))
         scale = 1.0
         per_block = max(1, BLOCK_BYTES // (2 * basis[0].nbytes))
-
-        def operators(k0, k1, gen):
-            return zip(range(k0 + 1, k1 + 1),
-                       (gen[j:j + 3] for j in range(0, len(gen) - 1, 2)))
-
-        def update(gen, x):
-            return _rk4_stages(gen, x, weights, dt, work)
     else:
         # states (batch, 6, 1); per stride chunk, the (batch, 6, 6) product
         # of its steps' propagators, built in `props` from the generators
@@ -540,27 +530,33 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
         scale = dt
         per_block = max(1, BLOCK_BYTES // (max(batch, 1) * _RK4_STEP_BYTES))
         props = np.empty((3, min(per_block, steps), batch, _DIM, _DIM))
-
-        def operators(k0, k1, gen):
-            ends, p = _chunk_products(
-                _rk4_propagators(gen, props[:, :k1 - k0]), np.matmul,
-                np.eye(_DIM), 0, k0, k1, stride)
-            return zip(ends.tolist(), p)
-
-        update = np.matmul
     # fresh multi-megabyte arrays in every block would page-fault each time
     gens = np.empty((2 * min(per_block, steps) + 1, basis[0].size))
 
-    def block(k0, k1):
+    def block(k0, k1, x):
         t = np.arange(2 * k0, 2 * k1 + 1) * (dt / 2)
         o1, o2 = _drive(pulses, t)
         _check_step(np.hypot(o1, o2) * dt)
         gen = np.matmul(np.column_stack((scale * o1, scale * o2,
                                          np.ones_like(t))),
-                        basis.reshape(3, -1), out=gens[:len(t)])
-        return operators(k0, k1, gen.reshape(len(t), *basis.shape[1:]))
+                        basis.reshape(3, -1), out=gens[:len(t)]
+                        ).reshape(len(t), *basis.shape[1:])
+        ends = _chunk_ends(k0, k1, stride)
+        if not stages:
+            ops = _chunk_products(
+                _rk4_propagators(gen, props[:, :k1 - k0]), np.matmul,
+                np.eye(_DIM), 0, k0, k1, stride)
+        xs = np.empty((len(ends), *x.shape))
+        for j, (k, end) in enumerate(zip([k0, *ends[:-1]], ends)):
+            if stages:  # gen[i:i + 3] drives step k0 + i // 2 + 1
+                for i in range(2 * (k - k0), 2 * (end - k0), 2):
+                    x = _rk4_stages(gen[i:i + 3], x, weights, dt, work)
+            else:
+                x = ops[j] @ x
+            xs[j] = x
+        return ends, xs
 
-    out = _march(block, start, steps, stride, per_block, update)
+    out = _march(block, start, steps, stride, per_block)
     out = out.transpose(2, 0, 1) if stages else out[..., 0].swapaxes(0, 1)
     return (out @ _TO_REAL.conj()).reshape(*out.shape[:2], 3, 3)
 

@@ -58,6 +58,13 @@ class GaussianPulse:
             out += c.amplitude * np.exp(-u * u)
         return out
 
+    def stretched(self, T):
+        """The pulse t -> self(t/T)/T: each component (zeta, tau, chi)
+        becomes (zeta/T, tau T, chi T)."""
+        return GaussianPulse(tuple(
+            GaussianComponent(c.amplitude / T, c.center * T, c.width * T)
+            for c in self.components))
+
 
 @dataclass(frozen=True)
 class FitReport:
@@ -83,16 +90,15 @@ def reference_m1_fit(duration=1.0):
     Serves as the regression fixture the in-repo fitter is checked
     against.
     """
-    T = duration
     p1 = GaussianPulse((
-        GaussianComponent(-3.194 / T, 0.4396 * T, 0.2476 * T),
-        GaussianComponent(-1.275 / T, 0.2159 * T, 0.1581 * T),
+        GaussianComponent(-3.194, 0.4396, 0.2476),
+        GaussianComponent(-1.275, 0.2159, 0.1581),
     ))
     p2 = GaussianPulse((
-        GaussianComponent(3.194 / T, 0.5604 * T, 0.2476 * T),
-        GaussianComponent(1.275 / T, 0.7841 * T, 0.1581 * T),
+        GaussianComponent(3.194, 0.5604, 0.2476),
+        GaussianComponent(1.275, 0.7841, 0.1581),
     ))
-    return p1, p2
+    return p1.stretched(duration), p2.stretched(duration)
 
 
 def _initial_guess(t, y, n):

@@ -165,6 +165,8 @@ def test_manifest_lists_only_read_protocol_options(tmp_path, argv, read):
     (["stirap-curve", "--points", "2", "--steps", "200"], "1e-300"),
     (["fig5", "--grid", "2"], "1e-300"),
     (["lindblad", "--protocol", "sta", "--steps", "1000"], "1e-300"),
+    (["simulate", "--protocol", "sta-fit", "--steps", "200"], "1e300"),
+    (["simulate", "--protocol", "sta-fit", "--steps", "200"], "1e-300"),
 ])
 def test_duration_scale_invariance(tmp_path, argv, duration):
     # the drive scales as 1/T, so a duration far from 1 writes the
@@ -182,6 +184,24 @@ def test_duration_scale_invariance(tmp_path, argv, duration):
         first = 1 if name == "stirap_curve.csv" else 0
         assert max(abs(x - y) for r, r_t in zip(rows, rows_t)
                    for x, y in zip(r[first:], r_t[first:])) <= 1e-12
+
+
+def test_fit_is_the_unit_duration_fit_stretched(tmp_path):
+    # a fit at T is made at T = 1: each component (zeta, tau, chi) becomes
+    # (zeta/T, tau T, chi T), and the residuals and peak scale by 1/T
+    T = 1e300
+    assert run(tmp_path / "T", "fit", "--T", repr(T)) == 0
+    assert run(tmp_path / "1", "fit") == 0
+    for name in ("pulse1.json", "pulse2.json"):
+        got, unit = (json.loads((tmp_path / d / name).read_text())
+                     for d in ("T", "1"))
+        assert got["components"] == [
+            {"zeta": c["zeta"] / T, "tau": c["tau"] * T, "chi": c["chi"] * T}
+            for c in unit["components"]]
+        report = unit["fit_report"]
+        for key in ("rms_residual", "max_residual", "peak_amplitude"):
+            report[key] /= T
+        assert got["fit_report"] == report
 
 
 NON_FINITE_DRIVE = "pulse evaluation produced non-finite values"

@@ -311,21 +311,31 @@ def rk4_loop_states(pulses, rates, horizon, steps, stride):
     return np.reshape(out, (len(rates), samples, 3, 3))
 
 
-@pytest.mark.parametrize("n", [0, 1, 3])
-@pytest.mark.parametrize("stride, block_steps", [
+BLOCKS = [
     (None, None),   # end only, one block: one product tree
     (None, 70),     # end only, several blocks chained
     (1, None),      # every step sampled
     (7, None),      # seven-step chunks, the last one six steps
     (7, 75),        # ten whole chunks a block
     (64, 25),       # a chunk spans several blocks
-])
+]
+
+
+# the propagator path on 0, 1 and 3 runs; the stage march on the
+# multi-block rows, where the state carried into a block may be unsampled
+@pytest.mark.parametrize("stride, block_steps, n", [
+    *[(*row, n) for row in BLOCKS for n in (0, 1, 3)],
+    *[pytest.param(stride, block_steps, STAGE_MARCH_BATCH,
+                   id=f"{stride}-{block_steps}-stage-march")
+      for stride, block_steps in BLOCKS if block_steps]])
 def test_lindblad_propagators_match_step_loop(monkeypatch, n, stride,
                                               block_steps):
     if block_steps:
-        monkeypatch.setattr(dynamics, "BLOCK_BYTES",
-                            max(n, 1) * block_steps
-                            * dynamics._RK4_STEP_BYTES)
+        # the stage march holds the stacked (6, 30) generators at two half
+        # steps a step, a propagator block _RK4_STEP_BYTES a step and run
+        monkeypatch.setattr(dynamics, "BLOCK_BYTES", block_steps * (
+            10 * dynamics._D[0].nbytes if n >= STAGE_MARCH_BATCH
+            else max(n, 1) * dynamics._RK4_STEP_BYTES))
     proto, rates = design_sta(2), mixed_rates(n)
     rhos = evolve_lindblad(proto, rates, 0.9, 1000, stride)
     expected = rk4_loop_states(proto, rates, 0.9, 1000, stride or 1000)
