@@ -8,11 +8,14 @@ chi), and at every point zeta is the linear least-squares solution on
 the Gaussian basis.  The Jacobian is Kaufman's projected derivative
 (I - QQ^T) dG/dq zeta, with Q from the eigen-solve of the basis's n x n
 Gram matrix that also gives zeta, and each trust-region step solves a
-2n x 2n system, so the fit factorises no tall matrix.  Centers are
-seeded on the extrema and half-maximum shoulders of the sampled lobes,
-and each width at a third of the sign lobe that holds its center.  The
-signed schedule is fitted directly, so components carry the sign of the
-lobe they cover.
+2n x 2n system, so the fit factorises no tall matrix.  The tall arrays
+(the basis, its derivatives, the Jacobian) lie components-by-samples, n
+or 2n rows over all samples, so that numpy's elementwise loops and the
+matrix products run along the long sample axis, not over n <= 8 entries
+at a time; the Jacobian is formed as J^T.  Centers are seeded on the
+extrema and half-maximum shoulders of the sampled lobes, and each width
+at a third of the sign lobe that holds its center.  The signed schedule
+is fitted directly, so components carry the sign of the lobe they cover.
 
 A shortcut protocol's two schedules are mirror images, so only Omega2
 is fitted here; `analysis.fit_protocol_pulses` builds Omega1 by
@@ -136,11 +139,12 @@ def _initial_guess(t, y, n):
 
 
 def _projection(t, y, q):
-    """The Gaussian basis at q = (tau, chi), an orthonormal basis of its
-    column space, and the least-squares amplitudes zeta.
+    """The Gaussian basis g at q = (tau, chi), an orthonormal basis of its
+    row space, and the least-squares amplitudes zeta.  u, g and the basis
+    are (components, samples) arrays, so the model is zeta @ g.
 
-    One eigen-solve of the n x n Gram matrix g^T g = W L W^T serves both:
-    the basis is g W L^(-1/2), and zeta = W L^-1 W^T g^T y is what `lstsq`
+    One eigen-solve of the n x n Gram matrix g g^T = W L W^T serves both:
+    the basis is L^(-1/2) W^T g, and zeta = W L^-1 W^T g y is what `lstsq`
     solves, rank-deficient bases included.  The Gram matrix holds its
     eigenvalues only to about eps times the largest, so the rank cut is
     made there, at the relative level max(g.shape) * eps that lstsq
@@ -148,13 +152,15 @@ def _projection(t, y, q):
     vector, and their amplitudes split evenly.
     """
     n = len(q) // 2
-    u = (t[:, None] - q[:n]) / q[n:]
-    g = np.exp(-u * u)
-    lam, w = np.linalg.eigh(g.T @ g)
+    u = (t - q[:n, None]) / q[n:, None]
+    g = np.multiply(u, u)
+    np.negative(g, out=g)
+    np.exp(g, out=g)
+    lam, w = np.linalg.eigh(g @ g.T)
     keep = lam > lam[-1] * max(g.shape) * _EPS
     w = w[:, keep] / np.sqrt(lam[keep])
-    basis = g @ w
-    zeta = w @ (basis.T @ y)
+    basis = w.T @ g
+    zeta = w @ (basis @ y)
     return u, g, basis, zeta
 
 
@@ -194,14 +200,18 @@ def fit_gaussian_sum(samples, n_components=2):
         nonlocal point
         point = _projection(t, y, q)
         _, g, _, zeta = point
-        return g @ zeta - y
+        return zeta @ g - y
 
     def jacobian(q):
-        # Kaufman's form (I - QQ^T) dG/dq zeta, at the last residual's q
+        # Kaufman's form (I - QQ^T) dG/dq zeta, transposed, at the last
+        # residual's q: rows d/dtau, then d/dchi = d/dtau * u
         u, g, basis, zeta = point
-        d = g * u * (2 * zeta / q[n:])
-        d = np.hstack([d, d * u])
-        return d - basis @ (basis.T @ d)
+        jt = np.empty((2 * n, len(t)))
+        np.multiply(g, u, out=jt[:n])
+        jt[:n] *= (2 * zeta / q[n:])[:, None]
+        np.multiply(jt[:n], u, out=jt[n:])
+        jt -= (jt @ basis.T) @ basis
+        return jt
 
     q, nfev, status = _trf(residual, jacobian, x0, lower, upper, 1500 * n)
     zeta = _projection(t, y, q)[3]
@@ -216,9 +226,10 @@ def _trf(fun, jac, x, lb, ub, max_nfev, tol=1e-12):
     scaling, unit variable scale, exact trust-region steps (More 1977),
     reflected steps off the bounds, and ftol = xtol = gtol = `tol`.  `x`
     must lie strictly inside the box, and `jac` is only ever called at the
-    point `fun` was last called at.  Returns (x, nfev, status): status 0
-    when the `max_nfev` budget ran out, 1 on gtol, 2 on ftol, 3 on xtol,
-    4 on both.
+    point `fun` was last called at.  `jac` returns the transposed Jacobian
+    J^T, one row per variable, so that J^T J and J^T f are products along
+    the long residual axis.  Returns (x, nfev, status): status 0 when the
+    `max_nfev` budget ran out, 1 on gtol, 2 on ftol, 3 on xtol, 4 on both.
 
     The exact step is usually read off the SVD U S V^T of the tall
     augmented Jacobian [J_h; diag(diag_h)^(1/2)].  V and S^2 are the
@@ -227,11 +238,11 @@ def _trf(fun, jac, x, lb, ub, max_nfev, tol=1e-12):
     """
     inside = np.nextafter(lb, ub), np.nextafter(ub, lb)
     f = fun(x)
-    J = jac(x)
+    Jt = jac(x)
     nfev = 1
     cost = 0.5 * f @ f
-    g = J.T @ f
-    Delta = np.linalg.norm(x / np.sqrt(_coleman_li(x, g, lb, ub)[0])) or 1.0
+    g = Jt @ f
+    Delta = _norm(x / np.sqrt(_coleman_li(x, g, lb, ub)[0])) or 1.0
     alpha = 0.0  # Levenberg-Marquardt parameter
     status = None
     while True:
@@ -243,23 +254,26 @@ def _trf(fun, jac, x, lb, ub, max_nfev, tol=1e-12):
             break
         d = np.sqrt(v)
         g_h = d * g
-        H = J.T @ J * np.outer(d, d) + np.diag(g * dv)
+        H = Jt @ Jt.T
+        H *= np.outer(d, d)
+        H.flat[::len(H) + 1] += g * dv
         lam, V = np.linalg.eigh(H)
         s = np.sqrt(np.maximum(lam[::-1], 0))
         V = V[:, ::-1]
         uf = np.divide(V.T @ g_h, s, out=np.zeros_like(s), where=s > 0)
         theta = max(0.995, 1 - g_norm)
+        x_tol = tol * (tol + _norm(x))
 
         actual_reduction = -1
         while actual_reduction <= 0 and nfev < max_nfev:
             p_h, alpha = _trust_region_step(len(f), uf, s, V, Delta, alpha)
             step, step_h, predicted_reduction = _select_step(
                 x, H, g_h, p_h, d, Delta, lb, ub, theta)
-            x_new = np.clip(x + step, *inside)
+            x_new = np.minimum(np.maximum(x + step, inside[0]), inside[1])
             f_new = fun(x_new)
             nfev += 1
-            step_h_norm = np.linalg.norm(step_h)
-            if not np.all(np.isfinite(f_new)):
+            step_h_norm = _norm(step_h)
+            if not np.isfinite(f_new).all():
                 Delta = 0.25 * step_h_norm
                 continue
 
@@ -276,7 +290,7 @@ def _trf(fun, jac, x, lb, ub, max_nfev, tol=1e-12):
                 Delta_new = 2.0 * Delta
 
             ftol_met = actual_reduction < tol * cost and ratio > 0.25
-            xtol_met = np.linalg.norm(step) < tol * (tol + np.linalg.norm(x))
+            xtol_met = _norm(step) < x_tol
             if ftol_met or xtol_met:
                 status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
                 break
@@ -285,9 +299,14 @@ def _trf(fun, jac, x, lb, ub, max_nfev, tol=1e-12):
 
         if actual_reduction > 0:
             x, f, cost = x_new, f_new, cost_new
-            J = jac(x)
-            g = J.T @ f
+            Jt = jac(x)
+            g = Jt @ f
     return x, nfev, status or 0
+
+
+def _norm(x):
+    """Euclidean norm of a 1-D array, as np.linalg.norm computes it."""
+    return math.sqrt(x @ x)
 
 
 def _coleman_li(x, g, lb, ub):
@@ -301,19 +320,25 @@ def _trust_region_step(m, uf, s, V, Delta, alpha, rtol=0.01, max_iter=10):
     """The step p minimising the model 0.5 p^T H p + g_h^T p over ||p|| <=
     Delta, from H = V diag(s^2) V^T and uf = V^T g_h / s, by More's (1977)
     iteration on the Levenberg-Marquardt parameter alpha, started from the
-    last step's.  Returns (p, alpha).  `m` is the number of residuals."""
+    last step's.  Returns (p, alpha).  `m` is the number of residuals.
+    phi is evaluated on Python floats: there are at most 2n terms."""
     def phi_and_derivative(alpha):
-        denom = s ** 2 + alpha
-        p_norm = np.linalg.norm(suf / denom)
-        return p_norm - Delta, -np.sum(suf ** 2 / denom ** 3) / p_norm
+        p_sq = d_sum = 0.0
+        for a, b in zip(s_sq, suf_sq):
+            denom = a + alpha
+            p_sq += b / (denom * denom)
+            d_sum += b / denom ** 3
+        p_norm = math.sqrt(p_sq)
+        return p_norm - Delta, -d_sum / p_norm
 
     suf = s * uf
+    s_sq, suf_sq = (s * s).tolist(), (suf * suf).tolist()
     full_rank = s[-1] > _EPS * m * s[0]
     if full_rank:
         p = -V @ (uf / s)
-        if np.linalg.norm(p) <= Delta:
+        if _norm(p) <= Delta:
             return p, 0.0
-    alpha_upper = np.linalg.norm(suf) / Delta
+    alpha_upper = _norm(suf) / Delta
     alpha_lower = 0.0
     if full_rank:
         phi, phi_prime = phi_and_derivative(0.0)
@@ -333,7 +358,7 @@ def _trust_region_step(m, uf, s, V, Delta, alpha, rtol=0.01, max_iter=10):
         if abs(phi) < rtol * Delta:
             break
     p = -V @ (suf / (s ** 2 + alpha))
-    return p * (Delta / np.linalg.norm(p)), alpha
+    return p * (Delta / _norm(p)), alpha
 
 
 def _select_step(x, H, g_h, p_h, d, Delta, lb, ub, theta):
@@ -342,7 +367,8 @@ def _select_step(x, H, g_h, p_h, d, Delta, lb, ub, theta):
     its reflection off the first bound it hits, and the scaled steepest
     descent step.  Returns (step, step_h, predicted cost reduction)."""
     p = d * p_h
-    if np.all((x + p >= lb) & (x + p <= ub)):
+    x_p = x + p
+    if ((x_p >= lb) & (x_p <= ub)).all():
         return p, p_h, -_model(H, g_h, p_h)
 
     p_stride, hits = _to_bound(x, p, lb, ub)
@@ -368,7 +394,7 @@ def _select_step(x, H, g_h, p_h, d, Delta, lb, ub, theta):
 
     ag_h = -g_h
     ag = d * ag_h
-    to_tr = Delta / np.linalg.norm(ag_h)
+    to_tr = Delta / _norm(ag_h)
     to_bound = _to_bound(x, ag, lb, ub)[0]
     ag_stride = theta * to_bound if to_bound < to_tr else to_tr
     ag_stride, ag_value = _line_min(

@@ -191,16 +191,24 @@ def test_rank_deficient_fit():
     assert report.rms_residual <= 1e-5 * 2.0
 
 
-def test_coincident_components_share_one_basis_vector():
-    # three identical columns: the Gram matrix's two zero eigenvalues come
+@pytest.mark.parametrize("case", ["coincident",
+                                  *(f"m{m}" for m in range(1, 8))])
+def test_coincident_components_share_one_basis_vector(case):
+    # three identical rows: the Gram matrix's two zero eigenvalues come
     # out at rounding level and must be cut, or the basis is not
-    # orthonormal and the amplitudes are arbitrary
-    t = np.linspace(0.0, 1.0, 1001)
-    y = 2.0 * np.exp(-((t - 0.4) / 0.1) ** 2)
-    _, g, basis, zeta = _projection(t, y, np.array([0.37] * 3 + [0.09] * 3))
-    assert basis.shape == (1001, 1)
-    assert basis.T @ basis == pytest.approx(1.0, abs=1e-12)
-    assert zeta == pytest.approx(np.linalg.lstsq(g, y, rcond=None)[0],
+    # orthonormal and the amplitudes are arbitrary.  The table fits' seeds
+    # ("m1".."m7") keep full rank.
+    if case == "coincident":
+        t = np.linspace(0.0, 1.0, 1001)
+        y = 2.0 * np.exp(-((t - 0.4) / 0.1) ** 2)
+        q, rank = np.array([0.37] * 3 + [0.09] * 3), 1
+    else:
+        t, y, n = oracle_case(case)
+        q, rank = _initial_guess(t, y, n), n
+    _, g, basis, zeta = _projection(t, y, q)
+    assert basis.shape == (rank, len(t))
+    assert np.abs(basis @ basis.T - np.eye(rank)).max() <= 1e-12
+    assert zeta == pytest.approx(np.linalg.lstsq(g.T, y, rcond=None)[0],
                                  rel=1e-12)
 
 
