@@ -15,8 +15,7 @@ from .protocol import InvalidParameters, design_sta, design_stirap
 from .dynamics import (LINDBLAD_STEPS, SCHRODINGER_STEPS, LindbladRates,
                        evolve_lindblad, evolve_schrodinger,
                        propagate_lindblad)
-from .pulsefit import (GaussianComponent, GaussianPulse, fit_gaussian_sum,
-                       fit_report, pulse_amplitude)
+from .pulsefit import fit_gaussian_sum, fit_report, pulse_amplitude
 
 
 # The two LindbladRates fields each decoherence map mode varies.
@@ -106,16 +105,6 @@ def decoherence_maps(pulses, modes, max_ratio=0.01, grid=21, amplitude=None,
     return ratios, rhos[:, -1, 2, 2].real.reshape(len(modes), grid, grid)
 
 
-def decoherence_map(pulses, mode, max_ratio=0.01, grid=21, amplitude=None,
-                    duration=1.0, steps=2000):
-    """The decoherence map of one mode: (ratios, matrix) with matrix[i, j]
-    the final population at rate1 = ratios[i], rate2 = ratios[j] (see
-    decoherence_maps)."""
-    ratios, maps = decoherence_maps(pulses, (mode,), max_ratio, grid,
-                                    amplitude, duration, steps)
-    return ratios, maps[0]
-
-
 def fit_components(m):
     """Default Gaussian count per pulse for winding m.
 
@@ -134,10 +123,10 @@ def fit_protocol_pulses(protocol, n_components=None, samples=1001):
     report's residuals and peak divided by T: the fit, its nfev and its
     convergence do not depend on T.  With kappa = 1/(2m) the schedules
     are mirror images, Omega1(t) = (-1)^m Omega2(T - t), so only Omega2
-    is fitted.  Pulse 1 is its exact mirror: each component (zeta, tau,
-    chi) becomes ((-1)^m zeta, T - tau, chi).  Its report holds its own
-    residuals against the Omega1 samples and the nfev and convergence
-    flag of the one fit.  Any other kappa raises InvalidParameters.
+    is fitted; pulse 1 is that fit mirrored (GaussianPulse.mirrored with
+    sign (-1)^m).  Its report holds its own residuals against the Omega1
+    samples and the nfev and convergence flag of the one fit.  Any other
+    kappa raises InvalidParameters.
     """
     m, T = protocol.m, protocol.duration
     if protocol.kappa != 1.0 / (2 * m):
@@ -149,9 +138,7 @@ def fit_protocol_pulses(protocol, n_components=None, samples=1001):
     unit = replace(protocol, duration=1.0)
     t = np.linspace(0.0, 1.0, samples)
     f2, r2 = fit_gaussian_sum((t, unit.omega2(t)), n_components)
-    f1 = GaussianPulse(tuple(
-        GaussianComponent((-1) ** m * c.amplitude, 1 - c.center, c.width)
-        for c in f2.components))
+    f1 = f2.mirrored((-1) ** m)
     r1 = fit_report(f1, t, unit.omega1(t), r2.iterations, r2.converged)
     return tuple((f.stretched(T), replace(
         r, rms_residual=r.rms_residual / T, max_residual=r.max_residual / T,

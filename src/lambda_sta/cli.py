@@ -240,7 +240,12 @@ def _write(outdir, files):
 
 def csv_text(header, columns):
     """CSV text with the named columns, every value at 12 significant
-    digits; the whole table is formatted by one `%` operation."""
+    digits; the whole table is formatted by one `%` operation.  A
+    non-finite value raises ValueError."""
+    columns = list(columns)
+    for name, column in zip(header, columns):
+        if not np.isfinite(np.asarray(column, dtype=float)).all():
+            raise ValueError(f"non-finite value in column {name}")
     rows = list(zip(*columns))
     row = ",".join(["%.12g"] * len(header)) + "\n"
     return (",".join(header) + "\n"
@@ -323,9 +328,8 @@ def cmd_sweep(args):
 
 def cmd_stirap_curve(args):
     """baseline infidelity vs amplitude"""
-    with np.errstate(over="ignore"):  # an infinite amplitude fails the run
-        amplitudes = np.linspace(args.amp_min, args.amp_max,
-                                 args.points) / args.duration
+    amplitudes = np.linspace(args.amp_min, args.amp_max,
+                             args.points) / args.duration
     data = stirap_infidelity_curve(args.t0, args.tc, args.duration,
                                    amplitudes, args.steps)
     return {"stirap_curve.csv": csv_text(["Omega0_T", "infidelity"],
@@ -416,7 +420,9 @@ def main(argv=None):
                       or ".")
         outdir.mkdir(parents=True, exist_ok=True)
         try:
-            outputs = COMMANDS[command](args)
+            # no numpy warnings on stderr: non-finite output fails the run
+            with np.errstate(all="ignore"):
+                outputs = COMMANDS[command](args)
         except (ConfigError, InvalidParameters):
             raise
         except Exception as exc:

@@ -68,6 +68,14 @@ class GaussianPulse:
             GaussianComponent(c.amplitude / T, c.center * T, c.width * T)
             for c in self.components))
 
+    def mirrored(self, sign):
+        """The pulse t -> sign * self(1 - t), its mirror image about the
+        middle of a unit duration: each component (zeta, tau, chi) becomes
+        (sign zeta, 1 - tau, chi)."""
+        return GaussianPulse(tuple(
+            GaussianComponent(sign * c.amplitude, 1 - c.center, c.width)
+            for c in self.components))
+
 
 @dataclass(frozen=True)
 class FitReport:
@@ -90,18 +98,15 @@ def reference_m1_fit(duration=1.0):
     """Published two-component decomposition of the m=1 schedules.
 
     Returns (pulse1, pulse2) scaled to the given protocol duration.
-    Serves as the regression fixture the in-repo fitter is checked
-    against.
+    Pulse 2 is pulse 1 mirrored, Omega2(t) = -Omega1(T - t), as for every
+    m = 1 fit.  Serves as the regression fixture the in-repo fitter is
+    checked against.
     """
     p1 = GaussianPulse((
         GaussianComponent(-3.194, 0.4396, 0.2476),
         GaussianComponent(-1.275, 0.2159, 0.1581),
     ))
-    p2 = GaussianPulse((
-        GaussianComponent(3.194, 0.5604, 0.2476),
-        GaussianComponent(1.275, 0.7841, 0.1581),
-    ))
-    return p1.stretched(duration), p2.stretched(duration)
+    return p1.stretched(duration), p1.mirrored(-1).stretched(duration)
 
 
 def _initial_guess(t, y, n):
@@ -179,6 +184,8 @@ def fit_gaussian_sum(samples, n_components=2):
     if len(t) < 30 * n_components:
         raise InvalidParameters(f"need at least {30 * n_components} samples for "
                          f"{n_components} components, got {len(t)}")
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        raise InvalidParameters("samples must be finite")
     if np.abs(y).max() == 0:
         raise DegenerateSamples("all sample values are zero")
 

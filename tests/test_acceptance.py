@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from lambda_sta.analysis import (amplitude_error_sweep, decoherence_map,
+from lambda_sta.analysis import (amplitude_error_sweep, decoherence_maps,
                                  stirap_dephasing_check,
                                  stirap_infidelity_curve, table_one,
                                  timing_error_sweep)
@@ -101,10 +101,9 @@ def test_criterion_6_robustness(reference_pulses):
 def test_criterion_7_decoherence(reference_pulses):
     f1, f2 = reference_m1_fit()
     amp = pulse_amplitude(f1, f2)
-    _, relax = decoherence_map(reference_pulses, "relaxation", 0.01, 5,
-                               amp, steps=2000)
-    _, deph = decoherence_map(reference_pulses, "dephasing", 0.01, 5,
-                              amp, steps=2000)
+    _, (relax, deph) = decoherence_maps(
+        reference_pulses, ("relaxation", "dephasing"), 0.01, 5, amp,
+        steps=2000)
     ok = relax.min() >= 0.986 - 0.003
     ok &= deph.min() >= 0.979 - 0.003
     ok &= abs(stirap_dephasing_check(steps=10_000) - 0.9561) <= 0.003

@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import numpy as np
@@ -6,8 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_sta.analysis import (TableRow, amplitude_error_sweep,
-                                 decoherence_map, decoherence_maps,
-                                 format_table,
+                                 decoherence_maps, format_table,
                                  stirap_infidelity_curve, table_one,
                                  timing_error_sweep)
 from lambda_sta.cli import csv_text, main
@@ -134,14 +134,14 @@ class TestStirapCurve:
 
 class TestDecoherenceMap:
     def test_zero_corner_is_closed_system(self, reference_pulses):
-        ratios, grid = decoherence_map(reference_pulses, "relaxation",
-                                       0.01, 2, steps=STEPS)
+        ratios, (grid,) = decoherence_maps(reference_pulses, ("relaxation",),
+                                           0.01, 2, steps=STEPS)
         assert ratios[0] == 0.0
         assert grid[0, 0] >= 0.9999
 
     def test_monotone_in_rates(self, reference_pulses):
-        _, grid = decoherence_map(reference_pulses, "dephasing", 0.01, 3,
-                                  steps=STEPS)
+        _, (grid,) = decoherence_maps(reference_pulses, ("dephasing",), 0.01,
+                                      3, steps=STEPS)
         assert grid[0, 0] >= grid[1, 1] >= grid[2, 2]
 
     def test_cells_match_stage_by_stage_rk4(self, reference_pulses):
@@ -150,8 +150,8 @@ class TestDecoherenceMap:
         for mode, (i, j), names in [
                 ("relaxation", (2, 1), ("gamma1", "gamma2")),
                 ("dephasing", (1, 2), ("gamma_phi1", "gamma_phi2"))]:
-            ratios, grid = decoherence_map(reference_pulses, mode, 0.05, 3,
-                                           amp, steps=STEPS)
+            ratios, (grid,) = decoherence_maps(reference_pulses, (mode,),
+                                               0.05, 3, amp, steps=STEPS)
             rates = LindbladRates(**{names[0]: ratios[i] * amp,
                                      names[1]: ratios[j] * amp})
             ref = stage_by_stage_p3(reference_pulses, rates)
@@ -181,20 +181,20 @@ class TestDecoherenceMap:
         ratios, maps = decoherence_maps(reference_pulses, modes, 0.01, 4,
                                         steps=STEPS)
         for mode, grid in zip(modes, maps):
-            r, single = decoherence_map(reference_pulses, mode, 0.01, 4,
-                                        steps=STEPS)
+            r, (single,) = decoherence_maps(reference_pulses, (mode,), 0.01,
+                                            4, steps=STEPS)
             assert np.array_equal(r, ratios)
             assert np.abs(grid - single).max() <= 1e-13
 
     def test_mode_and_bounds_validation(self, reference_pulses):
         with pytest.raises(ValueError):
-            decoherence_map(reference_pulses, "thermal")
+            decoherence_maps(reference_pulses, ("thermal",))
         with pytest.raises(ValueError):
             decoherence_maps(reference_pulses, ("relaxation", "thermal"))
         with pytest.raises(ValueError):
-            decoherence_map(reference_pulses, "relaxation", max_ratio=0.2)
+            decoherence_maps(reference_pulses, ("relaxation",), max_ratio=0.2)
         with pytest.raises(ValueError):
-            decoherence_map(reference_pulses, "relaxation", grid=1)
+            decoherence_maps(reference_pulses, ("relaxation",), grid=1)
 
 
 class TestTableOne:
@@ -277,9 +277,10 @@ def per_value_csv(header, columns):
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=st.lists(st.lists(st.one_of(st.integers(-2 ** 70, 2 ** 70),
-                                        st.floats()),
-                              min_size=3, max_size=3), max_size=20))
+@given(rows=st.lists(st.lists(st.one_of(
+    st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=3, max_size=3), max_size=20))
 @example(rows=[[0, -0.0, 1e-300], [1e16, 7, -3], [0.1, 1 / 3, 2 ** 60]])
 @example(rows=[])
 def test_csv_text_matches_per_value_formatting(rows):
@@ -288,6 +289,12 @@ def test_csv_text_matches_per_value_formatting(rows):
     assert csv_text(header, columns) == per_value_csv(header, columns)
     floats = [np.array(c, dtype=float) for c in columns]
     assert csv_text(header, floats) == per_value_csv(header, floats)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_csv_text_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError, match="non-finite value in column b"):
+        csv_text(["a", "b"], [(0.0, 1.0), (2.0, bad)])
 
 
 def test_table_text_flags_unconverged_fit():

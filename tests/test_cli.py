@@ -220,6 +220,10 @@ OUT_OF_RANGE = [
      NON_FINITE_DRIVE),
     (["lindblad", "--gamma1", "1e308", "--gamma2", "1e308"],
      "a step has Gamma*dt = inf (limit 1); use more steps"),
+    # pi t/T overflows at T = 1e308, and the phase rate at T = 5e-324
+    (["design", "--T", "1e308"], "non-finite value in column Omega1"),
+    (["fig1", "--T", "1e308"], "non-finite value in column abs_Omega1"),
+    (["design", "--T", "5e-324"], "non-finite value in column Omega1"),
 ]
 
 

@@ -250,6 +250,17 @@ def test_degenerate_samples_rejected():
         fit_gaussian_sum((t, np.zeros_like(t)), 1)
 
 
+@pytest.mark.parametrize("where", ["t", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_samples_rejected(where, bad):
+    # a configuration error, not an unconverged fit of NaNs
+    t = np.linspace(0, 1, 200)
+    y = np.exp(-((t - 0.5) / 0.2) ** 2)
+    (t if where == "t" else y)[100] = bad
+    with pytest.raises(InvalidParameters, match="finite"):
+        fit_gaussian_sum((t, y), 1)
+
+
 def test_too_short_span_rejected():
     # the seeds cannot start 1e-10 inside bounds only 1e-300 apart
     t = np.linspace(0, 1e-300, 200)
@@ -311,3 +322,13 @@ def test_duration_scaling():
     assert comps[0][0] == pytest.approx(-3.194 / 2)
     assert comps[0][1] == pytest.approx(0.4396 * 2)
     assert pulse_amplitude(f1, f2, duration=2.0) == pytest.approx(3.5 / 2, rel=0.03)
+
+
+def test_reference_fit_is_the_published_literals():
+    # pulse 2 is built as pulse 1 mirrored, and equals the published
+    # coefficients exactly
+    f1, f2 = reference_m1_fit()
+    assert f1.components == (GaussianComponent(-3.194, 0.4396, 0.2476),
+                             GaussianComponent(-1.275, 0.2159, 0.1581))
+    assert f2.components == (GaussianComponent(3.194, 0.5604, 0.2476),
+                             GaussianComponent(1.275, 0.7841, 0.1581))
