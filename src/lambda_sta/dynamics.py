@@ -61,18 +61,26 @@ other six.  The generator is linear in the drive and in the rates,
                           + gamma_phi1 D3 + gamma_phi2 D4,
 
 because each jump operator scales as sqrt(gamma); its six 6x6 pieces
-are built once, at import, and a block's generators are one matrix
-product of its drive samples (omega1, omega2, 1) with K1, K2 and the
-weighted D pieces.  One block function applies the same RK4 step in one
-of two ways, with the same drive samples and step checks:
+are built once, at import, and a block's generators, or the factors its
+propagators are built from, are matrix products of its drive samples with
+bases made once per call from K1, K2 and the weighted D pieces.  The drive
+is sampled, and its Omega*dt checked, once per window of half steps of
+about BLOCK_BYTES that holds whole blocks: once a run at the CLI's step
+counts.  One block function applies the same RK4 step in one of two ways,
+with the same drive samples and step checks:
 
 - one-step propagators: RK4 is linear in the state, so each run's step
-  is its 6x6 propagator, built from the generators at the step's start,
-  midpoint and end, each scaled by dt first so that every product stays
-  in range at any duration (three 6x6 products per step and run).  As
-  the Schrodinger rotations are, the propagators of each stride chunk
-  are composed by a pairwise product tree, and only the chunk products
-  are applied to the states in Python;
+  is its 6x6 propagator P.  With A, B and C dt times the generators at
+  the step's start, midpoint and end (scaled first, so that every
+  product stays in range at any duration), U = I + A/2 and U' = I + C/2,
+  which neighbouring steps share, w = (B/2) U and y = (B/2)(I + w),
+
+      P = I + ((A + C)/2 + 2 w + 2 U' y)/3,
+
+  three 6x6 products per step and run, the identity added last.  As the
+  Schrodinger rotations are, the propagators of each stride chunk are
+  composed by a pairwise product tree, and only the chunk products are
+  applied to the states in Python;
 - stage by stage: the states of the whole batch form one (6, batch)
   array X, and each of the four stages is one matrix product of the
   (6, 30) stack [omega1 K1 + omega2 K2 | D1 | D2 | D3 | D4], shared by
@@ -80,11 +88,12 @@ of two ways, with the same drive samples and step checks:
 
 The stage march costs a fixed Python overhead per step but little per
 run, the propagators the reverse, so `evolve_lindblad` marches stage by
-stage from STAGE_MARCH_BATCH runs up.  On 2 vCPUs a single 10k-step run
-takes 0.011 s on propagators (0.013 s sampled every 10 steps, as
-`lindblad` writes it) and 0.28 s stage by stage; the 882 runs of both
-21x21 decoherence maps at 2000 steps take 1.6 s and 0.40 s.  The two
-ways agree to about 1e-14.
+stage from STAGE_MARCH_BATCH runs up.  On 2 shared vCPUs (medians of two
+sessions) a single 10k-step run takes 0.004-0.005 s on propagators
+(0.006-0.007 s sampled every 10 steps, as `lindblad` writes it) and
+0.19-0.26 s stage by stage; the 50 runs of both 5x5 decoherence maps at
+2000 steps take 0.034-0.038 s and 0.056-0.076 s, the 882 of the 21x21
+maps 0.85-1.0 s and 0.26-0.28 s.  The two ways agree to about 1e-14.
 
 Both kernels refuse a step that rotates the state by more than
 MAX_ROTATION rad (largest Omega*dt at the times where H is sampled), which
@@ -97,7 +106,7 @@ of floating-point range).
 """
 
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -145,11 +154,13 @@ LINDBLAD_STEPS = 10_000
 MIN_SCHRODINGER_STEPS = 100
 MIN_LINDBLAD_STEPS = 1000
 # Least Lindblad batch stepped stage by stage.  The crossover, as medians
-# of 11 interleaved 2000-step runs on 2 vCPUs (numpy 2.4.6, OpenBLAS), in
-# two rounds: propagators 102.5/91.0 ms and stages 106.8/99.7 ms at 54
-# runs, 110.4/109.1 and 109.6/105.2 ms at 56.  So fig5's 5x5 grids (50
-# runs) take propagators and its 21x21 grids (882 runs) the stage march.
-STAGE_MARCH_BATCH = 56
+# of 11-15 interleaved 2000-step runs on 2 vCPUs (numpy 2.4.6, OpenBLAS),
+# in three rounds: propagators 131.7/113.8/81.8 ms and stages
+# 115.8/115.2/89.5 ms at 96 runs, propagators faster in 2/11, 7/15 and
+# 10/15 pairs; 72 runs went to propagators in 10/11 and 15/15 pairs, 112
+# runs to stages in 10/11 and 11/15.  So fig5's 5x5 grids (50 runs) take
+# propagators and its 21x21 grids (882 runs) the stage march.
+STAGE_MARCH_BATCH = 96
 # Fourth-order commutator-free Magnus step: Gauss-Legendre nodes as
 # fractions of a step, and the node weights of its two exponents, the
 # first-acting one first.
@@ -159,12 +170,12 @@ _CF4_MIX = np.array([[0.25 + 3 ** 0.5 / 6, 0.25 - 3 ** 0.5 / 6],
 # Bytes a Schrodinger block holds per step and run: the drive samples, the
 # step rotations and their temporaries.
 _STEP_BYTES = 288
-# Bytes a Lindblad propagator block holds per step and run: the generators
-# at two half steps, the propagators and their two scratch buffers, and
-# the product tree's temporaries.  Tracemalloc peaks of one-block runs of
-# 1-16 runs grow by 1659-1785 B a step and run (end only to stride 10),
-# six times the 288 B of one 6x6 propagator.
-_RK4_STEP_BYTES = 1728
+# Bytes a Lindblad propagator block holds per step and run: the factors U
+# and B/2, the propagators and their two scratch buffers, the product
+# tree's temporaries and the drive samples.  Tracemalloc peaks of
+# one-block runs of 1-16 runs grow by 1374-1537 B a step and run (end only
+# to stride 10), five times the 288 B of one 6x6 propagator.
+_RK4_STEP_BYTES = 1440
 # The identity rotation as a Cayley-Klein pair, shape (2, 1, 1).
 _IDENTITY = np.array([1.0, 0j])[:, None, None]
 
@@ -429,33 +440,47 @@ def propagate_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
                       steps=steps)
 
 
-def _rk4_propagators(gen, work):
-    """One-step RK4 propagators from generators on the half-step grid,
-    built in work[0] with work[1], work[2] as scratch.
+def _rk4_propagators(c, ends, mids, work):
+    """One-step RK4 propagators of the n = len(c) // 2 steps of a block,
+    built in work[1] with the rest of `work`, shape (4, > n, ..., d, d),
+    as scratch.
 
-    gen[2k], gen[2k+1] and gen[2k+2] are dt times the generators at the
-    start, midpoint and end of step k.  With those A, B, C the classic
-    stages are k_i = q_i r / dt, so r' = P r with P = I + (A + 2 q2 + 2 q3
-    + q4)/6 and q2 = B + B A/2, q3 = B + B q2/2, q4 = C + C q3.  Scaling
+    With A, B and C dt times the generators at the start, midpoint and end
+    of a step, the classic stages are k_i = q_i r / dt, so r' = P r with
+    P = I + (A + 2 q2 + 2 q3 + q4)/6 and q2 = B + B A/2, q3 = B + B q2/2,
+    q4 = C + C q3.  In U = I + A/2 and U' = I + C/2, which neighbouring
+    steps share, and w = (B/2) U, y = (B/2)(I + w), this is
+
+        P = I + ((A + C)/2 + 2 w + 2 U' y)/3 = I + 2 (w + U' y + (A + C)/4)/3,
+
+    three products.  Each factor is linear in the drive: row c[i] weighs
+    the (3, ..., d, d) basis `ends` into the U at half step i = 2k and
+    `mids` into the B/2 at i = 2k + 1, and (c[2k] + c[2k + 2])/2 weighs
+    `mids` into (A + C)/4.  The identity is added last, to terms of order
+    dt*Omega, as in the textbook sum: summing U, with the identity in it,
+    would round the dissipator the same way at every step.  Scaling by dt
     first keeps every product of order 1 where dt*Omega is, whatever the
     duration.
     """
-    a, b, c = gen[:-1:2], gen[1::2], gen[2::2]
-    acc, q, r = work
-    np.matmul(b, a, out=q)
-    q *= 0.5
-    q += b  # q2
-    np.multiply(q, 2, out=acc)
-    acc += a
-    np.matmul(b, q, out=r)
-    r *= 0.5
-    r += b  # q3
-    acc += np.multiply(r, 2, out=q)
-    np.matmul(c, r, out=q)
-    acc += np.add(c, q, out=q)  # q4
-    acc /= 6
-    acc += np.eye(gen.shape[-1])
-    return acc
+    n = len(c) // 2
+    u, out, w, y = work[0, :n + 1], work[1, :n], work[2, :n], work[3, :n]
+
+    def weigh(rows, basis, into):
+        np.matmul(rows, basis.reshape(3, -1), out=into.reshape(len(rows), -1))
+        return into
+
+    weigh(c[::2], ends, u)
+    weigh(c[1::2], mids, out)
+    np.matmul(out, u[:-1], out=w)
+    np.matmul(out, w, out=y)
+    y += out
+    np.matmul(u[1:], y, out=out)
+    out += w
+    out += weigh((c[:-2:2] + c[2::2]) / 2, mids, y)
+    out *= 2 / 3
+    d = out.shape[-1]
+    out.reshape(-1, d * d)[:, ::d + 1] += 1
+    return out
 
 
 def _rk4_stages(gen, x, weights, dt):
@@ -498,18 +523,18 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
     if steps < MIN_LINDBLAD_STEPS:
         raise InvalidSteps(f"need at least {MIN_LINDBLAD_STEPS} steps, "
                            f"got {steps}")
-    gammas = np.array([astuple(r) for r in rates], dtype=float).reshape(-1, 4)
+    gammas = np.array([(r.gamma1, r.gamma2, r.gamma_phi1, r.gamma_phi2)
+                       for r in rates], dtype=float).reshape(-1, 4)
     dt = horizon / steps
     stride = min(stride or steps, steps)
     with np.errstate(over="ignore"):  # an infinite Gamma fails the check
         _check_step(gammas @ _DECAY * dt, "has Gamma*dt = {:.3g}")
     batch = len(gammas)
     stages = batch >= STAGE_MARCH_BATCH
-    # A block's generators, built into `gens`, are the drive (scale omega1,
-    # scale omega2, 1) at each half step times the rows of `basis`.
     if stages:
         # states (6, batch); per step, the stacked generators [K | D1 .. D4]
-        # at its start, midpoint and end
+        # at its start, midpoint and end, built into `gens` as the drive
+        # (omega1, omega2, 1) at each half step times the rows of `basis`
         weights = np.repeat(np.vstack((np.ones(batch), gammas.T))[:, None],
                             _DIM, axis=1)
         start = np.zeros((_DIM, batch))
@@ -517,34 +542,46 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
         basis = np.zeros((3, _DIM, 5 * _DIM))
         basis[0, :, :_DIM], basis[1, :, :_DIM], basis[2, :, _DIM:] = (
             _K1, _K2, np.hstack(_D))
-        scale = 1.0
         per_block = max(1, BLOCK_BYTES // (2 * basis[0].nbytes))
+        gens = np.empty((2 * min(per_block, steps) + 1, basis[0].size))
     else:
         # states (batch, 6, 1); per stride chunk, the (batch, 6, 6) product
-        # of its steps' propagators, built in `props` from the generators
-        # times dt
+        # of its steps' propagators, whose factors U = I + A/2 and B/2
+        # (_rk4_propagators) are the drive (dt omega1/2, dt omega2/2, 1)
+        # times the rows of `end_basis` and `mid_basis`
         start = np.broadcast_to(np.eye(_DIM)[0], (batch, _DIM))[..., None]
-        diss = dt * np.tensordot(gammas, _D, 1)
-        basis = np.stack((np.broadcast_to(_K1, diss.shape),
-                          np.broadcast_to(_K2, diss.shape), diss))
-        scale = dt
+        half = (dt / 2) * np.tensordot(gammas, _D, 1)
+        mid_basis = np.stack((np.broadcast_to(_K1, half.shape),
+                              np.broadcast_to(_K2, half.shape), half))
+        end_basis = mid_basis.copy()
+        end_basis[2] += np.eye(_DIM)
         per_block = max(1, BLOCK_BYTES // (max(batch, 1) * _RK4_STEP_BYTES))
-        props = np.empty((3, min(per_block, steps), batch, _DIM, _DIM))
-    # fresh multi-megabyte arrays in every block would page-fault each time
-    gens = np.empty((2 * min(per_block, steps) + 1, basis[0].size))
+        # fresh multi-megabyte arrays in every block would page-fault
+        work = np.empty((4, min(per_block, steps) + 1, batch, _DIM, _DIM))
+    # The drive is sampled at the half steps of a window of whole blocks,
+    # 72 B a sample with its time grid and temporaries (StaProtocol's
+    # tracemalloc peak), so a window of BLOCK_BYTES holds 14k steps.
+    window = max(BLOCK_BYTES // 72, 2 * per_block + 1)
+    w0, drive = 0, np.empty((2, 0))
 
     def block(k0, k1, x):
-        t = np.arange(2 * k0, 2 * k1 + 1) * (dt / 2)
-        o1, o2 = _drive(pulses, t)
-        _check_step(np.hypot(o1, o2) * dt)
-        gen = np.matmul(np.column_stack((scale * o1, scale * o2,
-                                         np.ones_like(t))),
-                        basis.reshape(3, -1), out=gens[:len(t)]
-                        ).reshape(len(t), *basis.shape[1:])
+        nonlocal w0, drive
+        if 2 * k1 >= w0 + drive.shape[1]:
+            w0 = 2 * k0
+            t = np.arange(w0, min(w0 + window, 2 * steps + 1)) * (dt / 2)
+            drive = np.array(_drive(pulses, t))
+            _check_step(np.hypot(*drive) * dt)
+        o1, o2 = drive[:, 2 * k0 - w0:2 * k1 + 1 - w0]
         ends = _chunk_ends(k0, k1, stride)
-        if not stages:
+        if stages:
+            gen = np.matmul(np.column_stack((o1, o2, np.ones_like(o1))),
+                            basis.reshape(3, -1), out=gens[:len(o1)]
+                            ).reshape(len(o1), *basis.shape[1:])
+        else:
+            c = np.column_stack(((dt / 2) * o1, (dt / 2) * o2,
+                                 np.ones_like(o1)))
             ops = _chunk_products(
-                _rk4_propagators(gen, props[:, :k1 - k0]), np.matmul,
+                _rk4_propagators(c, end_basis, mid_basis, work), np.matmul,
                 np.eye(_DIM), 0, k0, k1, stride)
         xs = np.empty((len(ends), *x.shape))
         for j, (k, end) in enumerate(zip([k0, *ends[:-1]], ends)):

@@ -169,7 +169,8 @@ class TestDecoherenceMap:
     def test_stage_march_matches_stage_by_stage_rk4(self, reference_pulses):
         # a batch stepped stage by stage, all four channels on
         rates = [LindbladRates(gamma1=0.05 + 0.01 * i, gamma2=0.11,
-                               gamma_phi1=0.07, gamma_phi2=0.13 - 0.002 * i)
+                               gamma_phi1=0.07,
+                               gamma_phi2=0.13 - 0.12 * i / STAGE_MARCH_BATCH)
                  for i in range(STAGE_MARCH_BATCH)]
         rhos = evolve_lindblad(reference_pulses, rates, steps=STEPS)
         for b in (0, len(rates) - 1):

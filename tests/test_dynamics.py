@@ -1,5 +1,3 @@
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -289,26 +287,33 @@ def lindblad_pieces():
 
 
 def rk4_loop_states(pulses, rates, horizon, steps, stride):
-    """RK4 on all nine entries of rho, as a plain step-by-step loop over
-    each run's one-step propagators, sampled after steps 0, stride,
+    """Textbook RK4 on the nine entries of vec(rho), stage by stage in a
+    plain loop over steps, all runs at once, sampled after steps 0, stride,
     2*stride, ... and `steps`; shape (batch, samples, 3, 3)."""
     dt = horizon / steps
-    t = np.arange(2 * steps + 1) * (dt / 2)
-    drive = np.column_stack((pulses.omega1(t), pulses.omega2(t)))
+    t = np.arange(2 * steps + 1) * (dt / 2)  # step ends and midpoints
+    o1, o2 = pulses.drive(t)
     pieces = lindblad_pieces()
-    out = []
-    for r in rates:
-        weights = np.column_stack((drive, np.tile(astuple(r), (len(t), 1))))
-        p = dynamics._rk4_propagators(np.tensordot(weights * dt, pieces, 1),
-                                      np.empty((3, steps, 9, 9), complex))
-        x = np.eye(9)[0]  # vec(|1><1|)
-        out.append([x])
-        for k in range(steps):
-            x = p[k] @ x
-            if (k + 1) % stride == 0 or k + 1 == steps:
-                out[-1].append(x)
-    samples = len(range(0, steps, stride)) + 1
-    return np.reshape(out, (len(rates), samples, 3, 3))
+    gammas = np.reshape([(r.gamma1, r.gamma2, r.gamma_phi1, r.gamma_phi2)
+                         for r in rates], (-1, 4))
+    jumps = np.tensordot(gammas, pieces[2:], 1)
+
+    def rate(i, x):  # the generator at half step i on the states x
+        coherent = o1[i] * pieces[0] + o2[i] * pieces[1]
+        return x @ coherent.T + (jumps @ x[..., None])[..., 0]
+
+    x = np.zeros((len(rates), 9), dtype=complex)
+    x[:, 0] = 1  # vec(|1><1|)
+    out = [x]
+    for k in range(steps):
+        k1 = rate(2 * k, x)
+        k2 = rate(2 * k + 1, x + (dt / 2) * k1)
+        k3 = rate(2 * k + 1, x + (dt / 2) * k2)
+        k4 = rate(2 * k + 2, x + dt * k3)
+        x = x + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if (k + 1) % stride == 0 or k + 1 == steps:
+            out.append(x)
+    return np.stack(out, axis=1).reshape(len(rates), len(out), 3, 3)
 
 
 BLOCKS = [
@@ -336,11 +341,52 @@ def test_lindblad_propagators_match_step_loop(monkeypatch, n, stride,
         monkeypatch.setattr(dynamics, "BLOCK_BYTES", block_steps * (
             10 * dynamics._D[0].nbytes if n >= STAGE_MARCH_BATCH
             else max(n, 1) * dynamics._RK4_STEP_BYTES))
+    edges, cut = [], dynamics._edges
+    monkeypatch.setattr(dynamics, "_edges",
+                        lambda *args: edges.append(cut(*args)) or edges[-1])
     proto, rates = design_sta(2), mixed_rates(n)
     rhos = evolve_lindblad(proto, rates, 0.9, 1000, stride)
+    if block_steps:  # the run spans several blocks, whatever the step bytes
+        assert len(edges[0]) > 2
     expected = rk4_loop_states(proto, rates, 0.9, 1000, stride or 1000)
     assert rhos.shape == expected.shape
     assert np.abs(rhos - expected).max(initial=0.0) <= 1e-13
+
+
+class RecordedDrive:
+    """Pulses that record the times of every drive evaluation."""
+
+    def __init__(self, pulses):
+        self.pulses, self.times = pulses, []
+
+    def drive(self, t):
+        self.times.append(t)
+        return self.pulses.drive(t)
+
+
+def test_map_grids_take_their_paths():
+    # fig5 --grid 5 (50 runs) on propagators, --grid 21 (882) stage by stage
+    assert 50 < STAGE_MARCH_BATCH <= 882
+
+
+@pytest.mark.parametrize("n, steps", [
+    pytest.param(1, dynamics.LINDBLAD_STEPS, id="lindblad"),
+    pytest.param(50, 2000, id="fig5-grid5"),
+    pytest.param(STAGE_MARCH_BATCH, 2000, id="stage-march")])
+def test_lindblad_samples_drive_once_per_window(monkeypatch, n, steps):
+    """Runs at the CLI's step counts sample the drive in one call; a
+    smaller byte budget cuts the half-step grid into windows that cover it
+    once each, but for the blocks that straddle two windows."""
+    grid = np.arange(2 * steps + 1) * (0.5 / steps)
+    pulses = RecordedDrive(design_sta(1))
+    evolve_lindblad(pulses, mixed_rates(n), 1.0, steps)
+    assert len(pulses.times) == 1 and np.array_equal(pulses.times[0], grid)
+    pulses.times.clear()
+    monkeypatch.setattr(dynamics, "BLOCK_BYTES", dynamics.BLOCK_BYTES // 64)
+    evolve_lindblad(pulses, mixed_rates(n), 1.0, steps)
+    assert len(pulses.times) > 1
+    assert np.array_equal(np.unique(np.concatenate(pulses.times)), grid)
+    assert sum(map(len, pulses.times)) < 1.5 * len(grid)
 
 
 def test_lindblad_generator_keeps_six_coordinates():
