@@ -36,51 +36,50 @@ def _final_p3(states):
     return np.abs(states[:, -1, 2]) ** 2
 
 
-def timing_error_sweep(pulses, error_range=0.1, points=21, duration=1.0,
+def timing_error_sweep(pulses, error_range=0.1, points=21,
                        steps=SCHRODINGER_STEPS):
     """Final target population when the interaction time is off by a
-    relative error delta: integrate to T' = T*(1+delta) with the nominal
-    pulse parameters frozen."""
+    relative error delta: integrate to T' = T*(1+delta), the horizon
+    1 + delta in units of T, with the nominal pulse parameters frozen."""
     if error_range > 0.2:
         raise ValueError("timing error range limited to 20%")
-    if duration <= 0:
-        raise InvalidParameters(f"duration must be positive, got {duration}")
     deltas = np.linspace(-error_range, error_range, points)
-    p3 = _final_p3(evolve_schrodinger(pulses, duration * (1 + deltas), steps))
+    p3 = _final_p3(evolve_schrodinger(pulses, 1 + deltas, steps))
     return [(float(d), float(p)) for d, p in zip(deltas, p3)]
 
 
 def amplitude_error_sweep(pulses, which=1, error_range=0.1, points=21,
-                          duration=1.0, steps=SCHRODINGER_STEPS):
+                          steps=SCHRODINGER_STEPS):
     """Final target population when one drive amplitude is scaled by
     (1+delta) while the other stays nominal."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
     deltas = np.linspace(-error_range, error_range, points)
     scales = (1 + deltas, 1) if which == 1 else (1, 1 + deltas)
-    p3 = _final_p3(evolve_schrodinger(pulses, duration, steps, *scales))
+    p3 = _final_p3(evolve_schrodinger(pulses, 1.0, steps, *scales))
     return [(float(d), float(p)) for d, p in zip(deltas, p3)]
 
 
-def stirap_infidelity_curve(t0=None, tc=None, duration=1.0, amplitudes=None,
+def stirap_infidelity_curve(t0=None, tc=None, amplitudes=None,
                             steps=SCHRODINGER_STEPS):
     """Final-state infidelity of the Gaussian adiabatic pair versus its
-    peak amplitude."""
+    peak amplitude Omega0*T."""
     if amplitudes is None:
-        amplitudes = np.linspace(1.0, 80.0, 50) / duration
+        amplitudes = np.linspace(1.0, 80.0, 50)
     amplitudes = np.asarray(amplitudes, dtype=float)
     if np.any(amplitudes <= 0):
         raise InvalidParameters("STIRAP amplitudes must be positive")
-    unit = design_stirap(1.0, t0, tc, duration)
-    p3 = _final_p3(evolve_schrodinger(unit, duration, steps,
+    unit = design_stirap(1.0, t0, tc)
+    p3 = _final_p3(evolve_schrodinger(unit, 1.0, steps,
                                       amplitudes, amplitudes))
     return [(float(a), float(1 - p)) for a, p in zip(amplitudes, p3)]
 
 
 def decoherence_maps(pulses, modes, max_ratio=0.01, grid=21, amplitude=None,
-                     duration=1.0, steps=2000):
-    """P3(T) over a grid of (rate1, rate2) pairs expressed as fractions of
-    the pulse amplitude, for each mode in `modes`, all in one kernel call.
+                     steps=2000):
+    """Final target population over a grid of (rate1, rate2) pairs
+    expressed as fractions of the pulse amplitude, for each mode in
+    `modes`, all in one kernel call.
 
     A mode selects relaxation (both decay paths) or dephasing (both phase
     channels).  Returns (ratios, maps) with maps[k, i, j] the final
@@ -95,13 +94,12 @@ def decoherence_maps(pulses, modes, max_ratio=0.01, grid=21, amplitude=None,
     if grid < 2:
         raise ValueError("grid must have at least 2 points per axis")
     if amplitude is None:
-        amplitude = pulse_amplitude(pulses.omega1, pulses.omega2, 1001,
-                                    duration)
+        amplitude = pulse_amplitude(pulses.omega1, pulses.omega2, 1001)
     ratios = np.linspace(0.0, max_ratio, grid)
     rates = [LindbladRates(**{c1: r1 * amplitude, c2: r2 * amplitude})
              for c1, c2 in map(_MAP_CHANNELS.get, modes)
              for r1 in ratios for r2 in ratios]
-    rhos = evolve_lindblad(pulses, rates, duration, steps)
+    rhos = evolve_lindblad(pulses, rates, steps)
     return ratios, rhos[:, -1, 2, 2].real.reshape(len(modes), grid, grid)
 
 
@@ -163,14 +161,13 @@ def table_one(max_m=7, fit_budget=None):
     return rows
 
 
-def stirap_dephasing_check(duration=1.0, steps=LINDBLAD_STEPS):
+def stirap_dephasing_check(steps=LINDBLAD_STEPS):
     """Final target population of the reference adiabatic protocol
-    (amplitude 45/T) with both dephasing ratios at 1%."""
-    proto = design_stirap(45.0 / duration, duration=duration)
+    (amplitude Omega0*T = 45) with both dephasing ratios at 1%."""
+    proto = design_stirap(45.0)
     rates = LindbladRates(gamma_phi1=0.01 * proto.omega0,
                           gamma_phi2=0.01 * proto.omega0)
-    tr = propagate_lindblad(proto, rates=rates, horizon=duration,
-                            steps=steps, stride=steps)
+    tr = propagate_lindblad(proto, rates=rates, steps=steps, stride=steps)
     return float(tr.final_populations[2])
 
 

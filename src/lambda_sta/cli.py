@@ -10,6 +10,10 @@ and fig4 are presets of the primitive commands simulate, stirap-curve and
 sweep.  Each command returns its outputs as {filename: text}; `main`
 writes them, then a manifest.json with the resolved configuration, so
 that reruns are byte-reproducible and a failed run writes none of them.
+
+Every run integrates over [0, 1] in units of the interaction time T, from
+Omega0*T, t0/T, tc/T and the rates times T, so any --T writes the
+populations of --T 1; only design, fit and fig1 carry units and use T.
 """
 
 import argparse
@@ -205,21 +209,27 @@ def _resolve(command, given):
     if "components" in values and values["components"] is None:
         values["components"] = fit_components(values["m"])
     if "t0" in values:
-        # the timing does not depend on the amplitude
+        # the pair is built from its timing in units of T; the manifest
+        # keeps t0 and tc in units of time
+        duration = values["duration"]
         try:
-            p = design_stirap(1.0, values["t0"], values["tc"],
-                              values["duration"])
+            p = design_stirap(1.0, *(None if values[k] is None
+                                     else values[k] / duration
+                                     for k in ("t0", "tc")))
         except InvalidParameters:
             flags = [f"{o.flag} {values[o.dest]}" for o in (T0, TC, T)
                      if values[o.dest] is not None]
             raise ConfigError(f"no STIRAP timing at {', '.join(flags)}: "
                               f"it needs 0 < t0 < T/2 and tc > 0")
-        values["t0"], values["tc"] = p.t0, p.tc
+        values["unit_timing"] = p.t0, p.tc
+        values["t0"] = values["t0"] or p.t0 * duration
+        values["tc"] = values["tc"] or p.tc * duration
     return argparse.Namespace(command=command, **values)
 
 
 def _manifest(args, outputs):
-    config = {k: v for k, v in sorted(vars(args).items()) if v is not None}
+    config = {k: v for k, v in sorted(vars(args).items())
+              if v is not None and k != "unit_timing"}
     doc = {"tool": "lambda-sta", "version": __version__,
            "config": config, "outputs": sorted(outputs)}
     return json.dumps(doc, indent=2) + "\n"
@@ -253,27 +263,26 @@ def csv_text(header, columns):
 
 
 def _protocol_pulses(args):
-    """Resolve a --protocol choice into its pulses."""
-    T = args.duration
+    """Resolve a --protocol choice into its pulses over [0, 1]."""
     if args.protocol == "stirap":
-        return design_stirap(args.omega0 / T, args.t0, args.tc, T)
-    p = design_sta(args.m, T)
+        return design_stirap(args.omega0, *args.unit_timing)
+    p = design_sta(args.m)
     if args.protocol == "sta":
         return p
     if args.protocol == "sta-ref":
         if args.m != 1:
             raise ConfigError("reference fit coefficients exist only for m=1")
-        return PulsePair(*reference_m1_fit(T))
+        return PulsePair(*reference_m1_fit())
     (f1, _), (f2, _) = fit_protocol_pulses(p, args.components)
     return PulsePair(f1, f2)
 
 
 def _trajectory_csv(propagate, pulses, args, **options):
     """Populations of one run, sampled about every thousandth step."""
-    traj = propagate(pulses, horizon=args.duration, steps=args.steps,
+    traj = propagate(pulses, steps=args.steps,
                      stride=max(1, args.steps // 1000), **options)
     return csv_text(["t_over_T", "P1", "P2", "P3"],
-                    [traj.times / traj.duration, *traj.populations.T])
+                    [traj.times, *traj.populations.T])
 
 
 def cmd_design(args):
@@ -303,37 +312,37 @@ def cmd_simulate(args):
 
 def cmd_lindblad(args):
     """open-system trajectory"""
-    rates = LindbladRates(gamma1=args.gamma1, gamma2=args.gamma2,
-                          gamma_phi1=args.gamma_phi1,
-                          gamma_phi2=args.gamma_phi2)
+    rates = LindbladRates(*(args.duration * g for g in (
+        args.gamma1, args.gamma2, args.gamma_phi1, args.gamma_phi2)))
     return {"trajectory.csv": _trajectory_csv(
         propagate_lindblad, _protocol_pulses(args), args, rates=rates)}
 
 
 def cmd_sweep(args):
     """parameter-error robustness sweep of the reference m=1 pulses"""
-    T = args.duration
-    pulses = PulsePair(*reference_m1_fit(T))
+    pulses = PulsePair(*reference_m1_fit())
     if args.kind == "timing-error":
-        data = timing_error_sweep(pulses, args.error_range, args.points, T,
+        data = timing_error_sweep(pulses, args.error_range, args.points,
                                   args.steps)
         x_name = "dT_over_T"
     else:
         which = 1 if args.kind == "amp1-error" else 2
         data = amplitude_error_sweep(pulses, which, args.error_range,
-                                     args.points, T, args.steps)
+                                     args.points, args.steps)
         x_name = f"dOmega{which}_over_Omega{which}"
     return {"sweep.csv": csv_text([x_name, "P3"], zip(*data))}
 
 
 def cmd_stirap_curve(args):
     """baseline infidelity vs amplitude"""
-    amplitudes = np.linspace(args.amp_min, args.amp_max,
-                             args.points) / args.duration
-    data = stirap_infidelity_curve(args.t0, args.tc, args.duration,
-                                   amplitudes, args.steps)
+    amplitudes = np.linspace(args.amp_min, args.amp_max, args.points)
+    _, infidelity = zip(*stirap_infidelity_curve(
+        *args.unit_timing, amplitudes, args.steps))
+    # the first column, headed Omega0_T, holds Omega0 = (Omega0*T)/T, as
+    # perfbench/checker.py reads it
     return {"stirap_curve.csv": csv_text(["Omega0_T", "infidelity"],
-                                         zip(*data))}
+                                         [amplitudes / args.duration,
+                                          infidelity])}
 
 
 def cmd_table1(args):
@@ -381,9 +390,9 @@ def cmd_fig4(args):
 
 def cmd_fig5(args):
     """decoherence robustness maps"""
-    pulses = PulsePair(*reference_m1_fit(args.duration))
-    ratios, maps = decoherence_maps(pulses, ("relaxation", "dephasing"),
-                                    0.01, args.grid, duration=args.duration)
+    ratios, maps = decoherence_maps(PulsePair(*reference_m1_fit()),
+                                    ("relaxation", "dephasing"), 0.01,
+                                    args.grid)
     return {f"fig5{label}.csv": csv_text(
                 [f"{names[0]}_over_amp", f"{names[1]}_over_amp", "P3"],
                 [np.repeat(ratios, len(ratios)), np.tile(ratios, len(ratios)),

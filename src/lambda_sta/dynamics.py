@@ -15,6 +15,9 @@ whatever the step count or batch size.  `propagate_schrodinger` and
 
 Pulses are duck-typed: the kernels read only `pulses.drive(t)`, the pair
 (omega1(t), omega2(t)), so a protocol or a PulsePair drives them alike.
+Time is in units of the interaction time T and rates in units of 1/T:
+every run integrates over [0, 1], but for the per-run horizons of
+`evolve_schrodinger` that a timing-error sweep needs.
 
 Closed systems take the fourth-order commutator-free Magnus step of
 Blanes & Moan (2006, Appl. Numer. Math. 56): with H sampled at the two
@@ -42,20 +45,18 @@ by a pairwise product tree when only the run's end is sampled, and when
 it is sampled every `stride` steps, by a tree within each stride chunk
 and a prefix product over the chunks in log2(chunks) rounds (Hillis &
 Steele 1986; Blelloch 1990).  Only the block results are chained in
-Python.  The step angles are formed as Omega*dt, so there is no dt^2 or
-Omega^2 term to leave floating-point range: a run gives the same
-populations at any duration its drive can be evaluated at.  The
-rotations are unitary to machine precision, so the norm drift doubles as
-an integration diagnostic.  Open systems integrate the Lindblad master
-equation with classic fixed-step RK4 on the vectorized density matrix,
-in real coordinates of the Hermitian rho, where generators and
-propagators are real matrices.  Of its nine coordinates (the diagonal
-and the real and imaginary parts of the upper triangle) it steps six: the
-diagonal, Im rho01, Re rho02 and Im rho12.  In the frame D, rho' = D rho
-D^dagger starts real at |1><1| and stays real, since -i H' is real and
-the jump operators are real up to a phase, so Re rho01, Im rho02 and
-Re rho12 are zero at all times and no generator couples them to the
-other six.  The generator is linear in the drive and in the rates,
+Python.  The rotations are unitary to machine precision, so the norm
+drift doubles as an integration diagnostic.  Open systems integrate the
+Lindblad master equation with classic fixed-step RK4 on the vectorized
+density matrix, in real coordinates of the Hermitian rho, where
+generators and propagators are real matrices.  Of its nine coordinates
+(the diagonal and the real and imaginary parts of the upper triangle) it
+steps six: the diagonal, Im rho01, Re rho02 and Im rho12.  In the frame
+D, rho' = D rho D^dagger starts real at |1><1| and stays real, since
+-i H' is real and the jump operators are real up to a phase, so Re
+rho01, Im rho02 and Re rho12 are zero at all times and no generator
+couples them to the other six.  The generator is linear in the drive and
+in the rates,
 
     omega1 K1 + omega2 K2 + gamma1 D1 + gamma2 D2
                           + gamma_phi1 D3 + gamma_phi2 D4,
@@ -71,8 +72,7 @@ with the same drive samples and step checks:
 
 - one-step propagators: RK4 is linear in the state, so each run's step
   is its 6x6 propagator P.  With A, B and C dt times the generators at
-  the step's start, midpoint and end (scaled first, so that every
-  product stays in range at any duration), U = I + A/2 and U' = I + C/2,
+  the step's start, midpoint and end, U = I + A/2 and U' = I + C/2,
   which neighbouring steps share, w = (B/2) U and y = (B/2)(I + w),
 
       P = I + ((A + C)/2 + 2 w + 2 U' y)/3,
@@ -253,7 +253,6 @@ class Trajectory:
 
     times: np.ndarray
     populations: np.ndarray  # shape (n, 3)
-    duration: float
     steps: int
     final_density: Optional[np.ndarray] = None
 
@@ -407,7 +406,7 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
 
     def block(k0, k1, x):
         # drive at the two nodes of each step, times dt: rotation angles,
-        # shape (steps, 2, batch), kept in range at any duration
+        # shape (steps, 2, batch)
         t = (np.arange(k0, k1)[:, None, None] + _CF4_NODES[:, None]) * dt
         x1, x2 = (o * dt for o in _drive(pulses, t, scale1, scale2))
         _check_step(np.sqrt(x1 * x1 + x2 * x2))
@@ -428,16 +427,14 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
                      -2 * (a * b).real), axis=-1)
 
 
-def propagate_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
-                          stride=1):
+def propagate_schrodinger(pulses, steps=SCHRODINGER_STEPS, stride=1):
     """Propagate the Schrodinger equation under a pulse pair from |1>.
 
-    Samples populations every `stride` steps (plus t=0 and t=horizon).
+    Samples populations every `stride` steps (plus t=0 and t=1).
     """
-    states = evolve_schrodinger(pulses, horizon, steps, stride=stride)[0]
-    return Trajectory(times=_sample_steps(steps, stride) * (horizon / steps),
-                      populations=np.abs(states) ** 2, duration=horizon,
-                      steps=steps)
+    states = evolve_schrodinger(pulses, 1.0, steps, stride=stride)[0]
+    return Trajectory(times=_sample_steps(steps, stride) * (1.0 / steps),
+                      populations=np.abs(states) ** 2, steps=steps)
 
 
 def _rk4_propagators(c, ends, mids, work):
@@ -459,8 +456,7 @@ def _rk4_propagators(c, ends, mids, work):
     `mids` into (A + C)/4.  The identity is added last, to terms of order
     dt*Omega, as in the textbook sum: summing U, with the identity in it,
     would round the dissipator the same way at every step.  Scaling by dt
-    first keeps every product of order 1 where dt*Omega is, whatever the
-    duration.
+    first keeps every product of order 1 where dt*Omega is.
     """
     n = len(c) // 2
     u, out, w, y = work[0, :n + 1], work[1, :n], work[2, :n], work[3, :n]
@@ -508,9 +504,8 @@ def _rk4_stages(gen, x, weights, dt):
     return out
 
 
-def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
-                    stride=None):
-    """Batched RK4 integration of the Lindblad master equation.
+def evolve_lindblad(pulses, rates, steps=LINDBLAD_STEPS, stride=None):
+    """Batched RK4 integration of the Lindblad master equation over [0, 1].
 
     Run b uses the jump operators of rates[b]; all runs share the pulses,
     the time grid and the start |1><1|.  The coherent part uses
@@ -525,7 +520,7 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
                            f"got {steps}")
     gammas = np.array([(r.gamma1, r.gamma2, r.gamma_phi1, r.gamma_phi2)
                        for r in rates], dtype=float).reshape(-1, 4)
-    dt = horizon / steps
+    dt = 1.0 / steps
     stride = min(stride or steps, steps)
     with np.errstate(over="ignore"):  # an infinite Gamma fails the check
         _check_step(gammas @ _DECAY * dt, "has Gamma*dt = {:.3g}")
@@ -598,20 +593,19 @@ def evolve_lindblad(pulses, rates, horizon=1.0, steps=LINDBLAD_STEPS,
     return (out @ _TO_REAL.conj()).reshape(*out.shape[:2], 3, 3)
 
 
-def propagate_lindblad(pulses, rates=None, horizon=1.0, steps=LINDBLAD_STEPS,
-                       stride=1):
+def propagate_lindblad(pulses, rates=None, steps=LINDBLAD_STEPS, stride=1):
     """Integrate the Lindblad master equation from |1><1| with fixed-step
     RK4.
 
-    Samples populations every `stride` steps (plus t=0 and t=horizon).
+    Samples populations every `stride` steps (plus t=0 and t=1).
     """
-    rhos = evolve_lindblad(pulses, [rates or LindbladRates()], horizon, steps,
+    rhos = evolve_lindblad(pulses, [rates or LindbladRates()], steps,
                            stride)[0]
     rho = rhos[-1]
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
     if min_eig < -1e-7:
         warnings.warn(f"final density matrix slightly non-PSD "
                       f"(min eigenvalue {min_eig:.2e})", RuntimeWarning)
-    return Trajectory(times=_sample_steps(steps, stride) * (horizon / steps),
+    return Trajectory(times=_sample_steps(steps, stride) * (1.0 / steps),
                       populations=rhos.diagonal(axis1=1, axis2=2).real.copy(),
-                      duration=horizon, steps=steps, final_density=rho)
+                      steps=steps, final_density=rho)

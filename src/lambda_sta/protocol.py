@@ -159,41 +159,40 @@ def analytic_state_constant_mu(p, t):
 
 @dataclass(frozen=True)
 class StirapProtocol:
-    """Counter-intuitively ordered Gaussian pulse pair on [0, duration].
+    """Counter-intuitively ordered Gaussian pulse pair on [0, 1].
 
-    omega1 (driving 1-2) peaks at T/2 + t0, after omega2 (driving 2-3)
-    which peaks at T/2 - t0, as required for the 1 -> 3 transfer through
+    omega1 (driving 1-2) peaks at 1/2 + t0, after omega2 (driving 2-3)
+    which peaks at 1/2 - t0, as required for the 1 -> 3 transfer through
     the dark state.
     """
 
     omega0: float
     t0: float
     tc: float
-    duration: float
 
     def omega1(self, t):
-        u = (np.asarray(t) - self.t0 - self.duration / 2) / self.tc
+        u = (np.asarray(t) - self.t0 - 0.5) / self.tc
         return self.omega0 * np.exp(-u * u)
 
     def omega2(self, t):
-        u = (np.asarray(t) + self.t0 - self.duration / 2) / self.tc
+        u = (np.asarray(t) + self.t0 - 0.5) / self.tc
         return self.omega0 * np.exp(-u * u)
 
     def drive(self, t):
         return self.omega1(t), self.omega2(t)
 
 
-def design_stirap(omega0, t0=None, tc=None, duration=1.0):
-    """Reference Gaussian STIRAP pair; defaults t0=0.15T, tc=0.20T."""
+def design_stirap(omega0, t0=None, tc=None):
+    """Reference Gaussian STIRAP pair over [0, 1], omega0 in units of 1/T
+    and t0, tc in units of T; defaults t0=0.15, tc=0.20."""
     if t0 is None:
-        t0 = 0.15 * duration
+        t0 = 0.15
     if tc is None:
-        tc = 0.20 * duration
-    if omega0 <= 0 or tc <= 0 or not 0 < t0 < duration / 2 or duration <= 0:
+        tc = 0.20
+    if omega0 <= 0 or tc <= 0 or not 0 < t0 < 0.5:
         raise InvalidParameters(
-            f"bad STIRAP parameters omega0={omega0}, t0={t0}, tc={tc}, T={duration}")
-    return StirapProtocol(omega0=float(omega0), t0=float(t0), tc=float(tc),
-                          duration=float(duration))
+            f"bad STIRAP parameters omega0={omega0}, t0={t0}, tc={tc}")
+    return StirapProtocol(omega0=float(omega0), t0=float(t0), tc=float(tc))
 
 
 def protocol_to_json(p):

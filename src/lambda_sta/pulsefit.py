@@ -467,9 +467,9 @@ def fit_report(pulse, t, y, iterations, converged):
         converged=converged)
 
 
-def pulse_amplitude(p1, p2, grid=1001, duration=1.0):
-    """Max absolute drive amplitude over a uniform grid on [0, duration]."""
+def pulse_amplitude(p1, p2, grid=1001):
+    """Max absolute drive amplitude over a uniform grid on [0, 1]."""
     if grid < 100:
         raise ValueError(f"need at least 100 grid points, got {grid}")
-    t = np.linspace(0.0, duration, grid)
+    t = np.linspace(0.0, 1.0, grid)
     return float(max(np.abs(p1(t)).max(), np.abs(p2(t)).max()))

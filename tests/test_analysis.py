@@ -13,17 +13,17 @@ from lambda_sta.analysis import (TableRow, amplitude_error_sweep,
 from lambda_sta.cli import csv_text, main
 from lambda_sta.dynamics import (STAGE_MARCH_BATCH, LindbladRates,
                                  PulsePair, evolve_lindblad,
-                                 lindblad_operators, propagate_schrodinger)
-from lambda_sta.protocol import G1, G2, InvalidParameters, design_stirap
+                                 evolve_schrodinger, lindblad_operators,
+                                 propagate_schrodinger)
+from lambda_sta.protocol import G1, G2, design_stirap
 from lambda_sta.pulsefit import pulse_amplitude, reference_m1_fit
 
 STEPS = 2000  # integration error far below every tolerance used here
 
 
 def per_point_p3(pulses, horizon=1.0, steps=STEPS):
-    """Final target population of one unbatched run."""
-    tr = propagate_schrodinger(pulses, horizon=horizon, steps=steps)
-    return tr.final_populations[2]
+    """Final target population of one unbatched run over [0, horizon]."""
+    return np.abs(evolve_schrodinger(pulses, horizon, steps)[0, -1, 2]) ** 2
 
 
 def stage_by_stage_p3(pulses, rates, steps=STEPS):
@@ -67,11 +67,6 @@ class TestTimingErrorSweep:
     def test_range_cap(self, reference_pulses):
         with pytest.raises(ValueError):
             timing_error_sweep(reference_pulses, 0.5, 3)
-
-    @pytest.mark.parametrize("duration", [0.0, -1.0])
-    def test_nonpositive_duration(self, reference_pulses, duration):
-        with pytest.raises(InvalidParameters):
-            timing_error_sweep(reference_pulses, 0.1, 3, duration)
 
     def test_batched_matches_per_point(self, reference_pulses):
         data = timing_error_sweep(reference_pulses, 0.1, 5, steps=STEPS)

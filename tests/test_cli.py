@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import lambda_sta
-from lambda_sta.cli import COMMANDS, GLOBAL, OPTIONS, OUTDIR_ENV, main
+from lambda_sta.cli import (COMMANDS, GLOBAL, OPTIONS, OUTDIR_ENV, SWEEP_KINDS,
+                            main)
 
 
 def run(tmp_path, *argv):
@@ -156,34 +157,69 @@ def test_manifest_lists_only_read_protocol_options(tmp_path, argv, read):
     assert {k: v for k, v in config.items() if k in options} == read
 
 
-@pytest.mark.parametrize("argv, duration", [
-    (["simulate", "--protocol", "sta", "--steps", "200"], "1e300"),
-    (["simulate", "--protocol", "sta", "--steps", "200"], "1e-300"),
-    (["fig2", "--steps", "200"], "1e-300"),
-    (["sweep", "--kind", "amp1-error", "--points", "2", "--steps", "200"],
-     "1e-300"),
-    (["stirap-curve", "--points", "2", "--steps", "200"], "1e-300"),
-    (["fig5", "--grid", "2"], "1e-300"),
-    (["lindblad", "--protocol", "sta", "--steps", "1000"], "1e-300"),
-    (["simulate", "--protocol", "sta-fit", "--steps", "200"], "1e300"),
-    (["simulate", "--protocol", "sta-fit", "--steps", "200"], "1e-300"),
-])
+DURATIONS = ("1e-310", "1e-300", "2", "1e300", "1.7e308")
+# commands whose every output is a population or a relative quantity
+SCALE_FREE = {
+    "simulate-sta": ["simulate", "--protocol", "sta", "--steps", "200"],
+    "simulate-sta-fit": ["simulate", "--protocol", "sta-fit",
+                         "--steps", "200"],
+    "simulate-sta-ref": ["simulate", "--protocol", "sta-ref",
+                         "--steps", "200"],
+    "simulate-stirap": ["simulate", "--protocol", "stirap", "--steps", "200"],
+    "fig2": ["fig2", "--steps", "200"],
+    **{f"sweep-{kind}": ["sweep", "--kind", kind, "--points", "2",
+                         "--steps", "200"] for kind in SWEEP_KINDS},
+    "fig5": ["fig5", "--grid", "2"],
+    "lindblad-sta": ["lindblad", "--protocol", "sta", "--steps", "1000"],
+}
+STIRAP_CURVE = ["stirap-curve", "--points", "2", "--steps", "200"]
+UNIT_TIME = [
+    (SCALE_FREE["simulate-sta"], "1e300"),
+    (SCALE_FREE["simulate-sta"], "1e-300"),
+    (SCALE_FREE["fig2"], "1e-300"),
+    (SCALE_FREE["sweep-amp1-error"], "1e-300"),
+    (STIRAP_CURVE, "1e-300"),
+    (SCALE_FREE["fig5"], "1e-300"),
+    (SCALE_FREE["lindblad-sta"], "1e-300"),
+    (SCALE_FREE["simulate-sta-fit"], "1e300"),
+    (SCALE_FREE["simulate-sta-fit"], "1e-300"),
+]
+UNIT_TIME += [
+    pytest.param(argv, t, id=f"{name}-{t}")
+    for name, argv in [*SCALE_FREE.items(), ("stirap-curve", STIRAP_CURVE)]
+    for t in DURATIONS
+    if (argv, t) not in UNIT_TIME and (argv, t) != (STIRAP_CURVE, "1e-310")]
+
+
+def csv_texts(outdir):
+    """The text of every CSV a run wrote; stirap_curve.csv without its
+    first column, which holds Omega0 = (Omega0*T)/T."""
+    texts = {p.name: p.read_text() for p in outdir.glob("*.csv")}
+    if "stirap_curve.csv" in texts:
+        texts["stirap_curve.csv"] = "".join(
+            line.partition(",")[2] + "\n"
+            for line in texts["stirap_curve.csv"].splitlines())
+    return texts
+
+
+@pytest.mark.parametrize("argv, duration", UNIT_TIME)
 def test_duration_scale_invariance(tmp_path, argv, duration):
-    # the drive scales as 1/T, so a duration far from 1 writes the
-    # populations of T = 1; stirap_curve.csv's first column holds the
-    # amplitude itself, which scales as 1/T, and is left out
-    outputs = {}
+    # every run integrates over unit time, so any duration writes the
+    # files of T = 1 byte for byte
     for t in (duration, "1"):
         assert run(tmp_path / t, *argv, "--T", t) == 0
-        outputs[t] = {p.name: read_csv(p)
-                      for p in (tmp_path / t).glob("*.csv")}
-    assert outputs[duration].keys() == outputs["1"].keys()
-    for name, (header, rows) in outputs["1"].items():
-        header_t, rows_t = outputs[duration][name]
-        assert header_t == header and len(rows_t) == len(rows)
-        first = 1 if name == "stirap_curve.csv" else 0
-        assert max(abs(x - y) for r, r_t in zip(rows, rows_t)
-                   for x, y in zip(r[first:], r_t[first:])) <= 1e-12
+    assert csv_texts(tmp_path / duration) == csv_texts(tmp_path / "1")
+
+
+def test_lindblad_rates_scale_with_duration(tmp_path):
+    # rates are given in units of 1/time, so halving them at T = 2 writes
+    # the populations of T = 1 byte for byte
+    argv = ["lindblad", "--protocol", "sta", "--steps", "1000"]
+    assert run(tmp_path / "2", *argv, "--gamma1", "0.015",
+               "--gamma-phi1", "0.01", "--T", "2") == 0
+    assert run(tmp_path / "1", *argv, "--gamma1", "0.03",
+               "--gamma-phi1", "0.02") == 0
+    assert csv_texts(tmp_path / "2") == csv_texts(tmp_path / "1")
 
 
 def test_fit_is_the_unit_duration_fit_stretched(tmp_path):
@@ -204,31 +240,25 @@ def test_fit_is_the_unit_duration_fit_stretched(tmp_path):
         assert got["fit_report"] == report
 
 
-NON_FINITE_DRIVE = "pulse evaluation produced non-finite values"
-BAD_FIT_COMPONENT = "bad component GaussianComponent(amplitude=-inf"
-# a duration of 1e-310 puts the drive itself out of floating-point range
 OUT_OF_RANGE = [
-    (["simulate", "--protocol", "sta", "--T", "1e-310", "--steps", "200"],
-     NON_FINITE_DRIVE),
-    (["fig2", "--T", "1e-310", "--steps", "200"], NON_FINITE_DRIVE),
-    (["sweep", "--kind", "amp1-error", "--T", "1e-310", "--points", "2",
-      "--steps", "200"], BAD_FIT_COMPONENT),
-    (["stirap-curve", "--points", "2", "--steps", "200", "--T", "1e-310"],
-     NON_FINITE_DRIVE),
-    (["fig5", "--grid", "2", "--T", "1e-310"], BAD_FIT_COMPONENT),
-    (["lindblad", "--protocol", "sta", "--T", "1e-310", "--steps", "1000"],
-     NON_FINITE_DRIVE),
-    (["lindblad", "--gamma1", "1e308", "--gamma2", "1e308"],
-     "a step has Gamma*dt = inf (limit 1); use more steps"),
+    # the amplitude column, Omega0 = 1/T..80/T, overflows at T = 1e-310
+    pytest.param(["stirap-curve", "--points", "2", "--steps", "200",
+                  "--T", "1e-310"], "non-finite value in column Omega0_T",
+                 id="argv3"),
+    pytest.param(["lindblad", "--gamma1", "1e308", "--gamma2", "1e308"],
+                 "a step has Gamma*dt = inf (limit 1); use more steps",
+                 id="argv6"),
     # pi t/T overflows at T = 1e308, and the phase rate at T = 5e-324
-    (["design", "--T", "1e308"], "non-finite value in column Omega1"),
-    (["fig1", "--T", "1e308"], "non-finite value in column abs_Omega1"),
-    (["design", "--T", "5e-324"], "non-finite value in column Omega1"),
+    pytest.param(["design", "--T", "1e308"],
+                 "non-finite value in column Omega1", id="argv7"),
+    pytest.param(["fig1", "--T", "1e308"],
+                 "non-finite value in column abs_Omega1", id="argv8"),
+    pytest.param(["design", "--T", "5e-324"],
+                 "non-finite value in column Omega1", id="argv9"),
 ]
 
 
-@pytest.mark.parametrize("argv, message", OUT_OF_RANGE,
-                         ids=[f"argv{i}" for i in range(len(OUT_OF_RANGE))])
+@pytest.mark.parametrize("argv, message", OUT_OF_RANGE)
 def test_non_finite_result_exits_3(tmp_path, capsys, argv, message):
     # the failure line is all the run prints: no RuntimeWarning before it
     with warnings.catch_warnings(record=True) as caught:
