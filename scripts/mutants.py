@@ -36,6 +36,7 @@ PROPAGATORS = ("tests/test_dynamics.py::"
 SCHRODINGER = ("tests/test_dynamics.py::"
                "test_evolve_schrodinger_matches_expm_product")
 MAPS = "tests/test_analysis.py::TestDecoherenceMap"
+MARCHES = "tests/test_dynamics.py::TestLindbladMarches"
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,7 @@ MUTANTS = [
            "    np.matmul(u[:-1], y, out=out)\n",
            (f"{PROPAGATORS}[None-None-1]", f"{PROPAGATORS}[7-75-3]",
             f"{MAPS}::test_all_four_channels_match_stage_by_stage_rk4",
-            "tests/test_dynamics.py::TestLindbladMarches::"
-            "test_stage_march_matches_single_runs[None]")),
+            f"{MARCHES}::test_stage_march_matches_single_runs[None]")),
     Mutant("drive-window-shifted", DYNAMICS,
            "drive[:, 2 * k0 - w0:2 * k1 + 1 - w0]",
            "drive[:, 2 * k0 - w0 + 1:2 * k1 + 2 - w0]",
@@ -93,6 +93,17 @@ MUTANTS = [
            "pairs = mul(q[at + (np.s_[:-1:2],)], q[at + (np.s_[1::2],)])",
            (f"{PROPAGATORS}[None-None-1]", f"{PROPAGATORS}[7-None-3]",
             f"{SCHRODINGER}[1000-None-None]")),
+    Mutant("feed-keeps-row-1", DYNAMICS,
+           "        feed[1] = 0  # rho11's own decay is in `decay`\n",
+           "",
+           (f"{PROPAGATORS}[None-70-stage-march]",
+            f"{PROPAGATORS}[7-75-stage-march]",
+            f"{PROPAGATORS}[64-25-stage-march]",
+            f"{MARCHES}::test_stage_march_matches_single_runs[None]",
+            f"{MARCHES}::test_stage_march_matches_single_runs[7]",
+            f"{MAPS}::test_stage_march_matches_stage_by_stage_rk4",
+            "tests/test_dynamics.py::"
+            "test_dissipators_are_diagonal_but_for_rho11s_feed")),
     Mutant("edges-without-sample-cut", DYNAMICS,
            "    return np.union1d(np.arange(0, steps, per_block),\n"
            "                      _sample_steps(steps, stride))\n",

@@ -82,18 +82,17 @@ with the same drive samples and step checks:
   composed by a pairwise product tree, and only the chunk products are
   applied to the states in Python;
 - stage by stage: the states of the whole batch form one (6, batch)
-  array X, and each of the four stages is one matrix product of the
-  (6, 30) stack [omega1 K1 + omega2 K2 | D1 | D2 | D3 | D4], shared by
-  the batch, with [X; gamma1 X; gamma2 X; gamma_phi1 X; gamma_phi2 X].
+  array X; each of the four stages multiplies X by omega1 K1 + omega2 K2,
+  shared by the batch, and adds the runs' dissipators elementwise.
 
 The stage march costs a fixed Python overhead per step but little per
 run, the propagators the reverse, so `evolve_lindblad` marches stage by
-stage from STAGE_MARCH_BATCH runs up.  On 2 shared vCPUs (medians of two
-sessions) a single 10k-step run takes 0.004-0.005 s on propagators
-(0.006-0.007 s sampled every 10 steps, as `lindblad` writes it) and
-0.19-0.26 s stage by stage; the 50 runs of both 5x5 decoherence maps at
-2000 steps take 0.034-0.038 s and 0.056-0.076 s, the 882 of the 21x21
-maps 0.85-1.0 s and 0.26-0.28 s.  The two ways agree to about 1e-14.
+stage from STAGE_MARCH_BATCH runs up.  On 2 loaded vCPUs (medians, taken
+together) a single 10k-step run takes 0.007-0.008 s on propagators
+(0.007-0.011 s sampled every 10 steps, as `lindblad` writes it) and
+0.32-0.37 s stage by stage; the 50 runs of both 5x5 decoherence maps at
+2000 steps take 0.062-0.066 s and 0.103-0.108 s, the 882 of the 21x21
+maps 1.4 s and 0.23-0.29 s.  The two ways agree to about 1e-14.
 
 Both kernels refuse a step that rotates the state by more than
 MAX_ROTATION rad (largest Omega*dt at the times where H is sampled), which
@@ -154,12 +153,11 @@ LINDBLAD_STEPS = 10_000
 MIN_SCHRODINGER_STEPS = 100
 MIN_LINDBLAD_STEPS = 1000
 # Least Lindblad batch stepped stage by stage.  The crossover, as medians
-# of 11-15 interleaved 2000-step runs on 2 vCPUs (numpy 2.4.6, OpenBLAS),
-# in three rounds: propagators 131.7/113.8/81.8 ms and stages
-# 115.8/115.2/89.5 ms at 96 runs, propagators faster in 2/11, 7/15 and
-# 10/15 pairs; 72 runs went to propagators in 10/11 and 15/15 pairs, 112
-# runs to stages in 10/11 and 11/15.  So fig5's 5x5 grids (50 runs) take
-# propagators and its 21x21 grids (882 runs) the stage march.
+# over 6 fresh processes of 7-call medians of 2000-step runs on 2 vCPUs
+# (numpy 2.4.6, OpenBLAS): propagators 61.7/109.9/153.7 ms and stages
+# 94.3/112.6/118.0 ms at 64/96/128 runs, stages faster in 0/6, 1/6 and
+# 6/6 processes.  So fig5's 5x5 grids (50 runs) take propagators and its
+# 21x21 grids (882 runs) the stage march.
 STAGE_MARCH_BATCH = 96
 # Fourth-order commutator-free Magnus step: Gauss-Legendre nodes as
 # fractions of a step, and the node weights of its two exponents, the
@@ -479,20 +477,22 @@ def _rk4_propagators(c, ends, mids, work):
     return out
 
 
-def _rk4_stages(gen, x, weights, dt):
+def _rk4_stages(gen, x, decay, feed, dt):
     """One classic RK4 step of a batch of states x, shape (6, batch), in
     the six real coordinates of _TO_REAL (Re rho01, Im rho02 and Re rho12
     stay zero and are not stepped).
 
-    gen[0], gen[1] and gen[2] are the stacked generators [K | D1 .. D4]
-    (6, 30) at the step's start, midpoint and end.  Each stage applies one
-    of them to [y; gamma1 y; ..; gamma4 y], the stage state y times
-    `weights` (5, 6, batch) stacked to (30, batch), as one matrix product.
-    `weights` is kept at its full shape: broadcasting a (5, 1, batch)
-    array over y makes the march about three times slower.
+    gen[0], gen[1] and gen[2] are the (6, 6) coherent generators omega1 K1
+    + omega2 K2 at the step's start, midpoint and end, shared by the batch.
+    A stage state y changes at the rate g @ y + decay * y + feed * y[1]:
+    `decay` (6, batch) holds each run's dissipator diagonal and `feed`
+    (6, batch) its column 1, row 1 zeroed: rho11's feed of rho00 and rho22.
     """
     def rate(g, y):
-        return g @ (weights * y).reshape(-1, y.shape[1])
+        r = decay * y
+        r += g @ y
+        r += feed * y[1]
+        return r
 
     k = rate(gen[0], x)
     out = x + (dt / 6) * k
@@ -525,27 +525,27 @@ def evolve_lindblad(pulses, rates, steps=LINDBLAD_STEPS, stride=None):
     with np.errstate(over="ignore"):  # an infinite Gamma fails the check
         _check_step(gammas @ _DECAY * dt, "has Gamma*dt = {:.3g}")
     batch = len(gammas)
+    jumps = np.tensordot(gammas, _D, 1)  # each run's dissipator
     stages = batch >= STAGE_MARCH_BATCH
     if stages:
-        # states (6, batch); per step, the stacked generators [K | D1 .. D4]
-        # at its start, midpoint and end, built into `gens` as the drive
-        # (omega1, omega2, 1) at each half step times the rows of `basis`
-        weights = np.repeat(np.vstack((np.ones(batch), gammas.T))[:, None],
-                            _DIM, axis=1)
+        # states (6, batch); per step, the coherent generators at its start,
+        # midpoint and end, built into `gens` as the drive (omega1, omega2)
+        # at each half step times (K1, K2); `decay` and `feed` (_rk4_stages)
+        decay = jumps.diagonal(0, 1, 2).T.copy()
+        feed = jumps[:, :, 1].T.copy()
+        feed[1] = 0  # rho11's own decay is in `decay`
         start = np.zeros((_DIM, batch))
         start[0] = 1  # |1><1| in real coordinates: the first diagonal entry
-        basis = np.zeros((3, _DIM, 5 * _DIM))
-        basis[0, :, :_DIM], basis[1, :, :_DIM], basis[2, :, _DIM:] = (
-            _K1, _K2, np.hstack(_D))
-        per_block = max(1, BLOCK_BYTES // (2 * basis[0].nbytes))
-        gens = np.empty((2 * min(per_block, steps) + 1, basis[0].size))
+        basis = np.array([_K1, _K2]).reshape(2, -1)
+        per_block = max(1, BLOCK_BYTES // (2 * _K1.nbytes))
+        gens = np.empty((2 * min(per_block, steps) + 1, _K1.size))
     else:
         # states (batch, 6, 1); per stride chunk, the (batch, 6, 6) product
         # of its steps' propagators, whose factors U = I + A/2 and B/2
         # (_rk4_propagators) are the drive (dt omega1/2, dt omega2/2, 1)
         # times the rows of `end_basis` and `mid_basis`
         start = np.broadcast_to(np.eye(_DIM)[0], (batch, _DIM))[..., None]
-        half = (dt / 2) * np.tensordot(gammas, _D, 1)
+        half = (dt / 2) * jumps
         mid_basis = np.stack((np.broadcast_to(_K1, half.shape),
                               np.broadcast_to(_K2, half.shape), half))
         end_basis = mid_basis.copy()
@@ -569,9 +569,8 @@ def evolve_lindblad(pulses, rates, steps=LINDBLAD_STEPS, stride=None):
         o1, o2 = drive[:, 2 * k0 - w0:2 * k1 + 1 - w0]
         ends = _chunk_ends(k0, k1, stride)
         if stages:
-            gen = np.matmul(np.column_stack((o1, o2, np.ones_like(o1))),
-                            basis.reshape(3, -1), out=gens[:len(o1)]
-                            ).reshape(len(o1), *basis.shape[1:])
+            gen = np.matmul(np.column_stack((o1, o2)), basis,
+                            out=gens[:len(o1)]).reshape(-1, _DIM, _DIM)
         else:
             c = np.column_stack(((dt / 2) * o1, (dt / 2) * o2,
                                  np.ones_like(o1)))
@@ -582,7 +581,7 @@ def evolve_lindblad(pulses, rates, steps=LINDBLAD_STEPS, stride=None):
         for j, (k, end) in enumerate(zip([k0, *ends[:-1]], ends)):
             if stages:  # gen[i:i + 3] drives step k0 + i // 2 + 1
                 for i in range(2 * (k - k0), 2 * (end - k0), 2):
-                    x = _rk4_stages(gen[i:i + 3], x, weights, dt)
+                    x = _rk4_stages(gen[i:i + 3], x, decay, feed, dt)
             else:
                 x = ops[j] @ x
             xs[j] = x

@@ -327,10 +327,10 @@ BLOCKS = [
 def test_lindblad_propagators_match_step_loop(monkeypatch, n, stride,
                                               block_steps):
     if block_steps:
-        # the stage march holds the stacked (6, 30) generators at two half
+        # the stage march holds the (6, 6) coherent generators at two half
         # steps a step, a propagator block _RK4_STEP_BYTES a step and run
         monkeypatch.setattr(dynamics, "BLOCK_BYTES", block_steps * (
-            10 * dynamics._D[0].nbytes if n >= STAGE_MARCH_BATCH
+            2 * dynamics._K1.nbytes if n >= STAGE_MARCH_BATCH
             else max(n, 1) * dynamics._RK4_STEP_BYTES))
     edges, cut = [], dynamics._edges
     monkeypatch.setattr(dynamics, "_edges",
@@ -392,6 +392,28 @@ def test_lindblad_generator_keeps_six_coordinates():
     assert not pieces.real[:, drop][..., keep].any()
     six = np.array([dynamics._K1, dynamics._K2, *dynamics._D])
     assert np.abs(six - pieces.real[:, keep][..., keep]).max() <= 1e-15
+
+
+def test_dissipators_are_diagonal_but_for_rho11s_feed(monkeypatch):
+    """Each dissipator piece is diagonal but for column 1, where rho11
+    feeds rho00 (D1) and rho22 (D2); the stage march's `decay` and `feed`
+    rebuild every run's dissipator exactly."""
+    off_diagonal = dynamics._D * (1 - np.eye(6))
+    assert np.argwhere(off_diagonal).tolist() == [[0, 0, 1], [1, 2, 1]]
+    seen, stages = [], dynamics._rk4_stages
+
+    def record(gen, x, decay, feed, dt):
+        seen.append((decay, feed))
+        return stages(gen, x, decay, feed, dt)
+
+    monkeypatch.setattr(dynamics, "_rk4_stages", record)
+    rates = mixed_rates(STAGE_MARCH_BATCH)
+    evolve_lindblad(design_sta(1), rates, 1000)
+    decay, feed = seen[0]
+    rebuilt = decay.T[..., None] * np.eye(6)
+    rebuilt[..., 1] += feed.T
+    gammas = [(r.gamma1, r.gamma2, r.gamma_phi1, r.gamma_phi2) for r in rates]
+    assert np.array_equal(rebuilt, np.tensordot(gammas, dynamics._D, 1))
 
 
 @pytest.mark.parametrize("n", BOTH_PATHS)
