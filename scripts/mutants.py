@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation checks: do the tests still catch the kernels' known faults?
+"""Mutation checks: do the tests still catch known faults of the kernels
+and of the CLI's unit edge, where the unit-time results are scaled by T?
 
 Each mutant is one fault put into a temporary copy of the tree: a file
 under src/, an exact old text, the new text that replaces it, and the
@@ -31,12 +32,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DYNAMICS = "src/lambda_sta/dynamics.py"
+CLI = "src/lambda_sta/cli.py"
 PROPAGATORS = ("tests/test_dynamics.py::"
                "test_lindblad_propagators_match_step_loop")
 SCHRODINGER = ("tests/test_dynamics.py::"
                "test_evolve_schrodinger_matches_expm_product")
 MAPS = "tests/test_analysis.py::TestDecoherenceMap"
 MARCHES = "tests/test_dynamics.py::TestLindbladMarches"
+SCHEDULES = "tests/test_cli.py::test_schedules_scale_with_duration"
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,15 @@ MUTANTS = [
            "                      _sample_steps(steps, stride))\n",
            "    return np.append(np.arange(0, steps, per_block), steps)\n",
            (f"{PROPAGATORS}[64-25-1]", f"{SCHRODINGER}[999-64-25]")),
+    Mutant("fit-max-residual-unscaled", CLI,
+           "max_residual=r.max_residual / duration,",
+           "max_residual=r.max_residual,",
+           ("tests/test_cli.py::"
+            "test_fit_is_the_unit_duration_fit_stretched",)),
+    Mutant("design-omega-unscaled", CLI,
+           "p.omega(t) / duration, p.theta(t)",
+           "p.omega(t), p.theta(t)",
+           (f"{SCHEDULES}[design-0.37]", f"{SCHEDULES}[design-2]")),
 ]
 
 

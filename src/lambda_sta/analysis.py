@@ -7,11 +7,12 @@ carries plain numbers or arrays; the CLI writes them out.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import InvalidParameters, design_sta, design_stirap
+from .protocol import (STIRAP_T0, STIRAP_TC, InvalidParameters, design_sta,
+                       design_stirap)
 from .dynamics import (LINDBLAD_STEPS, SCHRODINGER_STEPS, LindbladRates,
                        evolve_lindblad, evolve_schrodinger,
                        propagate_lindblad)
@@ -60,7 +61,7 @@ def amplitude_error_sweep(pulses, which=1, error_range=0.1, points=21,
     return [(float(d), float(p)) for d, p in zip(deltas, p3)]
 
 
-def stirap_infidelity_curve(t0=None, tc=None, amplitudes=None,
+def stirap_infidelity_curve(t0=STIRAP_T0, tc=STIRAP_TC, amplitudes=None,
                             steps=SCHRODINGER_STEPS):
     """Final-state infidelity of the Gaussian adiabatic pair versus its
     peak amplitude Omega0*T."""
@@ -113,40 +114,34 @@ def fit_components(m):
 
 
 def fit_protocol_pulses(protocol, n_components=None, samples=1001):
-    """Gaussian sums for both drive schedules of a shortcut protocol,
-    with `fit_components(m)` Gaussians per pulse unless told otherwise.
+    """Gaussian sums over [0, 1] for both drive schedules of a shortcut
+    protocol, with `fit_components(m)` Gaussians per pulse unless told
+    otherwise.
 
-    The schedules scale as Omega(t; T) = Omega(t/T; 1)/T, so the fit is
-    made at T = 1 and then stretched to T (GaussianPulse.stretched), its
-    report's residuals and peak divided by T: the fit, its nfev and its
-    convergence do not depend on T.  With kappa = 1/(2m) the schedules
-    are mirror images, Omega1(t) = (-1)^m Omega2(T - t), so only Omega2
-    is fitted; pulse 1 is that fit mirrored (GaussianPulse.mirrored with
-    sign (-1)^m).  Its report holds its own residuals against the Omega1
-    samples and the nfev and convergence flag of the one fit.  Any other
-    kappa raises InvalidParameters.
+    With kappa = 1/(2m) the schedules are mirror images, Omega1(t) =
+    (-1)^m Omega2(1 - t), so only Omega2 is fitted; pulse 1 is that fit
+    mirrored (GaussianPulse.mirrored with sign (-1)^m).  Its report holds
+    its own residuals against the Omega1 samples and the nfev and
+    convergence flag of the one fit.  Any other kappa raises
+    InvalidParameters.
     """
-    m, T = protocol.m, protocol.duration
+    m = protocol.m
     if protocol.kappa != 1.0 / (2 * m):
         raise InvalidParameters(
             f"fitting needs the mirror-symmetric kappa = 1/(2m) = "
             f"{1.0 / (2 * m)}, got {protocol.kappa}")
     if n_components is None:
         n_components = fit_components(m)
-    unit = replace(protocol, duration=1.0)
     t = np.linspace(0.0, 1.0, samples)
-    f2, r2 = fit_gaussian_sum((t, unit.omega2(t)), n_components)
+    f2, r2 = fit_gaussian_sum((t, protocol.omega2(t)), n_components)
     f1 = f2.mirrored((-1) ** m)
-    r1 = fit_report(f1, t, unit.omega1(t), r2.iterations, r2.converged)
-    return tuple((f.stretched(T), replace(
-        r, rms_residual=r.rms_residual / T, max_residual=r.max_residual / T,
-        peak_amplitude=r.peak_amplitude / T)) for f, r in ((f1, r1), (f2, r2)))
+    r1 = fit_report(f1, t, protocol.omega1(t), r2.iterations, r2.converged)
+    return (f1, r1), (f2, r2)
 
 
 def table_one(max_m=7, fit_budget=None):
     """Fitted pulse amplitude and intermediate-population ceiling per
-    winding m = 1..max_m.  Every entry is dimensionless, so the pulses are
-    designed and fitted at T = 1."""
+    winding m = 1..max_m; like the pulses, every entry is dimensionless."""
     if max_m > 10:
         raise ValueError("windings above 10 are not supported")
     rows = []

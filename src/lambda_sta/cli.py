@@ -11,9 +11,9 @@ sweep.  Each command returns its outputs as {filename: text}; `main`
 writes them, then a manifest.json with the resolved configuration, so
 that reruns are byte-reproducible and a failed run writes none of them.
 
-Every run integrates over [0, 1] in units of the interaction time T, from
-Omega0*T, t0/T, tc/T and the rates times T, so any --T writes the
-populations of --T 1; only design, fit and fig1 carry units and use T.
+The library works at unit time; only this module applies T.  --omega0,
+--t0 and --tc are in units of T, lindblad scales its rates by T, design
+and fig1 divide their amplitudes by T, and fit stretches its pulses to T.
 """
 
 import argparse
@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .protocol import (design_sta, design_stirap, protocol_to_json,
-                       InvalidParameters)
+from .protocol import (STIRAP_T0, STIRAP_TC, design_sta, design_stirap,
+                       protocol_to_json, InvalidParameters)
 from .dynamics import (LINDBLAD_STEPS, MIN_LINDBLAD_STEPS,
                        MIN_SCHRODINGER_STEPS, SCHRODINGER_STEPS,
                        LindbladRates, PulsePair, propagate_schrodinger,
@@ -82,14 +82,15 @@ STEPS = Option("--steps", int, SCHRODINGER_STEPS,
                lambda v: v >= MIN_SCHRODINGER_STEPS, "integration steps")
 M = Option("--m", int, 1, lambda v: v >= 1, "winding integer",
            protocols=STA)
-COMPONENTS = Option("--components", int, help="Gaussian components per "
-                    "pulse (default m+1, at least 2)", protocols=("sta-fit",))
+COMPONENTS = Option("--components", int, None, lambda v: v >= 1,
+                    "Gaussian components per pulse (default m+1, at "
+                    "least 2)", protocols=("sta-fit",))
 SAMPLES = Option("--samples", int, 1001, lambda v: v >= 100, "time samples")
 POINTS = Option("--points", int, 21, lambda v: v >= 2, "curve points")
-T0 = Option("--t0", float, help="STIRAP pulse delay (default 0.15T)",
-            protocols=("stirap",))
-TC = Option("--tc", float, help="STIRAP pulse width (default 0.2T)",
-            protocols=("stirap",))
+T0 = Option("--t0", float, STIRAP_T0, lambda v: 0 < v < 0.5,
+            "STIRAP pulse delay in units of T", protocols=("stirap",))
+TC = Option("--tc", float, STIRAP_TC, lambda v: v > 0,
+            "STIRAP pulse width in units of T", protocols=("stirap",))
 DRIVE = (M, COMPONENTS,
          Option("--omega0", float, 45.0, lambda v: v > 0,
                 "STIRAP peak amplitude times T", protocols=("stirap",)),
@@ -104,7 +105,8 @@ OPTIONS = {
     "lindblad": (replace(PROTOCOL, default="sta-ref"), *DRIVE,
                  replace(STEPS, default=LINDBLAD_STEPS,
                          check=lambda v: v >= MIN_LINDBLAD_STEPS),
-                 *(Option(f"--{name}", float, 0.0, help="Lindblad rate")
+                 *(Option(f"--{name}", float, 0.0, lambda v: v >= 0,
+                          "Lindblad rate")
                    for name in ("gamma1", "gamma2", "gamma-phi1",
                                 "gamma-phi2"))),
     "sweep": (Option("--kind", help="parameter in error",
@@ -112,15 +114,16 @@ OPTIONS = {
               Option("--range", float, 0.1, lambda v: 0 < v <= 0.2,
                      "largest relative error", "error_range"),
               POINTS, T, STEPS),
-    "stirap-curve": (Option("--min", float, 1.0, help="least peak "
-                            "amplitude times T", dest="amp_min"),
-                     Option("--max", float, 80.0, help="greatest peak "
-                            "amplitude times T", dest="amp_max"),
+    "stirap-curve": (Option("--min", float, 1.0, lambda v: v > 0,
+                            "least peak amplitude times T", "amp_min"),
+                     Option("--max", float, 80.0, lambda v: v > 0,
+                            "greatest peak amplitude times T", "amp_max"),
                      replace(POINTS, default=50), T0, TC, T, STEPS),
     "table1": (Option("--max-m", int, 7, lambda v: 1 <= v <= 10,
                       "largest winding"),
-               Option("--fit-budget", int, help="Gaussian components per "
-                      "pulse for every winding (default m+1, at least 2)")),
+               Option("--fit-budget", int, None, lambda v: v >= 1,
+                      "Gaussian components per pulse for every winding "
+                      "(default m+1, at least 2)")),
     "fig1": (T,),
     "fig2": (T, STEPS),
     "fig3": (T, STEPS),
@@ -187,8 +190,8 @@ def _config_values(path, command):
 def _resolve(command, given):
     """The configuration of a `command` run: every option the run reads,
     at its `given` value or else its declared default, checked, with the
-    fit's component count and the STIRAP pulse timing resolved.  A figure
-    passes its own configuration as `given` to run a primitive command."""
+    fit's component count resolved.  A figure passes its own
+    configuration as `given` to run a primitive command."""
     values = {o.dest: given.get(o.dest, o.default)
               for o in OPTIONS[command]}
     protocol = values.get("protocol")
@@ -208,28 +211,11 @@ def _resolve(command, given):
             raise ConfigError(f"invalid value for {o.flag}: {value}")
     if "components" in values and values["components"] is None:
         values["components"] = fit_components(values["m"])
-    if "t0" in values:
-        # the pair is built from its timing in units of T; the manifest
-        # keeps t0 and tc in units of time
-        duration = values["duration"]
-        try:
-            p = design_stirap(1.0, *(None if values[k] is None
-                                     else values[k] / duration
-                                     for k in ("t0", "tc")))
-        except InvalidParameters:
-            flags = [f"{o.flag} {values[o.dest]}" for o in (T0, TC, T)
-                     if values[o.dest] is not None]
-            raise ConfigError(f"no STIRAP timing at {', '.join(flags)}: "
-                              f"it needs 0 < t0 < T/2 and tc > 0")
-        values["unit_timing"] = p.t0, p.tc
-        values["t0"] = values["t0"] or p.t0 * duration
-        values["tc"] = values["tc"] or p.tc * duration
     return argparse.Namespace(command=command, **values)
 
 
 def _manifest(args, outputs):
-    config = {k: v for k, v in sorted(vars(args).items())
-              if v is not None and k != "unit_timing"}
+    config = {k: v for k, v in sorted(vars(args).items()) if v is not None}
     doc = {"tool": "lambda-sta", "version": __version__,
            "config": config, "outputs": sorted(outputs)}
     return json.dumps(doc, indent=2) + "\n"
@@ -265,7 +251,7 @@ def csv_text(header, columns):
 def _protocol_pulses(args):
     """Resolve a --protocol choice into its pulses over [0, 1]."""
     if args.protocol == "stirap":
-        return design_stirap(args.omega0, *args.unit_timing)
+        return design_stirap(args.omega0, args.t0, args.tc)
     p = design_sta(args.m)
     if args.protocol == "sta":
         return p
@@ -287,21 +273,26 @@ def _trajectory_csv(propagate, pulses, args, **options):
 
 def cmd_design(args):
     """build a shortcut protocol"""
-    p = design_sta(args.m, args.duration)
-    t = np.linspace(0, args.duration, args.samples)
-    return {"protocol.json": protocol_to_json(p) + "\n",
+    p, duration = design_sta(args.m), args.duration
+    t = np.linspace(0, 1, args.samples)
+    return {"protocol.json": protocol_to_json(p, duration) + "\n",
             "schedule.csv": csv_text(
                 ["t_over_T", "Omega1", "Omega2", "Omega", "theta", "phi"],
-                [t / args.duration, p.omega1(t), p.omega2(t), p.omega(t),
-                 p.theta(t), p.phi(t)])}
+                [t, p.omega1(t) / duration, p.omega2(t) / duration,
+                 p.omega(t) / duration, p.theta(t), p.phi(t)])}
 
 
 def cmd_fit(args):
     """fit the shortcut schedules to Gaussians"""
-    p = design_sta(args.m, args.duration)
-    (f1, r1), (f2, r2) = fit_protocol_pulses(p, args.components, args.samples)
-    return {"pulse1.json": pulse_to_json(f1, r1) + "\n",
-            "pulse2.json": pulse_to_json(f2, r2) + "\n"}
+    duration = args.duration
+    fits = fit_protocol_pulses(design_sta(args.m), args.components,
+                               args.samples)
+    # at T the unit-time fit is t -> f(t/T)/T: residuals and peak over T
+    return {f"pulse{i}.json": pulse_to_json(f.stretched(duration), replace(
+                r, rms_residual=r.rms_residual / duration,
+                max_residual=r.max_residual / duration,
+                peak_amplitude=r.peak_amplitude / duration)) + "\n"
+            for i, (f, r) in enumerate(fits, 1)}
 
 
 def cmd_simulate(args):
@@ -337,7 +328,7 @@ def cmd_stirap_curve(args):
     """baseline infidelity vs amplitude"""
     amplitudes = np.linspace(args.amp_min, args.amp_max, args.points)
     _, infidelity = zip(*stirap_infidelity_curve(
-        *args.unit_timing, amplitudes, args.steps))
+        args.t0, args.tc, amplitudes, args.steps))
     # the first column, headed Omega0_T, holds Omega0 = (Omega0*T)/T, as
     # perfbench/checker.py reads it
     return {"stirap_curve.csv": csv_text(["Omega0_T", "infidelity"],
@@ -358,13 +349,13 @@ def cmd_table1(args):
 
 def cmd_fig1(args):
     """shortcut schedules vs their Gaussian fits"""
-    p = design_sta(1, args.duration)
-    f1, f2 = reference_m1_fit(args.duration)
-    t = np.linspace(0, args.duration, 1001)
+    p, duration = design_sta(1), args.duration
+    f1, f2 = reference_m1_fit()
+    t = np.linspace(0, 1, 1001)
     return {"fig1.csv": csv_text(
         ["t_over_T", "abs_Omega1", "abs_Omega1_fit", "Omega2", "Omega2_fit"],
-        [t / args.duration, np.abs(p.omega1(t)), np.abs(f1(t)),
-         p.omega2(t), f2(t)])}
+        [t, np.abs(p.omega1(t)) / duration, np.abs(f1(t)) / duration,
+         p.omega2(t) / duration, f2(t) / duration])}
 
 
 def cmd_fig2(args):

@@ -8,7 +8,8 @@ Two protocol families are provided:
 * the counter-intuitively ordered Gaussian pulse pair used as the
   adiabatic (STIRAP) baseline.
 
-Conventions: hbar = 1, all rates in units of 1/T, basis {|1>, |2>, |3>}.
+Conventions: hbar = 1, basis {|1>, |2>, |3>}, time over [0, 1] in units of
+the interaction time T and all rates in units of 1/T.
 """
 
 import json
@@ -78,24 +79,23 @@ def frame_match(mu, mu_dot, phi, phi_dot, epsilon=0.0):
 class StaProtocol:
     """Constant-mu shortcut protocol with winding integer m.
 
-    phi ramps smoothly from 0 to m*pi with vanishing endpoint slope, so
-    both drive amplitudes vanish at t=0 and t=T.  kappa = 1 - cos(mu)
+    phi = (m pi/2)(1 - cos pi t) rises from 0 to m*pi with zero slope at
+    t=0 and t=1, where both drive amplitudes vanish.  kappa = 1 - cos(mu)
     fixes the intermediate-state population ceiling 2*kappa - kappa^2.
     The drive is read off `frame_match` at the frame angle kappa*phi.
-    Past T, where phi_dot < 0, omega1 and omega2 continue smoothly with the
+    Past t=1, where phi_dot < 0, omega1 and omega2 continue smoothly with the
     signed phi_dot, while omega = |phi_dot| sin(mu) and theta jumps by pi.
     """
 
     m: int
     kappa: float
     mu: float
-    duration: float
 
     def phi(self, t):
-        return (self.m * math.pi / 2) * (1 - np.cos(np.pi * np.asarray(t) / self.duration))
+        return (self.m * math.pi / 2) * (1 - np.cos(np.pi * np.asarray(t)))
 
     def phi_dot(self, t):
-        return (self.m * math.pi**2 / (2 * self.duration)) * np.sin(np.pi * np.asarray(t) / self.duration)
+        return (self.m * math.pi**2 / 2) * np.sin(np.pi * np.asarray(t))
 
     def _frame(self, t):
         phi = self.phi(t)
@@ -120,8 +120,8 @@ class StaProtocol:
         return self.drive(t)[1]
 
 
-def design_sta(m, duration=1.0, kappa=None):
-    """Design the shortcut protocol for winding m over [0, duration].
+def design_sta(m, kappa=None):
+    """Design the shortcut protocol for winding m over [0, 1].
 
     With the default kappa = 1/(2m) the final state is exactly |3>.  An
     explicit kappa in (0, 2) overrides the default (the transfer is then
@@ -129,21 +129,19 @@ def design_sta(m, duration=1.0, kappa=None):
     """
     if int(m) != m or m < 1:
         raise InvalidWinding(f"winding must be a positive integer, got {m}")
-    if duration <= 0:
-        raise InvalidParameters(f"duration must be positive, got {duration}")
     if kappa is None:
         kappa = 1.0 / (2 * m)
     if not 0 < kappa < 2:
         raise InvalidParameters(f"kappa must lie in (0, 2), got {kappa}")
     return StaProtocol(m=int(m), kappa=float(kappa),
-                       mu=math.acos(1.0 - kappa), duration=float(duration))
+                       mu=math.acos(1.0 - kappa))
 
 
 def analytic_state_constant_mu(p, t):
     """Closed-form state of the constant-mu protocol at time t, with the
     frame angle epsilon = kappa*phi accumulated from phi_dot*(1-cos mu)."""
-    if not 0 <= t <= p.duration:
-        raise InvalidParameters(f"t={t} outside [0, {p.duration}]")
+    if not 0 <= t <= 1:
+        raise InvalidParameters(f"t={t} outside [0, 1]")
     phi = float(p.phi(t))
     epsilon = p.kappa * phi
     sp, cp = math.sin(phi), math.cos(phi)
@@ -155,6 +153,9 @@ def analytic_state_constant_mu(p, t):
     c2 = 1j * sp * math.sin(p.mu)
     c3 = ce * b + se * a
     return np.array([c1, c2, c3], dtype=complex)
+
+
+STIRAP_T0, STIRAP_TC = 0.15, 0.2  # reference delay and width, units of T
 
 
 @dataclass(frozen=True)
@@ -182,20 +183,15 @@ class StirapProtocol:
         return self.omega1(t), self.omega2(t)
 
 
-def design_stirap(omega0, t0=None, tc=None):
-    """Reference Gaussian STIRAP pair over [0, 1], omega0 in units of 1/T
-    and t0, tc in units of T; defaults t0=0.15, tc=0.20."""
-    if t0 is None:
-        t0 = 0.15
-    if tc is None:
-        tc = 0.20
+def design_stirap(omega0, t0=STIRAP_T0, tc=STIRAP_TC):
+    """Reference STIRAP pair on [0, 1]: omega0 in 1/T, t0 and tc in T."""
     if omega0 <= 0 or tc <= 0 or not 0 < t0 < 0.5:
         raise InvalidParameters(
             f"bad STIRAP parameters omega0={omega0}, t0={t0}, tc={tc}")
     return StirapProtocol(omega0=float(omega0), t0=float(t0), tc=float(tc))
 
 
-def protocol_to_json(p):
-    """Serialize a shortcut protocol to the interchange JSON document."""
+def protocol_to_json(p, duration):
+    """Interchange JSON of a shortcut protocol run over time `duration`."""
     return json.dumps({"type": "sta", "m": p.m, "kappa": p.kappa,
-                       "mu": p.mu, "T": p.duration}, indent=2)
+                       "mu": p.mu, "T": duration}, indent=2)

@@ -61,17 +61,16 @@ class GaussianPulse:
             out += c.amplitude * np.exp(-u * u)
         return out
 
-    def stretched(self, T):
-        """The pulse t -> self(t/T)/T: each component (zeta, tau, chi)
-        becomes (zeta/T, tau T, chi T)."""
+    def stretched(self, s):
+        """The pulse t -> self(t/s)/s: each component (zeta, tau, chi)
+        becomes (zeta/s, tau s, chi s)."""
         return GaussianPulse(tuple(
-            GaussianComponent(c.amplitude / T, c.center * T, c.width * T)
+            GaussianComponent(c.amplitude / s, c.center * s, c.width * s)
             for c in self.components))
 
     def mirrored(self, sign):
-        """The pulse t -> sign * self(1 - t), its mirror image about the
-        middle of a unit duration: each component (zeta, tau, chi) becomes
-        (sign zeta, 1 - tau, chi)."""
+        """The pulse t -> sign * self(1 - t): each component (zeta, tau,
+        chi) becomes (sign zeta, 1 - tau, chi)."""
         return GaussianPulse(tuple(
             GaussianComponent(sign * c.amplitude, 1 - c.center, c.width)
             for c in self.components))
@@ -94,19 +93,18 @@ def pulse_to_json(pulse, report=None):
     return json.dumps(doc, indent=2)
 
 
-def reference_m1_fit(duration=1.0):
+def reference_m1_fit():
     """Published two-component decomposition of the m=1 schedules.
 
-    Returns (pulse1, pulse2) scaled to the given protocol duration.
-    Pulse 2 is pulse 1 mirrored, Omega2(t) = -Omega1(T - t), as for every
-    m = 1 fit.  Serves as the regression fixture the in-repo fitter is
-    checked against.
+    Returns (pulse1, pulse2) over [0, 1].  Pulse 2 is pulse 1 mirrored,
+    Omega2(t) = -Omega1(1 - t), as for every m = 1 fit.  Serves as the
+    regression fixture the in-repo fitter is checked against.
     """
     p1 = GaussianPulse((
         GaussianComponent(-3.194, 0.4396, 0.2476),
         GaussianComponent(-1.275, 0.2159, 0.1581),
     ))
-    return p1.stretched(duration), p1.mirrored(-1).stretched(duration)
+    return p1, p1.mirrored(-1)
 
 
 def _initial_guess(t, y, n):

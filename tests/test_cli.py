@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lambda_sta
@@ -139,9 +140,9 @@ def test_bad_input_exits_2(tmp_path, capsys, argv):
     (["simulate", "--protocol", "stirap", "--t0", "0.1", "--steps", "1000"],
      {"omega0": 45.0, "t0": 0.1, "tc": 0.2}),
     (["lindblad", "--steps", "1000"], {"m": 1}),
-    # resolved defaults: STIRAP timing 0.15T and 0.2T, m+1 components
+    # defaults: STIRAP timing 0.15 and 0.2 in units of T, m+1 components
     (["simulate", "--protocol", "stirap", "--T", "2", "--steps", "1000"],
-     {"omega0": 45.0, "t0": 0.3, "tc": 0.4}),
+     {"omega0": 45.0, "t0": 0.15, "tc": 0.2}),
     (["simulate", "--protocol", "sta-fit", "--m", "3", "--steps", "1000"],
      {"m": 3, "components": 4}),
     (["simulate", "--protocol", "sta-fit", "--components", "3",
@@ -240,6 +241,64 @@ def test_fit_is_the_unit_duration_fit_stretched(tmp_path):
         assert got["fit_report"] == report
 
 
+def csv_columns(path):
+    """{header: column of value texts} of a CSV file."""
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return dict(zip(header, zip(*rows)))
+
+
+SCHEDULES = {"design": ("schedule.csv", ("Omega1", "Omega2", "Omega")),
+             "fig1": ("fig1.csv", ("abs_Omega1", "abs_Omega1_fit", "Omega2",
+                                   "Omega2_fit"))}
+
+
+@pytest.mark.parametrize("duration", ["0.37", "2"])
+@pytest.mark.parametrize("command", SCHEDULES)
+def test_schedules_scale_with_duration(tmp_path, command, duration):
+    # the schedules are computed at unit time: times and angles are those
+    # of T = 1 byte for byte, and only the amplitudes are divided by T
+    name, amplitudes = SCHEDULES[command]
+    for t in (duration, "1"):
+        assert run(tmp_path / t, command, "--T", t) == 0
+    got, unit = (csv_columns(tmp_path / t / name) for t in (duration, "1"))
+    for key, column in got.items():
+        if key in amplitudes:
+            np.testing.assert_allclose(
+                np.array(column, dtype=float),
+                np.array(unit[key], dtype=float) / float(duration),
+                rtol=1e-11, atol=0)
+        else:
+            assert column == unit[key]
+
+
+@pytest.mark.parametrize("command", SCHEDULES)
+def test_largest_duration_writes_finite_amplitudes(tmp_path, command):
+    # nothing is evaluated at t/T for a huge T, so no column overflows
+    assert run(tmp_path, command, "--T", "1e308") == 0
+    name, amplitudes = SCHEDULES[command]
+    columns = csv_columns(tmp_path / name)
+    assert 0 < max(abs(float(v)) for v in columns[amplitudes[0]]) < 1e-307
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--protocol", "stirap", "--steps", "200", "--T", "1e-310"],
+    ["simulate", "--protocol", "stirap", "--steps", "200", "--T", "2"],
+    ["stirap-curve", "--points", "2", "--steps", "200", "--T", "1e-300"],
+], ids=["simulate-stirap-1e-310", "simulate-stirap-2", "stirap-curve-1e-300"])
+def test_rerun_from_manifest_is_byte_identical(tmp_path, argv):
+    # a manifest's config, fed back through --config, repeats the run
+    assert run(tmp_path / "a", *argv) == 0
+    config = json.loads((tmp_path / "a" / "manifest.json").read_text())[
+        "config"]
+    del config["command"]
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["--config", str(tmp_path / "cfg.json"), "--outdir",
+                 str(tmp_path / "b"), argv[0]]) == 0
+    first, rerun = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                    for d in "ab")
+    assert rerun == first
+
+
 OUT_OF_RANGE = [
     # the amplitude column, Omega0 = 1/T..80/T, overflows at T = 1e-310
     pytest.param(["stirap-curve", "--points", "2", "--steps", "200",
@@ -248,11 +307,7 @@ OUT_OF_RANGE = [
     pytest.param(["lindblad", "--gamma1", "1e308", "--gamma2", "1e308"],
                  "a step has Gamma*dt = inf (limit 1); use more steps",
                  id="argv6"),
-    # pi t/T overflows at T = 1e308, and the phase rate at T = 5e-324
-    pytest.param(["design", "--T", "1e308"],
-                 "non-finite value in column Omega1", id="argv7"),
-    pytest.param(["fig1", "--T", "1e308"],
-                 "non-finite value in column abs_Omega1", id="argv8"),
+    # the unit-time amplitudes overflow when divided by T = 5e-324
     pytest.param(["design", "--T", "5e-324"],
                  "non-finite value in column Omega1", id="argv9"),
 ]
@@ -288,6 +343,16 @@ def test_bad_outdir_exits_2(tmp_path, capsys):
     (["design", "--T", "-1"], "--T"),
     (["sweep", "--kind", "timing-error", "--range", "-0.1"], "--range"),
     (["lindblad", "--steps", "500"], "--steps"),
+    (["lindblad", "--gamma1", "-1"], "--gamma1"),
+    (["fit", "--components", "0"], "--components"),
+    (["table1", "--fit-budget", "0"], "--fit-budget"),
+    (["stirap-curve", "--min", "0"], "--min"),
+    (["stirap-curve", "--max", "0"], "--max"),
+    # STIRAP timing, in units of T: 0 < t0 < 0.5 and tc > 0
+    (["simulate", "--protocol", "stirap", "--t0", "0.5", "--tc", "0.1"],
+     "--t0"),
+    (["stirap-curve", "--t0", "2"], "--t0"),
+    (["stirap-curve", "--tc", "-1", "--T", "2"], "--tc"),
 ])
 def test_invalid_value_names_the_flag(tmp_path, capsys, argv, flag):
     assert run(tmp_path, *argv) == 2
@@ -508,16 +573,3 @@ def test_config_supplies_a_required_flag(tmp_path, capsys):
     assert run(tmp_path / "c", "sweep", "--points", "3") == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "c").exists()
-
-
-@pytest.mark.parametrize("argv, flags", [
-    (["simulate", "--protocol", "stirap", "--t0", "0.5", "--tc", "0.1"],
-     "--t0 0.5, --tc 0.1, --T 1.0"),
-    (["stirap-curve", "--t0", "2"], "--t0 2.0, --T 1.0"),
-    (["stirap-curve", "--tc", "-1", "--T", "2"], "--tc -1.0, --T 2.0"),
-])
-def test_stirap_timing_error_names_the_flags(tmp_path, capsys, argv, flags):
-    assert run(tmp_path, *argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and flags in err
-    assert "omega0" not in err

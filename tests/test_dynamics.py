@@ -210,17 +210,24 @@ class TestLindbladOperators:
             LindbladRates(gamma_phi2=float("nan"))
 
 
+def stretched(pulses, duration):
+    """The pulses run over [0, duration]: t -> drive(t/duration)/duration."""
+    return PulsePair(lambda t: pulses.omega1(t / duration) / duration,
+                     lambda t: pulses.omega2(t / duration) / duration)
+
+
 @pytest.mark.parametrize("duration", [1e300, 1e-300])
 def test_schrodinger_duration_scale_invariance(duration):
     # the drive scales as 1/T, so the populations are those of T = 1
-    final = evolve_schrodinger(design_sta(1, duration), duration, 200)
+    final = evolve_schrodinger(stretched(design_sta(1), duration), duration,
+                               200)
     unit = evolve_schrodinger(design_sta(1), 1.0, 200)
     assert np.abs(np.abs(final) ** 2 - np.abs(unit) ** 2).max() <= 1e-12
 
 
 def test_drive_out_of_range_raises():
     with pytest.raises(ValueError, match="non-finite"):
-        evolve_schrodinger(design_sta(1, 1e-310), 1e-310, 200)
+        evolve_schrodinger(stretched(design_sta(1), 1e-310), 1e-310, 200)
 
 
 class TestLindblad:

@@ -319,12 +319,13 @@ def test_final_state_law_analytic():
 
 class TestJsonRoundTrip:
     def test_sta(self):
-        p = design_sta(3, duration=2.0)
-        doc = json.loads(protocol_to_json(p))
+        p = design_sta(3)
+        doc = json.loads(protocol_to_json(p, 2.0))
         assert doc["type"] == "sta" and doc["mu"] == p.mu
-        assert design_sta(doc["m"], doc["T"], kappa=doc["kappa"]) == p
+        assert doc["T"] == 2.0
+        assert design_sta(doc["m"], kappa=doc["kappa"]) == p
 
     def test_defaults_applied(self):
-        doc = json.loads(protocol_to_json(design_sta(2)))
+        doc = json.loads(protocol_to_json(design_sta(2), 1.0))
         assert doc["kappa"] == pytest.approx(0.25)
         assert doc["T"] == 1.0

@@ -317,7 +317,7 @@ def test_fitted_pair_evaluates(time_grid):
 
 
 def test_duration_scaling():
-    f1, f2 = reference_m1_fit(duration=2.0)
+    f1, f2 = (f.stretched(2.0) for f in reference_m1_fit())
     comps = sorted_components(f1)
     assert comps[0][0] == pytest.approx(-3.194 / 2)
     assert comps[0][1] == pytest.approx(0.4396 * 2)
