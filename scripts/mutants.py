@@ -76,15 +76,12 @@ MUTANTS = [
            (f"{PROPAGATORS}[None-None-1]", f"{PROPAGATORS}[7-75-stage-march]",
             f"{MAPS}::test_cells_match_stage_by_stage_rk4",
             "tests/test_dynamics.py::"
-            "test_lindblad_generator_keeps_six_coordinates")),
-    Mutant("coordinate-3-for-4", DYNAMICS,
-           "_TO_REAL = _real_coordinates()[[0, 1, 2, 4, 5, 8]]",
-           "_TO_REAL = _real_coordinates()[[0, 1, 2, 3, 5, 8]]",
+            "test_lindblad_generator_pieces_are_exact")),
+    Mutant("back-map-phase-conjugated", DYNAMICS,
+           "np.outer(\n        _FRAME.conj(), _FRAME)",
+           "np.outer(\n        _FRAME, _FRAME.conj())",
            (f"{PROPAGATORS}[None-None-1]",
-            "tests/test_dynamics.py::"
-            "test_lindblad_generator_keeps_six_coordinates",
-            "tests/test_dynamics.py::"
-            "test_lindblad_dropped_coordinates_are_zero[sta-m1-1]")),
+            f"{PROPAGATORS}[7-75-stage-march]")),
     Mutant("march-carries-last-sample", DYNAMICS,
            "            state = xs[-1]\n",
            "            state = out[-1][-1]\n",
@@ -118,8 +115,8 @@ MUTANTS = [
            ("tests/test_cli.py::"
             "test_fit_is_the_unit_duration_fit_stretched",)),
     Mutant("design-omega-unscaled", CLI,
-           "p.omega(t) / duration, p.theta(t)",
-           "p.omega(t), p.theta(t)",
+           "f.omega / duration,",
+           "f.omega,",
            (f"{SCHEDULES}[design-0.37]", f"{SCHEDULES}[design-2]")),
 ]
 

@@ -61,12 +61,10 @@ def amplitude_error_sweep(pulses, which=1, error_range=0.1, points=21,
     return [(float(d), float(p)) for d, p in zip(deltas, p3)]
 
 
-def stirap_infidelity_curve(t0=STIRAP_T0, tc=STIRAP_TC, amplitudes=None,
+def stirap_infidelity_curve(amplitudes, t0=STIRAP_T0, tc=STIRAP_TC,
                             steps=SCHRODINGER_STEPS):
     """Final-state infidelity of the Gaussian adiabatic pair versus its
-    peak amplitude Omega0*T."""
-    if amplitudes is None:
-        amplitudes = np.linspace(1.0, 80.0, 50)
+    peak amplitudes Omega0*T."""
     amplitudes = np.asarray(amplitudes, dtype=float)
     if np.any(amplitudes <= 0):
         raise InvalidParameters("STIRAP amplitudes must be positive")
@@ -133,9 +131,10 @@ def fit_protocol_pulses(protocol, n_components=None, samples=1001):
     if n_components is None:
         n_components = fit_components(m)
     t = np.linspace(0.0, 1.0, samples)
-    f2, r2 = fit_gaussian_sum((t, protocol.omega2(t)), n_components)
+    o1, o2 = protocol.drive(t)
+    f2, r2 = fit_gaussian_sum((t, o2), n_components)
     f1 = f2.mirrored((-1) ** m)
-    r1 = fit_report(f1, t, protocol.omega1(t), r2.iterations, r2.converged)
+    r1 = fit_report(f1, t, o1, r2.iterations, r2.converged)
     return (f1, r1), (f2, r2)
 
 

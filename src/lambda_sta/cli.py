@@ -275,11 +275,12 @@ def cmd_design(args):
     """build a shortcut protocol"""
     p, duration = design_sta(args.m), args.duration
     t = np.linspace(0, 1, args.samples)
+    f = p.frame(t)
     return {"protocol.json": protocol_to_json(p, duration) + "\n",
             "schedule.csv": csv_text(
                 ["t_over_T", "Omega1", "Omega2", "Omega", "theta", "phi"],
-                [t, p.omega1(t) / duration, p.omega2(t) / duration,
-                 p.omega(t) / duration, p.theta(t), p.phi(t)])}
+                [t, *np.divide(f.drive, duration), f.omega / duration,
+                 f.theta, p.phi(t)])}
 
 
 def cmd_fit(args):
@@ -328,7 +329,7 @@ def cmd_stirap_curve(args):
     """baseline infidelity vs amplitude"""
     amplitudes = np.linspace(args.amp_min, args.amp_max, args.points)
     _, infidelity = zip(*stirap_infidelity_curve(
-        args.t0, args.tc, amplitudes, args.steps))
+        amplitudes, args.t0, args.tc, args.steps))
     # the first column, headed Omega0_T, holds Omega0 = (Omega0*T)/T, as
     # perfbench/checker.py reads it
     return {"stirap_curve.csv": csv_text(["Omega0_T", "infidelity"],
@@ -352,10 +353,11 @@ def cmd_fig1(args):
     p, duration = design_sta(1), args.duration
     f1, f2 = reference_m1_fit()
     t = np.linspace(0, 1, 1001)
+    o1, o2 = p.drive(t)
     return {"fig1.csv": csv_text(
         ["t_over_T", "abs_Omega1", "abs_Omega1_fit", "Omega2", "Omega2_fit"],
-        [t, np.abs(p.omega1(t)) / duration, np.abs(f1(t)) / duration,
-         p.omega2(t) / duration, f2(t) / duration])}
+        [t, np.abs(o1) / duration, np.abs(f1(t)) / duration,
+         o2 / duration, f2(t) / duration])}
 
 
 def cmd_fig2(args):

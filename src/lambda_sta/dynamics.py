@@ -19,6 +19,19 @@ Time is in units of the interaction time T and rates in units of 1/T:
 every run integrates over [0, 1], but for the per-run horizons of
 `evolve_schrodinger` that a timing-error sweep needs.
 
+Both kernels step in one frame.  G1, G2 and G3 span su(2) ([G1, G2] =
+i G3 and cyclic), and in the frame D = diag(1, i, 1), d = (1, i, 1),
+-i D (omega1 G1 + omega2 G2) D^dagger is real and antisymmetric: the
+generator of a rotation of R^3 about (-omega2, 0, omega1) at the rate
+Omega = hypot(omega1, omega2).  The jump operators are real, and D
+changes them only by a phase, which leaves the dissipator as it is.  So
+the state psi' = D psi, from |1>, stays a real unit vector, and the
+density matrix rho' = D rho D^dagger, from |1><1|, stays real and
+symmetric.  The Schrodinger kernel steps psi', the Lindblad kernel the
+six entries (00, 11, 22, 01, 02, 12) of rho' on and above its diagonal,
+and both map back by D^dagger: psi = conj(d) psi' and rho = rho' conj(d)
+d^T elementwise.
+
 Closed systems take the fourth-order commutator-free Magnus step of
 Blanes & Moan (2006, Appl. Numer. Math. 56): with H sampled at the two
 Gauss-Legendre nodes t1,2 = t + (1/2 -+ sqrt(3)/6) dt of a step,
@@ -27,36 +40,25 @@ Gauss-Legendre nodes t1,2 = t + (1/2 -+ sqrt(3)/6) dt of a step,
 
 a1,2 = 1/4 -+ sqrt(3)/6, the right-hand factor acting first.  H =
 omega1 G1 + omega2 G2, so each exponent is H' = o1 G1 + o2 G2 with o1, o2
-mixed from the node amplitudes.  G1, G2 and G3 span su(2) ([G1, G2] =
-i G3 and cyclic): in the frame psi' = D psi, D = diag(1, i, 1), -i H' is
-real and antisymmetric, the generator of a rotation of R^3 about
-(-o2, 0, o1) at the rate Omega = hypot(o1, o2), and the state, which
-starts at |1>, stays a real unit vector.  So each exponent is the unit
-quaternion
+mixed from the node amplitudes, in the frame the rotation by Omega dt
+about (-o2, 0, o1), Omega = hypot(o1, o2): the unit quaternion
 
     (cos(Omega dt/2), sin(Omega dt/2)/Omega * (-o2, 0, o1)),
 
 held as its Cayley-Klein pair (a, b) = (w - iz, y - ix), in which a
 product takes four complex multiplications.  A step is the product of its
-two quaternions, and a run's state is the first column of the rotation
-of the product of its steps, mapped back by D^dagger.  The product is
-associative, so a block's steps are composed without a loop over them:
-by a pairwise product tree when only the run's end is sampled, and when
-it is sampled every `stride` steps, by a tree within each stride chunk
-and a prefix product over the chunks in log2(chunks) rounds (Hillis &
-Steele 1986; Blelloch 1990).  Only the block results are chained in
-Python.  The rotations are unitary to machine precision, so the norm
-drift doubles as an integration diagnostic.  Open systems integrate the
-Lindblad master equation with classic fixed-step RK4 on the vectorized
-density matrix, in real coordinates of the Hermitian rho, where
-generators and propagators are real matrices.  Of its nine coordinates
-(the diagonal and the real and imaginary parts of the upper triangle) it
-steps six: the diagonal, Im rho01, Re rho02 and Im rho12.  In the frame
-D, rho' = D rho D^dagger starts real at |1><1| and stays real, since
--i H' is real and the jump operators are real up to a phase, so Re
-rho01, Im rho02 and Re rho12 are zero at all times and no generator
-couples them to the other six.  The generator is linear in the drive and
-in the rates,
+two quaternions, and a run's psi' is the first column of the rotation of
+the product of its steps.  The product is associative, so a block's
+steps are composed without a loop over them: by a pairwise product tree
+when only the run's end is sampled, and when it is sampled every
+`stride` steps, by a tree within each stride chunk and a prefix product
+over the chunks in log2(chunks) rounds (Hillis & Steele 1986; Blelloch
+1990).  Only the block results are chained in Python.  The rotations are
+unitary to machine precision, so the norm drift doubles as an
+integration diagnostic.  Open systems integrate the Lindblad master
+equation with classic fixed-step RK4 on the six entries of rho', where
+generators and propagators are real 6x6 matrices.  The generator is
+linear in the drive and in the rates,
 
     omega1 K1 + omega2 K2 + gamma1 D1 + gamma2 D2
                           + gamma_phi1 D3 + gamma_phi2 D4,
@@ -112,31 +114,15 @@ import numpy as np
 
 from .protocol import G1, G2, InvalidParameters
 
-EYE3 = np.eye(3, dtype=complex)
-
-
-def _real_coordinates():
-    """Unitary map from the row-major vec(rho) to the nine real
-    coordinates of a Hermitian rho: its diagonal, then sqrt(2) Re and
-    sqrt(2) Im of rho01, rho02 and rho12.  The Lindblad kernel drops rows
-    3, 6 and 7 (Re rho01, Im rho02, Re rho12), which stay zero from
-    |1><1|: D rho D^dagger stays real, D = diag(1, i, 1)."""
-    t = np.zeros((9, 9), dtype=complex)
-    t[[0, 1, 2], [0, 4, 8]] = 1
-    for a, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
-        t[3 + 2 * a, [3 * i + j, 3 * j + i]] = 2 ** -0.5
-        t[4 + 2 * a, [3 * i + j, 3 * j + i]] = -1j * 2 ** -0.5, 1j * 2 ** -0.5
-    return t
-
-
-_TO_REAL = _real_coordinates()[[0, 1, 2, 4, 5, 8]]
-_DIM = len(_TO_REAL)
-
-
-def _real_superoperator(s):
-    """A Hermiticity-preserving superoperator (or a stack of them) on
-    vec(rho), restricted to the six real coordinates of _TO_REAL."""
-    return (_TO_REAL @ s @ _TO_REAL.conj().T).real
+# The frame D = diag(d) of both kernels.
+_FRAME = np.array([1, 1j, 1])
+# The six entries (00, 11, 22, 01, 02, 12) of the real symmetric rho' in
+# its row-major vec: _UPPER reads them off, and the 0/1 map _SPREAD, shape
+# (9, 6), puts each back above and below the diagonal.
+_UPPER = [0, 4, 8, 1, 2, 5]
+_SPREAD = np.zeros((9, 6))
+_SPREAD[_UPPER, range(6)] = _SPREAD[[0, 4, 8, 3, 6, 7], range(6)] = 1
+_DIM = len(_UPPER)
 
 
 # Propagator bytes built per block: bounds the kernels' working set.
@@ -228,18 +214,24 @@ def lindblad_operators(rates):
     return l1, l2, l3, l4
 
 
-# The Lindblad generator in the six real coordinates of _TO_REAL (on
-# vec(rho): vec(A rho B) = (A kron B^T) vec(rho)), cut from its nine-
-# coordinate form, whose rows and columns for Re rho01, Im rho02 and Re
-# rho12 couple to nothing else.  Coherent part, i[rho, H] = omega1 _K1 +
-# omega2 _K2 (G1, G2 are real symmetric); jump part at unit rates, one 6x6
-# piece per LindbladRates field, in field order (the unit jump operators L
-# are real, and L^T L is diagonal).
-_K1 = _real_superoperator(1j * (np.kron(EYE3, G1) - np.kron(G1, EYE3)))
-_K2 = _real_superoperator(1j * (np.kron(EYE3, G2) - np.kron(G2, EYE3)))
-_D = _real_superoperator(np.array([
-    np.kron(l, l) - 0.5 * (np.kron(l.T @ l, EYE3) + np.kron(EYE3, l.T @ l))
-    for l in lindblad_operators(LindbladRates(1, 1, 1, 1))]))
+def _six(s):
+    """Superoperators on the row-major vec(rho') (vec(A rho' B) = (A kron
+    B^T) vec(rho')), restricted to the six entries of rho'."""
+    return s[..., _UPPER, :] @ _SPREAD
+
+
+# The Lindblad generator on the six entries of rho'.  Coherent part,
+# i[rho', D H D^dagger] = omega1 _K1 + omega2 _K2, is M rho' - rho' M with
+# M = -i D G D^dagger real antisymmetric; jump part at unit rates, one 6x6
+# piece per LindbladRates field, in field order, is the textbook form, as
+# D L D^dagger is the real L up to a phase, which the dissipator drops.
+_K1, _K2 = _six(np.array([
+    np.kron(m, np.eye(3)) - np.kron(np.eye(3), m.T)
+    for m in (-1j * np.outer(_FRAME, _FRAME.conj()) * [G1, G2]).real]))
+_D = _six(np.array([
+    np.kron(l, l) - 0.5 * (np.kron(l.T @ l, np.eye(3))
+                           + np.kron(np.eye(3), l.T @ l))
+    for l in np.real(lindblad_operators(LindbladRates(1, 1, 1, 1)))]))
 # Gamma = _DECAY . rates bounds the decay rate of every element of rho.
 _DECAY = np.array([1.0, 1.0, 2.0, 2.0])
 
@@ -419,10 +411,10 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
     a, b = _march(block, _IDENTITY[:, 0].repeat(batch, 1), steps, stride,
                   max(1, BLOCK_BYTES // (max(batch, 1) * _STEP_BYTES))
                   ).transpose(1, 2, 0)
-    # the first column of the rotation, back from the D frame
+    # psi', the first column of the rotation, back from the frame
     aa, bb = a * a, b * b
-    return np.stack(((aa - bb).real, 1j * (aa + bb).imag,
-                     -2 * (a * b).real), axis=-1)
+    return np.stack(((aa - bb).real, -(aa + bb).imag, -2 * (a * b).real),
+                    axis=-1) * _FRAME.conj()
 
 
 def propagate_schrodinger(pulses, steps=SCHRODINGER_STEPS, stride=1):
@@ -478,9 +470,8 @@ def _rk4_propagators(c, ends, mids, work):
 
 
 def _rk4_stages(gen, x, decay, feed, dt):
-    """One classic RK4 step of a batch of states x, shape (6, batch), in
-    the six real coordinates of _TO_REAL (Re rho01, Im rho02 and Re rho12
-    stay zero and are not stepped).
+    """One classic RK4 step of a batch of states x, shape (6, batch), the
+    six entries of rho'.
 
     gen[0], gen[1] and gen[2] are the (6, 6) coherent generators omega1 K1
     + omega2 K2 at the step's start, midpoint and end, shared by the batch.
@@ -535,7 +526,7 @@ def evolve_lindblad(pulses, rates, steps=LINDBLAD_STEPS, stride=None):
         feed = jumps[:, :, 1].T.copy()
         feed[1] = 0  # rho11's own decay is in `decay`
         start = np.zeros((_DIM, batch))
-        start[0] = 1  # |1><1| in real coordinates: the first diagonal entry
+        start[0] = 1  # |1><1|: rho'00
         basis = np.array([_K1, _K2]).reshape(2, -1)
         per_block = max(1, BLOCK_BYTES // (2 * _K1.nbytes))
         gens = np.empty((2 * min(per_block, steps) + 1, _K1.size))
@@ -589,7 +580,9 @@ def evolve_lindblad(pulses, rates, steps=LINDBLAD_STEPS, stride=None):
 
     out = _march(block, start, steps, stride, per_block)
     out = out.transpose(2, 0, 1) if stages else out[..., 0].swapaxes(0, 1)
-    return (out @ _TO_REAL.conj()).reshape(*out.shape[:2], 3, 3)
+    # rho', spread from its six entries, back from the frame
+    return (out @ _SPREAD.T).reshape(*out.shape[:2], 3, 3) * np.outer(
+        _FRAME.conj(), _FRAME)
 
 
 def propagate_lindblad(pulses, rates=None, steps=LINDBLAD_STEPS, stride=1):

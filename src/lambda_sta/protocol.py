@@ -51,13 +51,18 @@ class FrameMatch:
 
     omega is the effective Rabi rate, delta the mixing-angle offset,
     epsilon_dot the rate of the frame angle and theta the in-plane drive
-    angle.  Each is a float or an array, as the inputs are.
+    angle, so that `drive` is (omega1, omega2) = omega (sin theta,
+    cos theta).  Each is a float or an array, as the inputs are.
     """
 
     omega: np.ndarray
     theta: np.ndarray
     epsilon_dot: np.ndarray
     delta: np.ndarray
+
+    @property
+    def drive(self):
+        return self.omega * np.sin(self.theta), self.omega * np.cos(self.theta)
 
 
 def frame_match(mu, mu_dot, phi, phi_dot, epsilon=0.0):
@@ -97,21 +102,21 @@ class StaProtocol:
     def phi_dot(self, t):
         return (self.m * math.pi**2 / 2) * np.sin(np.pi * np.asarray(t))
 
-    def _frame(self, t):
+    def frame(self, t):
+        """The FrameMatch at the times t: every drive value comes off it."""
         phi = self.phi(t)
         return frame_match(self.mu, 0.0, phi, self.phi_dot(t),
                            self.kappa * phi)
 
     def theta(self, t):
-        return self._frame(t).theta
+        return self.frame(t).theta
 
     def omega(self, t):
-        return self._frame(t).omega
+        return self.frame(t).omega
 
     def drive(self, t):
         """(omega1, omega2) at the times t, from one frame."""
-        f = self._frame(t)
-        return f.omega * np.sin(f.theta), f.omega * np.cos(f.theta)
+        return self.frame(t).drive
 
     def omega1(self, t):
         return self.drive(t)[0]

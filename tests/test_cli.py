@@ -271,6 +271,17 @@ def test_schedules_scale_with_duration(tmp_path, command, duration):
             assert column == unit[key]
 
 
+@pytest.mark.parametrize("command", ["design", "fit", "fig1"])
+def test_schedule_commands_match_the_frame_once(tmp_path, monkeypatch,
+                                                command):
+    # every column of the shortcut schedules comes off one frame
+    calls, match = [], lambda_sta.protocol.frame_match
+    monkeypatch.setattr(lambda_sta.protocol, "frame_match",
+                        lambda *args: calls.append(args) or match(*args))
+    assert run(tmp_path, command) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", SCHEDULES)
 def test_largest_duration_writes_finite_amplitudes(tmp_path, command):
     # nothing is evaluated at t/T for a huge T, so no column overflows

@@ -387,18 +387,22 @@ def test_lindblad_samples_drive_once_per_window(monkeypatch, n, steps):
     assert sum(map(len, pulses.times)) < 1.5 * len(grid)
 
 
-def test_lindblad_generator_keeps_six_coordinates():
-    """In the nine real coordinates of a Hermitian rho, every generator
-    piece has zero blocks between Re rho01, Im rho02, Re rho12 (3, 6, 7) and
-    the other six; the kernel's pieces are the block of those six."""
-    nine = dynamics._real_coordinates()
-    pieces = nine @ lindblad_pieces() @ nine.conj().T
-    assert np.abs(pieces.imag).max() <= 1e-15
-    keep, drop = [0, 1, 2, 4, 5, 8], [3, 6, 7]
-    assert not pieces.real[:, keep][..., drop].any()
-    assert not pieces.real[:, drop][..., keep].any()
-    six = np.array([dynamics._K1, dynamics._K2, *dynamics._D])
-    assert np.abs(six - pieces.real[:, keep][..., keep]).max() <= 1e-15
+def test_lindblad_generator_pieces_are_exact():
+    """The textbook pieces, carried into the frame rho' = D rho D^dagger
+    and restricted to the six entries (00, 11, 22, 01, 02, 12) of the real
+    symmetric rho', are the kernel's pieces entry for entry, and every
+    entry is 0, +-1/2, +-1 or +-2."""
+    frame = np.kron(D, D.conj())  # vec(D rho D^dagger) = frame @ vec(rho)
+    pieces = frame @ lindblad_pieces() @ frame.conj().T
+    entries = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+    spread = np.zeros((9, 6))  # each entry to its places in vec(rho')
+    for b, (k, l) in enumerate(entries):
+        spread[[3 * k + l, 3 * l + k], b] = 1
+    six = pieces[:, [3 * i + j for i, j in entries]] @ spread
+    assert not six.imag.any()
+    kernel = np.array([dynamics._K1, dynamics._K2, *dynamics._D])
+    assert np.array_equal(kernel, six.real)
+    assert set(np.unique(kernel)) <= {0, 0.5, -0.5, 1, -1, 2, -2}
 
 
 def test_dissipators_are_diagonal_but_for_rho11s_feed(monkeypatch):
