@@ -109,6 +109,12 @@ MUTANTS = [
            "                      _sample_steps(steps, stride))\n",
            "    return np.append(np.arange(0, steps, per_block), steps)\n",
            (f"{PROPAGATORS}[64-25-1]", f"{SCHRODINGER}[999-64-25]")),
+    Mutant("grid-always-shared", DYNAMICS,
+           "grid = dt[:1] if np.all(dt == dt[:1]) else dt",
+           "grid = dt[:1]",
+           (f"{SCHRODINGER}[1000-None-None]", f"{SCHRODINGER}[999-64-25]",
+            "tests/test_analysis.py::TestTimingErrorSweep::"
+            "test_batched_matches_per_point")),
     Mutant("fit-max-residual-unscaled", CLI,
            "max_residual=r.max_residual / duration,",
            "max_residual=r.max_residual,",

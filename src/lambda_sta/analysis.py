@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import (STIRAP_T0, STIRAP_TC, InvalidParameters, design_sta,
-                       design_stirap)
+from .protocol import InvalidParameters, design_sta
 from .dynamics import (LINDBLAD_STEPS, SCHRODINGER_STEPS, LindbladRates,
                        evolve_lindblad, evolve_schrodinger,
                        propagate_lindblad)
-from .pulsefit import fit_gaussian_sum, fit_report, pulse_amplitude
+from .pulsefit import (STIRAP_OMEGA0, STIRAP_T0, STIRAP_TC, design_stirap,
+                       fit_gaussian_sum, fit_report, pulse_amplitude)
 
 
 # The two LindbladRates fields each decoherence map mode varies.
@@ -157,11 +157,11 @@ def table_one(max_m=7, fit_budget=None):
 
 def stirap_dephasing_check(steps=LINDBLAD_STEPS):
     """Final target population of the reference adiabatic protocol
-    (amplitude Omega0*T = 45) with both dephasing ratios at 1%."""
-    proto = design_stirap(45.0)
-    rates = LindbladRates(gamma_phi1=0.01 * proto.omega0,
-                          gamma_phi2=0.01 * proto.omega0)
-    tr = propagate_lindblad(proto, rates=rates, steps=steps, stride=steps)
+    (amplitude Omega0*T = STIRAP_OMEGA0) with both dephasing ratios at 1%."""
+    rates = LindbladRates(gamma_phi1=0.01 * STIRAP_OMEGA0,
+                          gamma_phi2=0.01 * STIRAP_OMEGA0)
+    tr = propagate_lindblad(design_stirap(STIRAP_OMEGA0), rates=rates,
+                            steps=steps, stride=steps)
     return float(tr.final_populations[2])
 
 

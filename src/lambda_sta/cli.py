@@ -29,13 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .protocol import (STIRAP_T0, STIRAP_TC, design_sta, design_stirap,
-                       protocol_to_json, InvalidParameters)
+from .protocol import design_sta, protocol_to_json, InvalidParameters
 from .dynamics import (LINDBLAD_STEPS, MIN_LINDBLAD_STEPS,
                        MIN_SCHRODINGER_STEPS, SCHRODINGER_STEPS,
                        LindbladRates, PulsePair, propagate_schrodinger,
                        propagate_lindblad)
-from .pulsefit import pulse_to_json, reference_m1_fit
+from .pulsefit import (STIRAP_OMEGA0, STIRAP_T0, STIRAP_TC, design_stirap,
+                       pulse_to_json, reference_m1_fit)
 from .analysis import (amplitude_error_sweep, decoherence_maps,
                        fit_components, fit_protocol_pulses, format_table,
                        stirap_infidelity_curve, table_one,
@@ -92,7 +92,7 @@ T0 = Option("--t0", float, STIRAP_T0, lambda v: 0 < v < 0.5,
 TC = Option("--tc", float, STIRAP_TC, lambda v: v > 0,
             "STIRAP pulse width in units of T", protocols=("stirap",))
 DRIVE = (M, COMPONENTS,
-         Option("--omega0", float, 45.0, lambda v: v > 0,
+         Option("--omega0", float, STIRAP_OMEGA0, lambda v: v > 0,
                 "STIRAP peak amplitude times T", protocols=("stirap",)),
          T0, TC, T)
 PROTOCOL = Option("--protocol", default="sta-fit", help="drive pulses",

@@ -252,10 +252,12 @@ class Trajectory:
 
 
 def _drive(pulses, t, scale1=1.0, scale2=1.0):
-    """Scaled drive amplitudes at the times t (any shape), checked finite."""
+    """Scaled drive amplitudes at the times t (any shape), checked finite,
+    in the broadcast shape of t and the scales."""
+    shape = np.broadcast_shapes(t.shape, np.shape(scale1), np.shape(scale2))
     o1, o2 = pulses.drive(t)
-    o1 = np.broadcast_to(scale1 * np.asarray(o1, dtype=float), t.shape)
-    o2 = np.broadcast_to(scale2 * np.asarray(o2, dtype=float), t.shape)
+    o1 = np.broadcast_to(scale1 * np.asarray(o1, dtype=float), shape)
+    o2 = np.broadcast_to(scale2 * np.asarray(o2, dtype=float), shape)
     if not (np.all(np.isfinite(o1)) and np.all(np.isfinite(o2))):
         raise ValueError("pulse evaluation produced non-finite values")
     return o1, o2
@@ -393,11 +395,13 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
     dt = horizon / steps
     batch = len(dt)
     stride = min(stride or steps, steps)
+    # runs of one horizon share one time grid: the drive is evaluated once
+    grid = dt[:1] if np.all(dt == dt[:1]) else dt
 
     def block(k0, k1, x):
         # drive at the two nodes of each step, times dt: rotation angles,
         # shape (steps, 2, batch)
-        t = (np.arange(k0, k1)[:, None, None] + _CF4_NODES[:, None]) * dt
+        t = (np.arange(k0, k1)[:, None, None] + _CF4_NODES[:, None]) * grid
         x1, x2 = (o * dt for o in _drive(pulses, t, scale1, scale2))
         _check_step(np.sqrt(x1 * x1 + x2 * x2))
         # the two exponents of each step in acting order: (2, 2n, batch)

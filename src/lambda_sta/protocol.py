@@ -1,12 +1,9 @@
-"""Drive-protocol construction for the three-level Lambda system.
+"""The shortcut protocol for the three-level Lambda system.
 
-Two protocol families are provided:
-
-* the shortcut protocol built from a single frame rotation, with winding
-  integer m, constant mixing angle mu and the closed-form analytic state
-  that goes with it;
-* the counter-intuitively ordered Gaussian pulse pair used as the
-  adiabatic (STIRAP) baseline.
+It is built from a single frame rotation, with winding integer m and
+constant mixing angle mu, and comes with the closed-form analytic state.
+The adiabatic (STIRAP) baseline is a pair of Gaussian pulses, so
+`pulsefit.design_stirap` builds it.
 
 Conventions: hbar = 1, basis {|1>, |2>, |3>}, time over [0, 1] in units of
 the interaction time T and all rates in units of 1/T.
@@ -89,7 +86,8 @@ class StaProtocol:
     fixes the intermediate-state population ceiling 2*kappa - kappa^2.
     The drive is read off `frame_match` at the frame angle kappa*phi.
     Past t=1, where phi_dot < 0, omega1 and omega2 continue smoothly with the
-    signed phi_dot, while omega = |phi_dot| sin(mu) and theta jumps by pi.
+    signed phi_dot, while the frame's omega = |phi_dot| sin(mu) and its
+    theta jumps by pi.
     """
 
     m: int
@@ -107,12 +105,6 @@ class StaProtocol:
         phi = self.phi(t)
         return frame_match(self.mu, 0.0, phi, self.phi_dot(t),
                            self.kappa * phi)
-
-    def theta(self, t):
-        return self.frame(t).theta
-
-    def omega(self, t):
-        return self.frame(t).omega
 
     def drive(self, t):
         """(omega1, omega2) at the times t, from one frame."""
@@ -158,42 +150,6 @@ def analytic_state_constant_mu(p, t):
     c2 = 1j * sp * math.sin(p.mu)
     c3 = ce * b + se * a
     return np.array([c1, c2, c3], dtype=complex)
-
-
-STIRAP_T0, STIRAP_TC = 0.15, 0.2  # reference delay and width, units of T
-
-
-@dataclass(frozen=True)
-class StirapProtocol:
-    """Counter-intuitively ordered Gaussian pulse pair on [0, 1].
-
-    omega1 (driving 1-2) peaks at 1/2 + t0, after omega2 (driving 2-3)
-    which peaks at 1/2 - t0, as required for the 1 -> 3 transfer through
-    the dark state.
-    """
-
-    omega0: float
-    t0: float
-    tc: float
-
-    def omega1(self, t):
-        u = (np.asarray(t) - self.t0 - 0.5) / self.tc
-        return self.omega0 * np.exp(-u * u)
-
-    def omega2(self, t):
-        u = (np.asarray(t) + self.t0 - 0.5) / self.tc
-        return self.omega0 * np.exp(-u * u)
-
-    def drive(self, t):
-        return self.omega1(t), self.omega2(t)
-
-
-def design_stirap(omega0, t0=STIRAP_T0, tc=STIRAP_TC):
-    """Reference STIRAP pair on [0, 1]: omega0 in 1/T, t0 and tc in T."""
-    if omega0 <= 0 or tc <= 0 or not 0 < t0 < 0.5:
-        raise InvalidParameters(
-            f"bad STIRAP parameters omega0={omega0}, t0={t0}, tc={tc}")
-    return StirapProtocol(omega0=float(omega0), t0=float(t0), tc=float(tc))
 
 
 def protocol_to_json(p, duration):

@@ -21,6 +21,11 @@ A shortcut protocol's two schedules are mirror images, so only Omega2
 is fitted here; `analysis.fit_protocol_pulses` builds Omega1 by
 mirroring that fit, and `fit_report` gives the mirrored pulse's
 residuals.
+
+The adiabatic (STIRAP) baseline is two Gaussians too, so
+`design_stirap` builds it here, as a PulsePair of one-component
+GaussianPulses, and this module is the one that evaluates Gaussian
+pulses.
 """
 
 import json
@@ -30,6 +35,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .protocol import InvalidParameters
+from .dynamics import PulsePair
 
 _EPS = np.finfo(float).eps
 
@@ -105,6 +111,23 @@ def reference_m1_fit():
         GaussianComponent(-1.275, 0.2159, 0.1581),
     ))
     return p1, p1.mirrored(-1)
+
+
+# The reference STIRAP pair: peak amplitude in 1/T, delay and width in T.
+STIRAP_OMEGA0, STIRAP_T0, STIRAP_TC = 45.0, 0.15, 0.2
+
+
+def design_stirap(omega0, t0=STIRAP_T0, tc=STIRAP_TC):
+    """Counter-intuitively ordered Gaussian pair on [0, 1], omega0 in
+    1/T, t0 and tc in T.  omega1 (driving 1-2) peaks at 1/2 + t0, after
+    omega2 (driving 2-3) at 1/2 - t0, as the 1 -> 3 transfer through the
+    dark state requires."""
+    if not (0 < omega0 < math.inf and 0 < tc < math.inf and 0 < t0 < 0.5):
+        raise InvalidParameters(
+            f"bad STIRAP parameters omega0={omega0}, t0={t0}, tc={tc}")
+    return PulsePair(*(
+        GaussianPulse((GaussianComponent(float(omega0), 0.5 + t, float(tc)),))
+        for t in (t0, -t0)))
 
 
 def _initial_guess(t, y, n):

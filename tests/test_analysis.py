@@ -15,8 +15,9 @@ from lambda_sta.dynamics import (STAGE_MARCH_BATCH, LindbladRates,
                                  PulsePair, evolve_lindblad,
                                  evolve_schrodinger, lindblad_operators,
                                  propagate_schrodinger)
-from lambda_sta.protocol import G1, G2, design_stirap
-from lambda_sta.pulsefit import pulse_amplitude, reference_m1_fit
+from lambda_sta.protocol import G1, G2
+from lambda_sta.pulsefit import (design_stirap, pulse_amplitude,
+                               reference_m1_fit)
 
 STEPS = 2000  # integration error far below every tolerance used here
 

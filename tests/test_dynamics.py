@@ -13,7 +13,8 @@ from lambda_sta.dynamics import (STAGE_MARCH_BATCH, InvalidRates,
                                  propagate_lindblad, propagate_schrodinger,
                                  step_rotation)
 from lambda_sta.protocol import (G1, G2, analytic_state_constant_mu,
-                                 design_sta, design_stirap, m_eigenbasis)
+                                 design_sta, m_eigenbasis)
+from lambda_sta.pulsefit import design_stirap
 
 ZERO_PULSES = PulsePair(omega1=lambda t: 0.0 * np.asarray(t),
                         omega2=lambda t: 0.0 * np.asarray(t))

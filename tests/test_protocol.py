@@ -9,8 +9,9 @@ from scipy.linalg import expm
 
 from lambda_sta.protocol import (G1, G2, G3, InvalidParameters,
                                  InvalidWinding, analytic_state_constant_mu,
-                                 design_sta, design_stirap, frame_match,
-                                 m_eigenbasis, protocol_to_json)
+                                 design_sta, frame_match, m_eigenbasis,
+                                 protocol_to_json)
+from lambda_sta.pulsefit import STIRAP_T0, STIRAP_TC, design_stirap
 
 
 def commutator(a, b):
@@ -111,19 +112,21 @@ class TestDesignSta:
         t = np.linspace(0, 1, 2001)
         # Omega(t) = (sqrt(3)/2) * (pi^2/2) sin(pi t)
         expected = (math.sqrt(3) / 2) * (math.pi ** 2 / 2) * np.sin(math.pi * t)
-        assert np.abs(sta_m1.omega(t) - expected).max() < 1e-10
-        assert np.abs(sta_m1.theta(t) - (sta_m1.phi(t) - math.pi) / 2).max() < 1e-12
+        assert np.abs(sta_m1.frame(t).omega - expected).max() < 1e-10
+        assert np.abs(sta_m1.frame(t).theta
+                      - (sta_m1.phi(t) - math.pi) / 2).max() < 1e-12
 
     def test_m1_peak_amplitude(self, sta_m1):
-        assert sta_m1.omega(0.5) == pytest.approx(math.sqrt(3) * math.pi ** 2 / 4)
+        assert sta_m1.frame(0.5).omega == pytest.approx(
+            math.sqrt(3) * math.pi ** 2 / 4)
 
     def test_boundary_conditions(self):
         for m in (1, 2, 5):
             p = design_sta(m)
             assert p.phi(0) == pytest.approx(0.0, abs=1e-12)
             assert p.phi(1.0) == pytest.approx(m * math.pi)
-            assert abs(p.omega(0)) < 1e-12
-            assert abs(p.omega(1.0)) < 1e-12
+            assert abs(p.frame(0).omega) < 1e-12
+            assert abs(p.frame(1.0).omega) < 1e-12
 
     def test_p2_ceiling_m3(self):
         p = design_sta(3)
@@ -131,7 +134,8 @@ class TestDesignSta:
 
     def test_pulse_pythagoras(self, sta_m1, time_grid):
         o1, o2 = sta_m1.omega1(time_grid), sta_m1.omega2(time_grid)
-        assert np.abs(o1 ** 2 + o2 ** 2 - sta_m1.omega(time_grid) ** 2).max() < 1e-9
+        omega = sta_m1.frame(time_grid).omega
+        assert np.abs(o1 ** 2 + o2 ** 2 - omega ** 2).max() < 1e-9
 
     def test_invalid_winding(self):
         with pytest.raises(InvalidWinding):
@@ -145,8 +149,8 @@ def test_drive_matches_closed_form(m, time_grid):
     p = design_sta(m)
     theta = (1 - p.kappa) * p.phi(time_grid) - math.pi / 2
     omega = p.phi_dot(time_grid) * math.sin(p.mu)
-    assert np.abs(p.theta(time_grid) - theta).max() <= 1e-12
-    assert np.abs(p.omega(time_grid) - omega).max() <= 1e-12
+    assert np.abs(p.frame(time_grid).theta - theta).max() <= 1e-12
+    assert np.abs(p.frame(time_grid).omega - omega).max() <= 1e-12
     assert np.abs(p.omega1(time_grid) - omega * np.sin(theta)).max() <= 1e-12
     assert np.abs(p.omega2(time_grid) - omega * np.cos(theta)).max() <= 1e-12
     # past T the pulses continue smoothly with the signed phi_dot
@@ -218,8 +222,20 @@ class TestAnalyticState:
 class TestStirap:
     def test_peak(self):
         p = design_stirap(10.0)
-        assert p.omega1(0.5 + p.t0) == pytest.approx(10.0)
-        assert p.omega2(0.5 - p.t0) == pytest.approx(10.0)
+        assert p.omega1(0.5 + STIRAP_T0) == pytest.approx(10.0)
+        assert p.omega2(0.5 - STIRAP_T0) == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("omega0, t0, tc", [(45.0, STIRAP_T0, STIRAP_TC),
+                                                (3.5, 0.1, 0.35),
+                                                (1e3, 0.49, 0.05)])
+    def test_drive_matches_closed_form(self, omega0, t0, tc):
+        # Omega0 exp(-((t - 1/2 -+ t0)/tc)^2) over the run, omega1 the
+        # later pulse
+        t = np.linspace(0, 1, 2001)
+        p = design_stirap(omega0, t0, tc)
+        for o, sign in zip(p.drive(t), (1, -1)):
+            closed = omega0 * np.exp(-((t - 0.5 - sign * t0) / tc) ** 2)
+            assert np.abs(o - closed).max() <= 1e-15 * omega0
 
     def test_midpoint_value(self):
         p = design_stirap(1.0)
@@ -240,6 +256,11 @@ class TestStirap:
             design_stirap(1.0, t0=0.6)
         with pytest.raises(InvalidParameters):
             design_stirap(1.0, tc=-0.1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidParameters):
+                design_stirap(bad)
+            with pytest.raises(InvalidParameters):
+                design_stirap(1.0, tc=bad)
 
 
 class TestDarkState:
@@ -265,9 +286,9 @@ class TestDarkState:
 def test_hamiltonian_polar_consistency(sta_m1, time_grid):
     for t in time_grid[::100]:
         h = sta_m1.omega1(t) * G1 + sta_m1.omega2(t) * G2
-        polar = float(sta_m1.omega(t)) * (
-            math.sin(float(sta_m1.theta(t))) * G1
-            + math.cos(float(sta_m1.theta(t))) * G2)
+        polar = float(sta_m1.frame(t).omega) * (
+            math.sin(float(sta_m1.frame(t).theta)) * G1
+            + math.cos(float(sta_m1.frame(t).theta)) * G2)
         assert np.abs(h - polar).max() < 1e-12
 
 
@@ -280,8 +301,8 @@ def test_picture_transformation_identity():
         for t in np.linspace(0.05, 0.95, 13):
             phi = float(p.phi(t))
             eps = p.kappa * phi
-            theta = float(p.theta(t))
-            omega = float(p.omega(t))
+            theta = float(p.frame(t).theta)
+            omega = float(p.frame(t).omega)
             eps_dot = float(frame_match(p.mu, 0.0, phi,
                                         float(p.phi_dot(t))).epsilon_dot)
             assert eps_dot == pytest.approx(p.kappa * float(p.phi_dot(t)),
