@@ -115,6 +115,16 @@ MUTANTS = [
            (f"{SCHRODINGER}[1000-None-None]", f"{SCHRODINGER}[999-64-25]",
             "tests/test_analysis.py::TestTimingErrorSweep::"
             "test_batched_matches_per_point")),
+    Mutant("rotation-g3-sign-flipped", DYNAMICS,
+           "    q.real[1] = -s * x3\n",
+           "    q.real[1] = s * x3\n",
+           (f"{SCHRODINGER}[1000-None-None]", f"{SCHRODINGER}[2000-1-None]",
+            "tests/test_dynamics.py::test_closed_form_step_matches_expm")),
+    Mutant("magnus-drops-c2", DYNAMICS,
+           "        vx, vy = x2 - y1 * (c / 60), y2 + x1 * (c / 60)\n"
+           "        e = (y1 * x3 - x1 * y3) / 30\n",
+           "        vx, vy, e = x2, y2, 0\n",
+           (f"{SCHRODINGER}[1000-None-None]", f"{SCHRODINGER}[2000-1-None]")),
     Mutant("fit-max-residual-unscaled", CLI,
            "max_residual=r.max_residual / duration,",
            "max_residual=r.max_residual,",

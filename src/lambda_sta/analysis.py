@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import InvalidParameters, design_sta
-from .dynamics import (LINDBLAD_STEPS, SCHRODINGER_STEPS, LindbladRates,
+from .dynamics import (LINDBLAD_STEPS, SCHRODINGER_END_STEPS, LindbladRates,
                        evolve_lindblad, evolve_schrodinger,
                        propagate_lindblad)
 from .pulsefit import (STIRAP_OMEGA0, STIRAP_T0, STIRAP_TC, design_stirap,
@@ -38,7 +38,7 @@ def _final_p3(states):
 
 
 def timing_error_sweep(pulses, error_range=0.1, points=21,
-                       steps=SCHRODINGER_STEPS):
+                       steps=SCHRODINGER_END_STEPS):
     """Final target population when the interaction time is off by a
     relative error delta: integrate to T' = T*(1+delta), the horizon
     1 + delta in units of T, with the nominal pulse parameters frozen."""
@@ -50,7 +50,7 @@ def timing_error_sweep(pulses, error_range=0.1, points=21,
 
 
 def amplitude_error_sweep(pulses, which=1, error_range=0.1, points=21,
-                          steps=SCHRODINGER_STEPS):
+                          steps=SCHRODINGER_END_STEPS):
     """Final target population when one drive amplitude is scaled by
     (1+delta) while the other stays nominal."""
     if which not in (1, 2):
@@ -62,7 +62,7 @@ def amplitude_error_sweep(pulses, which=1, error_range=0.1, points=21,
 
 
 def stirap_infidelity_curve(amplitudes, t0=STIRAP_T0, tc=STIRAP_TC,
-                            steps=SCHRODINGER_STEPS):
+                            steps=SCHRODINGER_END_STEPS):
     """Final-state infidelity of the Gaussian adiabatic pair versus its
     peak amplitudes Omega0*T."""
     amplitudes = np.asarray(amplitudes, dtype=float)

@@ -31,7 +31,8 @@ import numpy as np
 from . import __version__
 from .protocol import design_sta, protocol_to_json, InvalidParameters
 from .dynamics import (LINDBLAD_STEPS, MIN_LINDBLAD_STEPS,
-                       MIN_SCHRODINGER_STEPS, SCHRODINGER_STEPS,
+                       MIN_SCHRODINGER_STEPS, SCHRODINGER_END_STEPS,
+                       SCHRODINGER_STEPS,
                        LindbladRates, PulsePair, propagate_schrodinger,
                        propagate_lindblad)
 from .pulsefit import (STIRAP_OMEGA0, STIRAP_T0, STIRAP_TC, design_stirap,
@@ -80,6 +81,8 @@ T = Option("--T", float, 1.0, lambda v: v > 0, "total interaction time",
            "duration")
 STEPS = Option("--steps", int, SCHRODINGER_STEPS,
                lambda v: v >= MIN_SCHRODINGER_STEPS, "integration steps")
+# commands that sample each run at its end only
+END_STEPS = replace(STEPS, default=SCHRODINGER_END_STEPS)
 M = Option("--m", int, 1, lambda v: v >= 1, "winding integer",
            protocols=STA)
 COMPONENTS = Option("--components", int, None, lambda v: v >= 1,
@@ -113,12 +116,12 @@ OPTIONS = {
                      choices=SWEEP_KINDS, required=True),
               Option("--range", float, 0.1, lambda v: 0 < v <= 0.2,
                      "largest relative error", "error_range"),
-              POINTS, T, STEPS),
+              POINTS, T, END_STEPS),
     "stirap-curve": (Option("--min", float, 1.0, lambda v: v > 0,
                             "least peak amplitude times T", "amp_min"),
                      Option("--max", float, 80.0, lambda v: v > 0,
                             "greatest peak amplitude times T", "amp_max"),
-                     replace(POINTS, default=50), T0, TC, T, STEPS),
+                     replace(POINTS, default=50), T0, TC, T, END_STEPS),
     "table1": (Option("--max-m", int, 7, lambda v: 1 <= v <= 10,
                       "largest winding"),
                Option("--fit-budget", int, None, lambda v: v >= 1,
@@ -126,8 +129,8 @@ OPTIONS = {
                       "(default m+1, at least 2)")),
     "fig1": (T,),
     "fig2": (T, STEPS),
-    "fig3": (T, STEPS),
-    "fig4": (replace(POINTS, default=41), T, STEPS),
+    "fig3": (T, END_STEPS),
+    "fig4": (replace(POINTS, default=41), T, END_STEPS),
     "fig5": (Option("--grid", int, 21, lambda v: v >= 2,
                     "map points per axis"), T),
 }

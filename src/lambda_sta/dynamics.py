@@ -32,33 +32,43 @@ six entries (00, 11, 22, 01, 02, 12) of rho' on and above its diagonal,
 and both map back by D^dagger: psi = conj(d) psi' and rho = rho' conj(d)
 d^T elementwise.
 
-Closed systems take the fourth-order commutator-free Magnus step of
-Blanes & Moan (2006, Appl. Numer. Math. 56): with H sampled at the two
-Gauss-Legendre nodes t1,2 = t + (1/2 -+ sqrt(3)/6) dt of a step,
+Closed systems take the sixth-order Magnus step of Blanes, Casas & Ros
+(2000, BIT 40), one exponential a step.  With A_j = -i dt H(t_j) at the
+three Gauss-Legendre nodes t_j = t + (1/2 + (j - 2) sqrt(15)/10) dt of a
+step, alpha1 = A_2, alpha2 = sqrt(15)/3 (A_3 - A_1) and alpha3 = 10/3
+(A_3 - 2 A_2 + A_1), C1 = [alpha1, alpha2] and C2 = -[alpha1, 2 alpha3 +
+C1]/60, the step is
 
-    U = exp(-i dt (a1 H(t1) + a2 H(t2))) exp(-i dt (a2 H(t1) + a1 H(t2))),
+    U = exp(alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240).
 
-a1,2 = 1/4 -+ sqrt(3)/6, the right-hand factor acting first.  H =
-omega1 G1 + omega2 G2, so each exponent is H' = o1 G1 + o2 G2 with o1, o2
-mixed from the node amplitudes, in the frame the rotation by Omega dt
-about (-o2, 0, o1), Omega = hypot(o1, o2): the unit quaternion
+-i a.G, a = (a1, a2, a3), maps su(2) onto 3-vectors, and [-i a.G, -i b.G]
+= -i (a x b).G, so the exponent is -i r.G for a 3-vector r made by cross
+products; as H = omega1 G1 + omega2 G2, the alphas lie in the G1-G2 plane
+and C1 along G3, and the kernel writes the products out by components.
+In the frame U is the rotation by |r| about (-r2, -r3, r1): the unit
+quaternion
 
-    (cos(Omega dt/2), sin(Omega dt/2)/Omega * (-o2, 0, o1)),
+    (cos(|r|/2), sin(|r|/2)/|r| * (-r2, -r3, r1)),
 
 held as its Cayley-Klein pair (a, b) = (w - iz, y - ix), in which a
-product takes four complex multiplications.  A step is the product of its
-two quaternions, and a run's psi' is the first column of the rotation of
-the product of its steps.  The product is associative, so a block's
-steps are composed without a loop over them: by a pairwise product tree
-when only the run's end is sampled, and when it is sampled every
-`stride` steps, by a tree within each stride chunk and a prefix product
-over the chunks in log2(chunks) rounds (Hillis & Steele 1986; Blelloch
-1990).  Only the block results are chained in Python.  The rotations are
-unitary to machine precision, so the norm drift doubles as an
-integration diagnostic.  Open systems integrate the Lindblad master
-equation with classic fixed-step RK4 on the six entries of rho', where
-generators and propagators are real 6x6 matrices.  The generator is
-linear in the drive and in the rates,
+product takes four complex multiplications.  A run's psi' is the first
+column of the rotation of the product of its steps.  The product is
+associative, so a block's steps are composed without a loop over them:
+by a pairwise product tree when only the run's end is sampled, and when
+it is sampled every `stride` steps, by a tree within each stride chunk
+and a prefix product over the chunks in log2(chunks) rounds (Hillis &
+Steele 1986; Blelloch 1990).  Only the block results are chained in
+Python.  The rotations are unitary to machine precision, so the norm
+drift doubles as an integration diagnostic.  Two step counts are the
+defaults: runs sampled at their end only, the sweeps and curves, take
+500 steps, where fig3 and fig4 agree with 8x finer runs to 7e-14; runs
+sampled at every step take 1000, one a row of the 1001 of a trajectory
+CSV, where fig2 agrees to 3e-14.
+
+Open systems integrate the Lindblad master equation with classic
+fixed-step RK4 on the six entries of rho', where generators and
+propagators are real 6x6 matrices.  The generator is linear in the drive
+and in the rates,
 
     omega1 K1 + omega2 K2 + gamma1 D1 + gamma2 D2
                           + gamma_phi1 D3 + gamma_phi2 D4,
@@ -131,10 +141,12 @@ BLOCK_BYTES = 2 ** 21
 # near Omega*dt = 1.4 rad and Gamma*dt = 2.785; the reproduction's runs
 # stay below 0.1 rad and 7e-5 (fig5's dephasing corner).
 MAX_ROTATION = 1.0
-# Default step counts, and the least accepted.  At 1000 steps the
-# fourth-order Magnus step puts fig3 and fig4 within 4e-12 of 16x finer
-# runs; RK4 is less accurate and needs more steps.
+# Default step counts, and the least accepted.  Runs sampled at their end
+# only take SCHRODINGER_END_STEPS, runs sampled at every step
+# SCHRODINGER_STEPS (see the module docstring); RK4 is less accurate and
+# needs more steps.
 SCHRODINGER_STEPS = 1000
+SCHRODINGER_END_STEPS = 500
 LINDBLAD_STEPS = 10_000
 MIN_SCHRODINGER_STEPS = 100
 MIN_LINDBLAD_STEPS = 1000
@@ -145,15 +157,18 @@ MIN_LINDBLAD_STEPS = 1000
 # 6/6 processes.  So fig5's 5x5 grids (50 runs) take propagators and its
 # 21x21 grids (882 runs) the stage march.
 STAGE_MARCH_BATCH = 96
-# Fourth-order commutator-free Magnus step: Gauss-Legendre nodes as
-# fractions of a step, and the node weights of its two exponents, the
-# first-acting one first.
-_CF4_NODES = np.array([0.5 - 3 ** 0.5 / 6, 0.5 + 3 ** 0.5 / 6])
-_CF4_MIX = np.array([[0.25 + 3 ** 0.5 / 6, 0.25 - 3 ** 0.5 / 6],
-                     [0.25 - 3 ** 0.5 / 6, 0.25 + 3 ** 0.5 / 6]])
+# Sixth-order Magnus step: the Gauss-Legendre nodes as fractions of a
+# step, and the rows that mix the drive at the nodes into alpha1, alpha2
+# and alpha3.
+_NODES = 0.5 + np.array([-1, 0, 1]) * 15 ** 0.5 / 10
+_MIX = np.array([[0, 1, 0],
+                 [-15 ** 0.5 / 3, 0, 15 ** 0.5 / 3],
+                 [10 / 3, -20 / 3, 10 / 3]])
 # Bytes a Schrodinger block holds per step and run: the drive samples, the
-# step rotations and their temporaries.
-_STEP_BYTES = 288
+# Magnus exponents, the step rotations and their temporaries.  Tracemalloc
+# peaks of one-block runs of 1-16 runs grow by 234-304 B a step and run
+# (end only to every step sampled).
+_STEP_BYTES = 304
 # Bytes a Lindblad propagator block holds per step and run: the factors U
 # and B/2, the propagators and their two scratch buffers, the product
 # tree's temporaries and the drive samples.  Tracemalloc peaks of
@@ -272,18 +287,19 @@ def _check_step(angle, effect="rotates the state by {:.3g} rad"):
                             f"{MAX_ROTATION:g}); use more steps")
 
 
-def step_rotation(x1, x2):
-    """exp(-i (x1 G1 + x2 G2)), x1, x2 being o1*dt, o2*dt, in the frame
-    D = diag(1, i, 1): the rotation by hypot(x1, x2) about (-x2, 0, x1), as
-    the Cayley-Klein pair (a, b) of its unit quaternion; elementwise over
-    the broadcast shape of x1 and x2, pair first: shape (2, ...)."""
-    half = 0.5 * np.sqrt(x1 * x1 + x2 * x2)
+def step_rotation(x1, x2, x3):
+    """exp(-i (x1 G1 + x2 G2 + x3 G3)) in the frame D = diag(1, i, 1): the
+    rotation by |x| about (-x2, -x3, x1), as the Cayley-Klein pair (a, b)
+    of its unit quaternion; elementwise over the broadcast shape of x1, x2
+    and x3, pair first: shape (2, ...)."""
+    half = 0.5 * np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
     # sin(half)/(2 half), 1/2 in the limit half = 0
     s = np.divide(np.sin(half), 2 * half, out=np.full(np.shape(half), 0.5),
                   where=half > 0)
-    q = np.zeros((2, *half.shape), dtype=complex)
+    q = np.empty((2, *half.shape), dtype=complex)
     q.real[0] = np.cos(half)
     q.imag[0] = -s * x1
+    q.real[1] = -s * x3
     q.imag[1] = s * x2
     return q
 
@@ -376,9 +392,9 @@ def _march(block, state, steps, stride, per_block):
     return out
 
 
-def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
+def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_END_STEPS,
                        scale1=1.0, scale2=1.0, stride=None):
-    """Batched fourth-order Magnus propagation of the Schrodinger equation.
+    """Batched sixth-order Magnus propagation of the Schrodinger equation.
 
     `horizon`, `scale1` and `scale2` broadcast to one batch axis: run b
     integrates the pulses scaled by (scale1[b], scale2[b]) over
@@ -399,14 +415,25 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_STEPS,
     grid = dt[:1] if np.all(dt == dt[:1]) else dt
 
     def block(k0, k1, x):
-        # drive at the two nodes of each step, times dt: rotation angles,
-        # shape (steps, 2, batch)
-        t = (np.arange(k0, k1)[:, None, None] + _CF4_NODES[:, None]) * grid
-        x1, x2 = (o * dt for o in _drive(pulses, t, scale1, scale2))
-        _check_step(np.sqrt(x1 * x1 + x2 * x2))
-        # the two exponents of each step in acting order: (2, 2n, batch)
-        q = step_rotation(_CF4_MIX @ x1, _CF4_MIX @ x2).reshape(
-            2, 2 * (k1 - k0), batch)
+        # drive at the three nodes of each step, times dt: the G1 and G2
+        # coordinates of the node generators, shape (2, 3, steps, batch)
+        t = (np.arange(k0, k1)[:, None] + _NODES[:, None, None]) * grid
+        gen = np.array(_drive(pulses, t, scale1, scale2)) * dt
+        _check_step(np.sqrt(gen[0] * gen[0] + gen[1] * gen[1]))
+        # alpha1, alpha2 and alpha3 lie in the G1-G2 plane, alpha_k = (xk,
+        # yk, 0), so C1 is along G3: the Magnus exponent by components
+        (x1, x2, x3), (y1, y2, y3) = (
+            _MIX @ gen.reshape(2, 3, -1)).reshape(gen.shape)
+        c = x1 * y2 - y1 * x2  # C1 = (0, 0, c)
+        # v = alpha2 + C2, C2 = (-y1 c/60, x1 c/60, e)
+        vx, vy = x2 - y1 * (c / 60), y2 + x1 * (c / 60)
+        e = (y1 * x3 - x1 * y3) / 30
+        # u = -20 alpha1 - alpha3 + C1 = (ux, uy, c); r = alpha1 + alpha3/12
+        # + (u x v)/240, one rotation a step
+        ux, uy = -20 * x1 - x3, -20 * y1 - y3
+        q = step_rotation(x1 + x3 / 12 + (uy * e - c * vy) / 240,
+                          y1 + y3 / 12 + (c * vx - ux * e) / 240,
+                          (ux * vy - uy * vx) / 240)
         # compose each stride chunk, then the prefixes of the chunks
         q = _chunk_products(q, _qmul, _IDENTITY, 1, k0, k1, stride)
         return (_chunk_ends(k0, k1, stride),
@@ -563,23 +590,23 @@ def evolve_lindblad(pulses, rates, steps=LINDBLAD_STEPS, stride=None):
             _check_step(np.hypot(*drive) * dt)
         o1, o2 = drive[:, 2 * k0 - w0:2 * k1 + 1 - w0]
         ends = _chunk_ends(k0, k1, stride)
+        xs = np.empty((len(ends), *x.shape))
         if stages:
             gen = np.matmul(np.column_stack((o1, o2)), basis,
                             out=gens[:len(o1)]).reshape(-1, _DIM, _DIM)
+            for j, (k, end) in enumerate(zip([k0, *ends[:-1]], ends)):
+                # gen[i:i + 3] drives step k0 + i // 2 + 1
+                for i in range(2 * (k - k0), 2 * (end - k0), 2):
+                    x = _rk4_stages(gen[i:i + 3], x, decay, feed, dt)
+                xs[j] = x
         else:
             c = np.column_stack(((dt / 2) * o1, (dt / 2) * o2,
                                  np.ones_like(o1)))
             ops = _chunk_products(
                 _rk4_propagators(c, end_basis, mid_basis, work), np.matmul,
                 np.eye(_DIM), 0, k0, k1, stride)
-        xs = np.empty((len(ends), *x.shape))
-        for j, (k, end) in enumerate(zip([k0, *ends[:-1]], ends)):
-            if stages:  # gen[i:i + 3] drives step k0 + i // 2 + 1
-                for i in range(2 * (k - k0), 2 * (end - k0), 2):
-                    x = _rk4_stages(gen[i:i + 3], x, decay, feed, dt)
-            else:
-                x = ops[j] @ x
-            xs[j] = x
+            for j, op in enumerate(ops):
+                xs[j] = x = op @ x
         return ends, xs
 
     out = _march(block, start, steps, stride, per_block)

@@ -11,8 +11,8 @@ from lambda_sta.analysis import (TableRow, amplitude_error_sweep,
                                  stirap_infidelity_curve, table_one,
                                  timing_error_sweep)
 from lambda_sta.cli import csv_text, main
-from lambda_sta.dynamics import (STAGE_MARCH_BATCH, LindbladRates,
-                                 PulsePair, evolve_lindblad,
+from lambda_sta.dynamics import (SCHRODINGER_END_STEPS, STAGE_MARCH_BATCH,
+                                 LindbladRates, PulsePair, evolve_lindblad,
                                  evolve_schrodinger, lindblad_operators,
                                  propagate_schrodinger)
 from lambda_sta.protocol import G1, G2
@@ -226,14 +226,24 @@ def test_simulated_p2_max_matches_ceiling(sta_m1):
 
 def test_default_steps_converged(reference_pulses):
     # fig3's curve and fig4's sweeps at the default step count agree with
-    # 16x finer runs to 1e-10
+    # 8x finer runs to 2e-13
     runs = [partial(stirap_infidelity_curve, amplitudes=[1.0, 45.0, 80.0]),
             partial(timing_error_sweep, reference_pulses, 0.1, 41),
             partial(amplitude_error_sweep, reference_pulses, 1, 0.1, 41),
             partial(amplitude_error_sweep, reference_pulses, 2, 0.1, 41)]
     for run in runs:
-        default, fine = np.array(run()), np.array(run(steps=16_000))
-        assert np.abs(default - fine).max() <= 1e-10
+        default = np.array(run())
+        fine = np.array(run(steps=8 * SCHRODINGER_END_STEPS))
+        assert np.abs(default - fine).max() <= 2e-13
+
+
+def test_stirap_curve_default_steps_within_2e_13():
+    # fig3's 50-point curve at the default steps against an 8x finer run
+    amplitudes = np.linspace(1.0, 80.0, 50)
+    default = np.array(stirap_infidelity_curve(amplitudes))
+    fine = np.array(stirap_infidelity_curve(
+        amplitudes, steps=8 * SCHRODINGER_END_STEPS))
+    assert np.abs(default - fine).max() <= 2e-13
 
 
 class TestCsvWriters:

@@ -465,6 +465,15 @@ def test_coarse_steps_exit_3(tmp_path, capsys):
     assert "rotates the state" in capsys.readouterr().err
 
 
+def test_end_only_step_limit(tmp_path, capsys):
+    # at the 500 default steps of the end-only commands, Omega*dt <= 1
+    # admits a peak Omega*T of about 500; 1000 steps admit about 1000
+    argv = ["stirap-curve", "--points", "3", "--max", "600"]
+    assert run(tmp_path, *argv) == 3
+    assert "use more steps" in capsys.readouterr().err
+    assert run(tmp_path, *argv, "--steps", "1000") == 0
+
+
 @pytest.mark.parametrize("rate", [["--gamma1", "3000"],
                                   ["--gamma-phi1", "1400"]])
 def test_fast_decay_exits_3(tmp_path, capsys, rate):

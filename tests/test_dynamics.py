@@ -12,7 +12,7 @@ from lambda_sta.dynamics import (STAGE_MARCH_BATCH, InvalidRates,
                                  evolve_schrodinger, lindblad_operators,
                                  propagate_lindblad, propagate_schrodinger,
                                  step_rotation)
-from lambda_sta.protocol import (G1, G2, analytic_state_constant_mu,
+from lambda_sta.protocol import (G1, G2, G3, analytic_state_constant_mu,
                                  design_sta, m_eigenbasis)
 from lambda_sta.pulsefit import design_stirap
 
@@ -39,30 +39,33 @@ def propagator(pair):
 
 @settings(max_examples=200, deadline=None)
 @given(o1=st.floats(-100, 100), o2=st.floats(-100, 100),
-       dt=st.floats(0, 0.01))
-@example(o1=0.0, o2=0.0, dt=0.01)
-def test_closed_form_step_matches_expm(o1, o2, dt):
-    exact = expm(-1j * (o1 * G1 + o2 * G2) * dt)
-    u = propagator(step_rotation(o1 * dt, o2 * dt))
+       o3=st.floats(-100, 100), dt=st.floats(0, 0.01))
+@example(o1=0.0, o2=0.0, o3=0.0, dt=0.01)
+@example(o1=0.0, o2=0.0, o3=50.0, dt=0.01)
+def test_closed_form_step_matches_expm(o1, o2, o3, dt):
+    exact = expm(-1j * (o1 * G1 + o2 * G2 + o3 * G3) * dt)
+    u = propagator(step_rotation(o1 * dt, o2 * dt, o3 * dt))
     assert np.abs(u - exact).max() <= 1e-13
 
 
 @settings(max_examples=50, deadline=None)
-@given(o1=st.floats(-10, 10), o2=st.floats(-10, 10), s=st.floats(-1, 1),
-       t=st.floats(-1, 1))
-def test_step_unitary_and_group_property(o1, o2, s, t):
-    qs, qt = step_rotation(o1 * s, o2 * s), step_rotation(o1 * t, o2 * t)
+@given(o1=st.floats(-10, 10), o2=st.floats(-10, 10), o3=st.floats(-10, 10),
+       s=st.floats(-1, 1), t=st.floats(-1, 1))
+def test_step_unitary_and_group_property(o1, o2, o3, s, t):
+    qs = step_rotation(o1 * s, o2 * s, o3 * s)
+    qt = step_rotation(o1 * t, o2 * t, o3 * t)
     u = propagator(qs)
     assert np.abs(u @ u.conj().T - np.eye(3)).max() <= 1e-12
-    product = propagator(step_rotation(o1 * (s + t), o2 * (s + t)))
+    product = propagator(step_rotation(o1 * (s + t), o2 * (s + t),
+                                       o3 * (s + t)))
     assert np.abs(u @ propagator(qt) - product).max() <= 1e-12
     # the kernel's quaternion product is the product of the propagators
     assert np.abs(propagator(dynamics._qmul(qs, qt)) - product).max() <= 1e-12
 
 
 def test_step_identity_at_zero_dt():
-    o1, o2 = np.array([1.0, -3.0, 0.0]), np.array([2.0, 0.5, 0.0])
-    u = propagator(step_rotation(0.0 * o1, 0.0 * o2))
+    o = np.array([[1.0, -3.0, 0.0], [2.0, 0.5, 0.0], [-1.0, 0.0, 4.0]])
+    u = propagator(step_rotation(*(0.0 * o)))
     assert np.abs(u - np.eye(3)).max() < 1e-14
 
 
@@ -74,33 +77,48 @@ def test_step_matches_spectral_projector_form():
     expected = (np.outer(xi0, xi0.conj())
                 + np.exp(-1j * w * dt) * np.outer(xip, xip.conj())
                 + np.exp(1j * w * dt) * np.outer(xim, xim.conj()))
-    u = propagator(step_rotation(w * dt * np.sin(phi), w * dt * np.cos(phi)))
+    u = propagator(step_rotation(w * dt * np.sin(phi), w * dt * np.cos(phi),
+                                 0.0))
     assert np.abs(u - expected).max() < 1e-12
 
 
-def expm_cf4_states(pulses, horizon, steps, scale1, scale2, stride):
-    """The fourth-order commutator-free Magnus march as a sequential
-    product of scipy expm steps: U = exp(-i dt (a1 H(t1) + a2 H(t2)))
-    exp(-i dt (a2 H(t1) + a1 H(t2))), a1,2 = 1/4 -+ sqrt(3)/6, at the
-    Gauss-Legendre nodes t1,2; shape (batch, samples, 3)."""
+def expm_magnus6_states(pulses, horizon, steps, scale1, scale2, stride):
+    """The sixth-order Magnus march (Blanes, Casas & Ros 2000) as a
+    sequential product of scipy expm steps, in 3x3 matrices and their
+    commutators: with A_j = -i dt H(t_j) at the Gauss-Legendre nodes
+    t_j = t + (1/2 + (j - 2) sqrt(15)/10) dt, alpha1 = A_2, alpha2 =
+    sqrt(15)/3 (A_3 - A_1), alpha3 = 10/3 (A_3 - 2 A_2 + A_1), C1 =
+    [alpha1, alpha2] and C2 = -[alpha1, 2 alpha3 + C1]/60, a step is
+
+        exp(alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240);
+
+    shape (batch, samples, 3)."""
     horizon, scale1, scale2 = np.broadcast_arrays(horizon, scale1, scale2)
     dt = horizon / steps
-    c = 3 ** 0.5 / 6
-    t = (np.arange(steps)[:, None, None] + [[0.5 - c], [0.5 + c]]) * dt
+    r = 15 ** 0.5 / 10
+    t = (np.arange(steps)[:, None, None] + [[0.5 - r], [0.5], [0.5 + r]]) * dt
 
-    def h(t):
-        return ((scale1 * pulses.omega1(t))[..., None, None] * G1
-                + (scale2 * pulses.omega2(t))[..., None, None] * G2)
+    def a(t):
+        h = ((scale1 * pulses.omega1(t))[..., None, None] * G1
+             + (scale2 * pulses.omega2(t))[..., None, None] * G2)
+        return -1j * dt[:, None, None] * h
 
-    h1, h2 = h(t[:, 0]), h(t[:, 1])
-    exponent = -1j * dt[:, None, None]
-    first = expm(exponent * ((0.25 + c) * h1 + (0.25 - c) * h2))
-    second = expm(exponent * ((0.25 - c) * h1 + (0.25 + c) * h2))
+    def commutator(x, y):
+        return x @ y - y @ x
+
+    a1, a2, a3 = a(t[:, 0]), a(t[:, 1]), a(t[:, 2])
+    alpha1 = a2
+    alpha2 = 15 ** 0.5 / 3 * (a3 - a1)
+    alpha3 = 10 / 3 * (a3 - 2 * a2 + a1)
+    c1 = commutator(alpha1, alpha2)
+    c2 = -commutator(alpha1, 2 * alpha3 + c1) / 60
+    u = expm(alpha1 + alpha3 / 12
+             + commutator(-20 * alpha1 - alpha3 + c1, alpha2 + c2) / 240)
     psi = np.zeros((len(dt), 3, 1), dtype=complex)
     psi[:, 0] = 1
     out = [psi]
     for k in range(steps):
-        psi = second[k] @ (first[k] @ psi)
+        psi = u[k] @ psi
         if (k + 1) % stride == 0 or k + 1 == steps:
             out.append(psi)
     return np.concatenate(out, axis=2).swapaxes(1, 2)
@@ -123,7 +141,7 @@ def test_evolve_schrodinger_matches_expm_product(monkeypatch, steps, stride,
     proto = design_sta(2)
     states = evolve_schrodinger(proto, horizon, steps, scale1, scale2,
                                 stride)
-    expected = expm_cf4_states(proto, horizon, steps, scale1, scale2,
+    expected = expm_magnus6_states(proto, horizon, steps, scale1, scale2,
                                stride or steps)
     assert states.shape == expected.shape
     assert np.abs(states - expected).max() <= 1e-13
@@ -151,16 +169,16 @@ class TestSchrodinger:
         norms = traj.populations.sum(axis=1)
         assert np.abs(norms - 1).max() <= 1e-9
 
-    def test_fourth_order_convergence(self):
+    def test_sixth_order_convergence(self):
         proto = design_stirap(45.0)
 
         def final(steps):
             return np.abs(evolve_schrodinger(proto, steps=steps)[0, -1]) ** 2
 
-        exact = final(20_000)
+        exact = final(16_000)
         e1, e2 = (np.abs(final(n) - exact).max() for n in (100, 200))
-        assert e1 > 1e-10  # above the accuracy floor, ratio is meaningful
-        assert e1 / e2 >= 12  # 16 for a fourth-order step
+        assert e1 > 1e-11  # above the accuracy floor, ratio is meaningful
+        assert e1 / e2 >= 48  # 64 for a sixth-order step, 32 for fifth
 
     def test_stirap_tracks_zero_eigenstate(self):
         proto = design_stirap(70.0)
