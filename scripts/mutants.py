@@ -93,6 +93,11 @@ MUTANTS = [
            "pairs = mul(q[at + (np.s_[:-1:2],)], q[at + (np.s_[1::2],)])",
            (f"{PROPAGATORS}[None-None-1]", f"{PROPAGATORS}[7-None-3]",
             f"{SCHRODINGER}[1000-None-None]")),
+    Mutant("prefix-product-order", DYNAMICS,
+           "later[...] = mul(later, earlier)",
+           "later[...] = mul(earlier, later)",
+           (f"{PROPAGATORS}[1-None-1]", f"{PROPAGATORS}[7-75-3]",
+            f"{SCHRODINGER}[2000-1-None]")),
     Mutant("feed-keeps-row-1", DYNAMICS,
            "        feed[1] = 0  # rho11's own decay is in `decay`\n",
            "",

@@ -4,8 +4,8 @@ Each equation has one time-stepping kernel, `evolve_schrodinger` and
 `evolve_lindblad`.  A kernel carries a batch axis over independent runs
 (sweep points, map cells) and supplies only a block function: from the
 states at a block's start it evaluates the drive and builds the per-step
-operators of the whole block with array operations, composes them by
-product trees or, on the Lindblad stage march, applies them step by step,
+operators of the whole block with array operations, composes them with
+`_compose` or, on the Lindblad stage march, applies them step by step,
 and returns the states at the ends of its stride chunks.  One march,
 `_march`, walks the time axis for both: it cuts the blocks, carries the
 states from each to the next, keeps the samples and checks them finite.
@@ -53,17 +53,18 @@ quaternion
 held as its Cayley-Klein pair (a, b) = (w - iz, y - ix), in which a
 product takes four complex multiplications.  A run's psi' is the first
 column of the rotation of the product of its steps.  The product is
-associative, so a block's steps are composed without a loop over them:
-by a pairwise product tree when only the run's end is sampled, and when
-it is sampled every `stride` steps, by a tree within each stride chunk
-and a prefix product over the chunks in log2(chunks) rounds (Hillis &
-Steele 1986; Blelloch 1990).  Only the block results are chained in
-Python.  The rotations are unitary to machine precision, so the norm
-drift doubles as an integration diagnostic.  Two step counts are the
-defaults: runs sampled at their end only, the sweeps and curves, take
-500 steps, where fig3 and fig4 agree with 8x finer runs to 7e-14; runs
-sampled at every step take 1000, one a row of the 1001 of a trajectory
-CSV, where fig2 agrees to 3e-14.
+associative, so `_compose` composes a block's steps without a loop over
+them: by a pairwise product tree when only the run's end is sampled, and
+when it is sampled every `stride` steps, by a tree within each stride
+chunk and a prefix product over the chunks in log2(chunks) rounds (Hillis
+& Steele 1986; Blelloch 1990).  The block applies the products to its
+start states, and only the block results are chained in Python.  The
+rotations are unitary to machine precision, so the norm drift doubles as
+an integration diagnostic.  Two step counts are the defaults: runs
+sampled at their end only, the sweeps and curves, take 500 steps, where
+fig3 and fig4 agree with 8x finer runs to 7e-14; runs sampled at every
+step take 1000, one a row of the 1001 of a trajectory CSV, where fig2
+agrees to 3e-14.
 
 Open systems integrate the Lindblad master equation with classic
 fixed-step RK4 on the six entries of rho', where generators and
@@ -89,22 +90,23 @@ with the same drive samples and step checks:
 
       P = I + ((A + C)/2 + 2 w + 2 U' y)/3,
 
-  three 6x6 products per step and run, the identity added last.  As the
-  Schrodinger rotations are, the propagators of each stride chunk are
-  composed by a pairwise product tree, and only the chunk products are
-  applied to the states in Python;
+  three 6x6 products per step and run, the identity added last.  The
+  propagators are composed as the Schrodinger rotations are, by the same
+  `_compose`: a tree within each stride chunk and a prefix product over
+  the chunks, applied to the block's start states;
 - stage by stage: the states of the whole batch form one (6, batch)
   array X; each of the four stages multiplies X by omega1 K1 + omega2 K2,
   shared by the batch, and adds the runs' dissipators elementwise.
 
 The stage march costs a fixed Python overhead per step but little per
 run, the propagators the reverse, so `evolve_lindblad` marches stage by
-stage from STAGE_MARCH_BATCH runs up.  On 2 loaded vCPUs (medians, taken
-together) a single 10k-step run takes 0.007-0.008 s on propagators
-(0.007-0.011 s sampled every 10 steps, as `lindblad` writes it) and
-0.32-0.37 s stage by stage; the 50 runs of both 5x5 decoherence maps at
-2000 steps take 0.062-0.066 s and 0.103-0.108 s, the 882 of the 21x21
-maps 1.4 s and 0.23-0.29 s.  The two ways agree to about 1e-14.
+stage from STAGE_MARCH_BATCH runs up.  On 2 vCPUs (medians of three
+rounds, numpy 2.4.6) a single 10k-step run takes 0.005-0.009 s on
+propagators (0.006-0.010 s sampled every 10 steps, as `lindblad` writes
+it) and 0.20-0.30 s stage by stage; the 50 runs of both 5x5 decoherence
+maps at 2000 steps take 0.034-0.036 s and 0.049-0.054 s, the 882 of the
+21x21 maps 0.83-0.90 s and 0.19-0.21 s.  The two ways agree to about
+1e-14.
 
 Both kernels refuse a step that rotates the state by more than
 MAX_ROTATION rad (largest Omega*dt at the times where H is sampled), which
@@ -166,15 +168,17 @@ _MIX = np.array([[0, 1, 0],
                  [10 / 3, -20 / 3, 10 / 3]])
 # Bytes a Schrodinger block holds per step and run: the drive samples, the
 # Magnus exponents, the step rotations and their temporaries.  Tracemalloc
-# peaks of one-block runs of 1-16 runs grow by 234-304 B a step and run
-# (end only to every step sampled).
+# peaks of one-block runs of 1-16 runs grow by 217-274 B a step and run
+# (strides from 1 step to end only), within the constant.
 _STEP_BYTES = 304
 # Bytes a Lindblad propagator block holds per step and run: the factors U
-# and B/2, the propagators and their two scratch buffers, the product
-# tree's temporaries and the drive samples.  Tracemalloc peaks of
-# one-block runs of 1-16 runs grow by 1374-1537 B a step and run (end only
-# to stride 10), five times the 288 B of one 6x6 propagator.
-_RK4_STEP_BYTES = 1440
+# and B/2, the propagators and their two scratch buffers, the temporaries
+# of the product tree and the prefix scan, and the drive samples.
+# Tracemalloc peaks of one-block runs of 1-16 runs grow by 1155-1840 B a
+# step and run (strides from 1 step to end only; most at odd strides,
+# where each odd round of the product tree copies its pairs), up to 6.4
+# times the 288 B of one 6x6 propagator.
+_RK4_STEP_BYTES = 1840
 # The identity rotation as a Cayley-Klein pair, shape (2, 1, 1).
 _IDENTITY = np.array([1.0, 0j])[:, None, None]
 
@@ -311,20 +315,15 @@ def _qmul(p, q):
     return np.array([a1 * a2 - b1.conj() * b2, b1 * a2 + a1.conj() * b2])
 
 
-def _chunk_ends(k0, k1, stride):
-    """End steps of the chunks of `stride` steps, the last one possibly
-    shorter, that make up steps k0..k1-1."""
-    return np.append(np.arange(k0 + stride, k1, stride), k1)
-
-
-def _chunk_products(q, mul, eye, axis, k0, k1, stride):
-    """Compose the operators of steps k0..k1-1, stacked in acting order
-    along `axis` of q (a fixed number per step), over each chunk of
-    `stride` steps (the block's last chunk may be shorter): pairwise
-    products mul(later, earlier) in log2(chunk) rounds, the last chunk
-    padded with the identities `eye`.  Returns the chunk products, the
-    chunk axis in place of `axis`; _chunk_ends gives their end steps."""
-    size = min(stride, k1 - k0) * q.shape[axis] // (k1 - k0)
+def _compose(q, mul, eye, axis, stride):
+    """Compose operators stacked one a step, in acting order, along `axis`
+    of q: within each chunk of `stride` steps (the last one may be shorter,
+    padded with the identities `eye`) by pairwise products mul(later,
+    earlier) in log2(stride) rounds, then over the chunks by inclusive
+    prefix products in log2(chunks) rounds (Hillis & Steele), in place, so
+    q itself may be overwritten.  Returns the products of all steps up to
+    each chunk's end, the chunk axis in place of `axis`."""
+    size = min(stride, q.shape[axis])
     pad = -q.shape[axis] % size
     if pad:
         q = np.concatenate((q, np.broadcast_to(
@@ -336,16 +335,11 @@ def _chunk_products(q, mul, eye, axis, k0, k1, stride):
         pairs = mul(q[at + (np.s_[1::2],)], q[at + (np.s_[:-1:2],)])
         q = pairs if q.shape[axis + 1] % 2 == 0 else np.concatenate(
             (pairs, q[at + (np.s_[-1:],)]), axis + 1)
-    return q[at + (0,)]
-
-
-def _prefix(q):
-    """Inclusive prefix products q[:, j] ... q[:, 0] along axis 1, in
-    log2(n) rounds of products (Hillis & Steele)."""
+    q, at = q[at + (0,)], at[1:]  # at: now the prefix of the chunk axis
     shift = 1
-    while shift < q.shape[1]:
-        q = np.concatenate((q[:, :shift], _qmul(q[:, shift:], q[:, :-shift])),
-                           axis=1)
+    while shift < q.shape[axis]:
+        later, earlier = q[at + (np.s_[shift:],)], q[at + (np.s_[:-shift],)]
+        later[...] = mul(later, earlier)
         shift *= 2
     return q
 
@@ -371,18 +365,20 @@ def _march(block, state, steps, stride, per_block):
     per_block steps, cut by _edges so that every sample ends a stride
     chunk: the one loop over time of both kernels.
 
-    `block(k0, k1, x)` takes the states x after step k0 and returns the
-    end steps of its stride chunks and the states after each, stacked on
-    a leading axis; the next block starts from the last of them, sampled
-    or not.  Returns the states after each sampled step, stacked on a new
-    leading axis; raises ValueError when any is non-finite.
+    `block(k0, ends, x)` takes the states x after step k0 and returns the
+    states after each of `ends`, the end steps of the block's stride
+    chunks, the last one possibly shorter, stacked on a leading axis; the
+    next block starts from the last of them, sampled or not.  Returns the
+    states after each sampled step, stacked on a new leading axis; raises
+    ValueError when any is non-finite.
     """
     edges = _edges(steps, stride, per_block).tolist()
     out = [state[None]]
     # an overflow fails a step check or shows as non-finite states
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, k1 in zip(edges[:-1], edges[1:]):
-            ends, xs = block(k0, k1, state)
+            ends = np.append(np.arange(k0 + stride, k1, stride), k1)
+            xs = block(k0, ends, state)
             out.append(xs[(ends % stride == 0) | (ends == steps)])
             state = xs[-1]
     out = np.concatenate(out)
@@ -414,12 +410,14 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_END_STEPS,
     # runs of one horizon share one time grid: the drive is evaluated once
     grid = dt[:1] if np.all(dt == dt[:1]) else dt
 
-    def block(k0, k1, x):
+    def block(k0, ends, x):
         # drive at the three nodes of each step, times dt: the G1 and G2
         # coordinates of the node generators, shape (2, 3, steps, batch)
-        t = (np.arange(k0, k1)[:, None] + _NODES[:, None, None]) * grid
+        t = (np.arange(k0, ends[-1])[:, None] + _NODES[:, None, None]) * grid
         gen = np.array(_drive(pulses, t, scale1, scale2)) * dt
-        _check_step(np.sqrt(gen[0] * gen[0] + gen[1] * gen[1]))
+        # the largest Omega*dt by one square root: sqrt is monotone
+        _check_step(np.sqrt(np.max(gen[0] * gen[0] + gen[1] * gen[1],
+                                   initial=0.0)))
         # alpha1, alpha2 and alpha3 lie in the G1-G2 plane, alpha_k = (xk,
         # yk, 0), so C1 is along G3: the Magnus exponent by components
         (x1, x2, x3), (y1, y2, y3) = (
@@ -434,10 +432,8 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_END_STEPS,
         q = step_rotation(x1 + x3 / 12 + (uy * e - c * vy) / 240,
                           y1 + y3 / 12 + (c * vx - ux * e) / 240,
                           (ux * vy - uy * vx) / 240)
-        # compose each stride chunk, then the prefixes of the chunks
-        q = _chunk_products(q, _qmul, _IDENTITY, 1, k0, k1, stride)
-        return (_chunk_ends(k0, k1, stride),
-                _qmul(_prefix(q), x[:, None]).swapaxes(0, 1))
+        return _qmul(_compose(q, _qmul, _IDENTITY, 1, stride),
+                     x[:, None]).swapaxes(0, 1)
 
     a, b = _march(block, _IDENTITY[:, 0].repeat(batch, 1), steps, stride,
                   max(1, BLOCK_BYTES // (max(batch, 1) * _STEP_BYTES))
@@ -581,33 +577,29 @@ def evolve_lindblad(pulses, rates, steps=LINDBLAD_STEPS, stride=None):
     window = max(BLOCK_BYTES // 72, 2 * per_block + 1)
     w0, drive = 0, np.empty((2, 0))
 
-    def block(k0, k1, x):
+    def block(k0, ends, x):
         nonlocal w0, drive
+        k1 = ends[-1]
         if 2 * k1 >= w0 + drive.shape[1]:
             w0 = 2 * k0
             t = np.arange(w0, min(w0 + window, 2 * steps + 1)) * (dt / 2)
             drive = np.array(_drive(pulses, t))
             _check_step(np.hypot(*drive) * dt)
         o1, o2 = drive[:, 2 * k0 - w0:2 * k1 + 1 - w0]
-        ends = _chunk_ends(k0, k1, stride)
-        xs = np.empty((len(ends), *x.shape))
-        if stages:
-            gen = np.matmul(np.column_stack((o1, o2)), basis,
-                            out=gens[:len(o1)]).reshape(-1, _DIM, _DIM)
-            for j, (k, end) in enumerate(zip([k0, *ends[:-1]], ends)):
-                # gen[i:i + 3] drives step k0 + i // 2 + 1
-                for i in range(2 * (k - k0), 2 * (end - k0), 2):
-                    x = _rk4_stages(gen[i:i + 3], x, decay, feed, dt)
-                xs[j] = x
-        else:
+        if not stages:
             c = np.column_stack(((dt / 2) * o1, (dt / 2) * o2,
                                  np.ones_like(o1)))
-            ops = _chunk_products(
-                _rk4_propagators(c, end_basis, mid_basis, work), np.matmul,
-                np.eye(_DIM), 0, k0, k1, stride)
-            for j, op in enumerate(ops):
-                xs[j] = x = op @ x
-        return ends, xs
+            return _compose(_rk4_propagators(c, end_basis, mid_basis, work),
+                            np.matmul, np.eye(_DIM), 0, stride) @ x
+        gen = np.matmul(np.column_stack((o1, o2)), basis,
+                        out=gens[:len(o1)]).reshape(-1, _DIM, _DIM)
+        xs = np.empty((len(ends), *x.shape))
+        for j, (k, end) in enumerate(zip([k0, *ends[:-1]], ends)):
+            # gen[i:i + 3] drives step k0 + i // 2 + 1
+            for i in range(2 * (k - k0), 2 * (end - k0), 2):
+                x = _rk4_stages(gen[i:i + 3], x, decay, feed, dt)
+            xs[j] = x
+        return xs
 
     out = _march(block, start, steps, stride, per_block)
     out = out.transpose(2, 0, 1) if stages else out[..., 0].swapaxes(0, 1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -488,6 +490,42 @@ class TestLindbladMarches:
         with pytest.raises(ValueError, match="propagation produced "
                                              "non-finite"):
             evolve_lindblad(reference_pulses, mixed_rates(n), steps=1000)
+
+
+def traced_peak(run):
+    """The tracemalloc peak, in bytes, of one call of `run`."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [1, 4])
+# end only, the `lindblad` command's stride, an odd stride (the product
+# tree copies its pairs in every odd round) and every step sampled
+@pytest.mark.parametrize("stride", [None, 10, 7, 1])
+@pytest.mark.parametrize("kernel", ["schrodinger", "lindblad"])
+def test_block_holds_its_step_bytes(monkeypatch, kernel, stride, n):
+    """A block holds about BLOCK_BYTES: a one-block run grows by no more
+    than the bytes its kernel counts per step and run (_STEP_BYTES, or
+    _RK4_STEP_BYTES for propagators), but for a few fixed-size objects."""
+    monkeypatch.setattr(dynamics, "BLOCK_BYTES", 2 ** 40)  # one block
+    pulses = design_sta(1)
+    if kernel == "schrodinger":
+        step_bytes = dynamics._STEP_BYTES
+
+        def run(steps):
+            evolve_schrodinger(pulses, np.ones(n), steps, stride=stride)
+    else:
+        step_bytes = dynamics._RK4_STEP_BYTES
+
+        def run(steps):
+            evolve_lindblad(pulses, mixed_rates(n), steps, stride)
+    run(1000)  # warm up numpy's caches
+    lo, hi = (traced_peak(lambda: run(steps)) for steps in (1000, 2000))
+    assert hi - lo <= 1000 * n * step_bytes + 1024
 
 
 def test_population_csv_format(tmp_path):
