@@ -93,6 +93,11 @@ MUTANTS = [
            "pairs = mul(q[at + (np.s_[:-1:2],)], q[at + (np.s_[1::2],)])",
            (f"{PROPAGATORS}[None-None-1]", f"{PROPAGATORS}[7-None-3]",
             f"{SCHRODINGER}[1000-None-None]")),
+    Mutant("odd-fold-order", DYNAMICS,
+           "pairs[at + (-1,)] = mul(q[at + (-1,)], pairs[at + (-1,)])",
+           "pairs[at + (-1,)] = mul(pairs[at + (-1,)], q[at + (-1,)])",
+           (f"{PROPAGATORS}[None-None-1]", f"{PROPAGATORS}[7-75-3]",
+            f"{SCHRODINGER}[999-10-None]")),
     Mutant("prefix-product-order", DYNAMICS,
            "later[...] = mul(later, earlier)",
            "later[...] = mul(earlier, later)",

@@ -6,8 +6,9 @@ Each equation has one time-stepping kernel, `evolve_schrodinger` and
 states at a block's start it evaluates the drive and builds the per-step
 operators of the whole block with array operations, composes them with
 `_compose` or, on the Lindblad stage march, applies them step by step,
-and returns the states at the ends of its stride chunks.  One march,
-`_march`, walks the time axis for both: it cuts the blocks, carries the
+and returns the states at the ends of its chunks.  One march, `_march`,
+walks the time axis for both: it cuts the blocks, each of whole sampling
+chunks of one length or of one piece of a longer chunk, carries the
 states from each to the next, keeps the samples and checks them finite.
 A block holds about BLOCK_BYTES of operators and their temporaries,
 whatever the step count or batch size.  `propagate_schrodinger` and
@@ -101,12 +102,11 @@ with the same drive samples and step checks:
 The stage march costs a fixed Python overhead per step but little per
 run, the propagators the reverse, so `evolve_lindblad` marches stage by
 stage from STAGE_MARCH_BATCH runs up.  On 2 vCPUs (medians of three
-rounds, numpy 2.4.6) a single 10k-step run takes 0.005-0.009 s on
-propagators (0.006-0.010 s sampled every 10 steps, as `lindblad` writes
-it) and 0.20-0.30 s stage by stage; the 50 runs of both 5x5 decoherence
-maps at 2000 steps take 0.034-0.036 s and 0.049-0.054 s, the 882 of the
-21x21 maps 0.83-0.90 s and 0.19-0.21 s.  The two ways agree to about
-1e-14.
+rounds, numpy 2.4.6) a single 10k-step run takes 0.005-0.006 s on
+propagators (0.005 s sampled every 10 steps, as `lindblad` writes it)
+and 0.21-0.22 s stage by stage; the 50 runs of both 5x5 decoherence maps
+at 2000 steps take 0.031-0.036 s and 0.046-0.051 s, the 882 of the 21x21
+maps 0.76-0.82 s and 0.18-0.24 s.  The two ways agree to about 1e-14.
 
 Both kernels refuse a step that rotates the state by more than
 MAX_ROTATION rad (largest Omega*dt at the times where H is sampled), which
@@ -154,10 +154,10 @@ MIN_SCHRODINGER_STEPS = 100
 MIN_LINDBLAD_STEPS = 1000
 # Least Lindblad batch stepped stage by stage.  The crossover, as medians
 # over 6 fresh processes of 7-call medians of 2000-step runs on 2 vCPUs
-# (numpy 2.4.6, OpenBLAS): propagators 61.7/109.9/153.7 ms and stages
-# 94.3/112.6/118.0 ms at 64/96/128 runs, stages faster in 0/6, 1/6 and
-# 6/6 processes.  So fig5's 5x5 grids (50 runs) take propagators and its
-# 21x21 grids (882 runs) the stage march.
+# (numpy 2.4.6, OpenBLAS): propagators 36.9/53.1/76.0 ms and stages
+# 47.0/56.6/59.2 ms at 64/96/128 runs, stages faster in 0/6, 0/6 (4/6 in
+# a second set) and 6/6 processes.  So fig5's 5x5 grids (50 runs) take
+# propagators and its 21x21 grids (882 runs) the stage march.
 STAGE_MARCH_BATCH = 96
 # Sixth-order Magnus step: the Gauss-Legendre nodes as fractions of a
 # step, and the rows that mix the drive at the nodes into alpha1, alpha2
@@ -168,19 +168,16 @@ _MIX = np.array([[0, 1, 0],
                  [10 / 3, -20 / 3, 10 / 3]])
 # Bytes a Schrodinger block holds per step and run: the drive samples, the
 # Magnus exponents, the step rotations and their temporaries.  Tracemalloc
-# peaks of one-block runs of 1-16 runs grow by 217-274 B a step and run
+# peaks of one-block runs of 1-16 runs grow by 226-264 B a step and run
 # (strides from 1 step to end only), within the constant.
 _STEP_BYTES = 304
 # Bytes a Lindblad propagator block holds per step and run: the factors U
 # and B/2, the propagators and their two scratch buffers, the temporaries
 # of the product tree and the prefix scan, and the drive samples.
-# Tracemalloc peaks of one-block runs of 1-16 runs grow by 1155-1840 B a
-# step and run (strides from 1 step to end only; most at odd strides,
-# where each odd round of the product tree copies its pairs), up to 6.4
-# times the 288 B of one 6x6 propagator.
-_RK4_STEP_BYTES = 1840
-# The identity rotation as a Cayley-Klein pair, shape (2, 1, 1).
-_IDENTITY = np.array([1.0, 0j])[:, None, None]
+# Tracemalloc peaks of one-block runs of 1-16 runs grow by 1331-1536 B a
+# step and run (strides from 1 step to end only; the most at stride 2), up
+# to 5.3 times the 288 B of one 6x6 propagator.
+_RK4_STEP_BYTES = 1540
 
 
 class InvalidSteps(InvalidParameters):
@@ -315,26 +312,22 @@ def _qmul(p, q):
     return np.array([a1 * a2 - b1.conj() * b2, b1 * a2 + a1.conj() * b2])
 
 
-def _compose(q, mul, eye, axis, stride):
+def _compose(q, mul, axis, size):
     """Compose operators stacked one a step, in acting order, along `axis`
-    of q: within each chunk of `stride` steps (the last one may be shorter,
-    padded with the identities `eye`) by pairwise products mul(later,
-    earlier) in log2(stride) rounds, then over the chunks by inclusive
-    prefix products in log2(chunks) rounds (Hillis & Steele), in place, so
-    q itself may be overwritten.  Returns the products of all steps up to
-    each chunk's end, the chunk axis in place of `axis`."""
-    size = min(stride, q.shape[axis])
-    pad = -q.shape[axis] % size
-    if pad:
-        q = np.concatenate((q, np.broadcast_to(
-            eye, (*q.shape[:axis], pad, *q.shape[axis + 1:]))), axis)
+    of q, whose length is a multiple of `size`: within each chunk of `size`
+    steps by pairwise products mul(later, earlier) in log2(size) rounds, a
+    round's odd operator folded into its last pair, then over the chunks by
+    inclusive prefix products in log2(chunks) rounds (Hillis & Steele), in
+    place, so q itself may be overwritten.  Returns the products of all
+    steps up to each chunk's end, the chunk axis in place of `axis`."""
     q = q.reshape(*q.shape[:axis], q.shape[axis] // size, size,
                   *q.shape[axis + 1:])
     at = (slice(None),) * (axis + 1)  # index prefix of the in-chunk axis
     while q.shape[axis + 1] > 1:
         pairs = mul(q[at + (np.s_[1::2],)], q[at + (np.s_[:-1:2],)])
-        q = pairs if q.shape[axis + 1] % 2 == 0 else np.concatenate(
-            (pairs, q[at + (np.s_[-1:],)]), axis + 1)
+        if q.shape[axis + 1] % 2:
+            pairs[at + (-1,)] = mul(q[at + (-1,)], pairs[at + (-1,)])
+        q = pairs
     q, at = q[at + (0,)], at[1:]  # at: now the prefix of the chunk axis
     shift = 1
     while shift < q.shape[axis]:
@@ -351,35 +344,39 @@ def _sample_steps(steps, stride):
 
 
 def _edges(steps, stride, per_block):
-    """Edges of blocks of at most per_block steps that hold whole stride
-    chunks or, when a chunk is longer, are cut at every sample too."""
+    """Edges of blocks of at most per_block steps that hold whole chunks of
+    `stride` steps, the last, shorter chunk in a block of its own, or, when
+    a chunk is longer than per_block, one piece of a chunk each."""
     length = per_block // stride * stride
     if length:
-        return np.append(np.arange(0, steps, length), steps)
+        whole = steps // stride * stride
+        return np.union1d(np.arange(0, whole, length), [whole, steps])
     return np.union1d(np.arange(0, steps, per_block),
                       _sample_steps(steps, stride))
 
 
 def _march(block, state, steps, stride, per_block):
-    """Step a batch of states through `steps` steps in blocks of at most
-    per_block steps, cut by _edges so that every sample ends a stride
-    chunk: the one loop over time of both kernels.
+    """Step a batch of states through `steps` steps, sampled after every
+    `stride` of them (None: at the end only) and after the last, in blocks
+    of at most per_block steps cut by _edges: the one loop over time of
+    both kernels.
 
-    `block(k0, ends, x)` takes the states x after step k0 and returns the
-    states after each of `ends`, the end steps of the block's stride
-    chunks, the last one possibly shorter, stacked on a leading axis; the
-    next block starts from the last of them, sampled or not.  Returns the
-    states after each sampled step, stacked on a new leading axis; raises
-    ValueError when any is non-finite.
+    `block(k0, k1, size, x)` takes the states x after step k0 and returns
+    the states after steps k0 + size, k0 + 2 size, ..., k1, stacked on a
+    leading axis: its steps are whole chunks of `size` steps, or one piece
+    of a longer chunk.  The next block starts from the last of them,
+    sampled or not.  Returns the states after each sampled step, stacked on
+    a new leading axis; raises ValueError when any is non-finite.
     """
+    stride = min(stride or steps, steps)
     edges = _edges(steps, stride, per_block).tolist()
     out = [state[None]]
     # an overflow fails a step check or shows as non-finite states
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, k1 in zip(edges[:-1], edges[1:]):
-            ends = np.append(np.arange(k0 + stride, k1, stride), k1)
-            xs = block(k0, ends, state)
-            out.append(xs[(ends % stride == 0) | (ends == steps)])
+            xs = block(k0, k1, min(stride, k1 - k0), state)
+            if k1 % stride == 0 or k1 == steps:  # else a piece of a chunk
+                out.append(xs)
             state = xs[-1]
     out = np.concatenate(out)
     if not np.all(np.isfinite(out)):
@@ -406,14 +403,13 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_END_STEPS,
         np.atleast_1d(np.asarray(horizon, dtype=float)), scale1, scale2)
     dt = horizon / steps
     batch = len(dt)
-    stride = min(stride or steps, steps)
     # runs of one horizon share one time grid: the drive is evaluated once
     grid = dt[:1] if np.all(dt == dt[:1]) else dt
 
-    def block(k0, ends, x):
+    def block(k0, k1, size, x):
         # drive at the three nodes of each step, times dt: the G1 and G2
         # coordinates of the node generators, shape (2, 3, steps, batch)
-        t = (np.arange(k0, ends[-1])[:, None] + _NODES[:, None, None]) * grid
+        t = (np.arange(k0, k1)[:, None] + _NODES[:, None, None]) * grid
         gen = np.array(_drive(pulses, t, scale1, scale2)) * dt
         # the largest Omega*dt by one square root: sqrt is monotone
         _check_step(np.sqrt(np.max(gen[0] * gen[0] + gen[1] * gen[1],
@@ -432,10 +428,11 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_END_STEPS,
         q = step_rotation(x1 + x3 / 12 + (uy * e - c * vy) / 240,
                           y1 + y3 / 12 + (c * vx - ux * e) / 240,
                           (ux * vy - uy * vx) / 240)
-        return _qmul(_compose(q, _qmul, _IDENTITY, 1, stride),
-                     x[:, None]).swapaxes(0, 1)
+        return _qmul(_compose(q, _qmul, 1, size), x[:, None]).swapaxes(0, 1)
 
-    a, b = _march(block, _IDENTITY[:, 0].repeat(batch, 1), steps, stride,
+    # from the identity rotation, the Cayley-Klein pair (1, 0)
+    start = np.array([1.0, 0j])[:, None].repeat(batch, 1)
+    a, b = _march(block, start, steps, stride,
                   max(1, BLOCK_BYTES // (max(batch, 1) * _STEP_BYTES))
                   ).transpose(1, 2, 0)
     # psi', the first column of the rotation, back from the frame
@@ -539,7 +536,6 @@ def evolve_lindblad(pulses, rates, steps=LINDBLAD_STEPS, stride=None):
     gammas = np.array([(r.gamma1, r.gamma2, r.gamma_phi1, r.gamma_phi2)
                        for r in rates], dtype=float).reshape(-1, 4)
     dt = 1.0 / steps
-    stride = min(stride or steps, steps)
     with np.errstate(over="ignore"):  # an infinite Gamma fails the check
         _check_step(gammas @ _DECAY * dt, "has Gamma*dt = {:.3g}")
     batch = len(gammas)
@@ -577,9 +573,8 @@ def evolve_lindblad(pulses, rates, steps=LINDBLAD_STEPS, stride=None):
     window = max(BLOCK_BYTES // 72, 2 * per_block + 1)
     w0, drive = 0, np.empty((2, 0))
 
-    def block(k0, ends, x):
+    def block(k0, k1, size, x):
         nonlocal w0, drive
-        k1 = ends[-1]
         if 2 * k1 >= w0 + drive.shape[1]:
             w0 = 2 * k0
             t = np.arange(w0, min(w0 + window, 2 * steps + 1)) * (dt / 2)
@@ -590,15 +585,15 @@ def evolve_lindblad(pulses, rates, steps=LINDBLAD_STEPS, stride=None):
             c = np.column_stack(((dt / 2) * o1, (dt / 2) * o2,
                                  np.ones_like(o1)))
             return _compose(_rk4_propagators(c, end_basis, mid_basis, work),
-                            np.matmul, np.eye(_DIM), 0, stride) @ x
+                            np.matmul, 0, size) @ x
         gen = np.matmul(np.column_stack((o1, o2)), basis,
                         out=gens[:len(o1)]).reshape(-1, _DIM, _DIM)
-        xs = np.empty((len(ends), *x.shape))
-        for j, (k, end) in enumerate(zip([k0, *ends[:-1]], ends)):
-            # gen[i:i + 3] drives step k0 + i // 2 + 1
-            for i in range(2 * (k - k0), 2 * (end - k0), 2):
-                x = _rk4_stages(gen[i:i + 3], x, decay, feed, dt)
-            xs[j] = x
+        xs = np.empty(((k1 - k0) // size, *x.shape))
+        for i in range(k1 - k0):
+            # gen[2 i:2 i + 3] drives step k0 + i + 1
+            x = _rk4_stages(gen[2 * i:2 * i + 3], x, decay, feed, dt)
+            if (i + 1) % size == 0:
+                xs[i // size] = x
         return xs
 
     out = _march(block, start, steps, stride, per_block)

@@ -241,11 +241,11 @@ def fit_gaussian_sum(samples, n_components=2):
         jt -= (jt @ basis.T) @ basis
         return jt
 
-    q, nfev, status = _trf(residual, jacobian, x0, lower, upper, 1500 * n)
+    q, nfev, converged = _trf(residual, jacobian, x0, lower, upper, 1500 * n)
     zeta = _projection(t, y, q)[3]
     pulse = GaussianPulse(tuple(
         GaussianComponent(zeta[i], q[i], q[n + i]) for i in range(n)))
-    return pulse, fit_report(pulse, t, y, nfev, status > 0)
+    return pulse, fit_report(pulse, t, y, nfev, converged)
 
 
 def _trf(fun, jac, x, lb, ub, max_nfev, tol=1e-12):
@@ -256,8 +256,8 @@ def _trf(fun, jac, x, lb, ub, max_nfev, tol=1e-12):
     must lie strictly inside the box, and `jac` is only ever called at the
     point `fun` was last called at.  `jac` returns the transposed Jacobian
     J^T, one row per variable, so that J^T J and J^T f are products along
-    the long residual axis.  Returns (x, nfev, status): status 0 when the
-    `max_nfev` budget ran out, 1 on gtol, 2 on ftol, 3 on xtol, 4 on both.
+    the long residual axis.  Returns (x, nfev, converged): converged when
+    gtol, ftol or xtol was met before the `max_nfev` budget ran out.
 
     The exact step is usually read off the SVD U S V^T of the tall
     augmented Jacobian [J_h; diag(diag_h)^(1/2)].  V and S^2 are the
@@ -272,13 +272,13 @@ def _trf(fun, jac, x, lb, ub, max_nfev, tol=1e-12):
     g = Jt @ f
     Delta = _norm(x / np.sqrt(_coleman_li(x, g, lb, ub)[0])) or 1.0
     alpha = 0.0  # Levenberg-Marquardt parameter
-    status = None
+    converged = False
     while True:
         v, dv = _coleman_li(x, g, lb, ub)
         g_norm = np.abs(g * v).max()
         if g_norm < tol:
-            status = 1
-        if status is not None or nfev == max_nfev:
+            converged = True
+        if converged or nfev == max_nfev:
             break
         d = np.sqrt(v)
         g_h = d * g
@@ -320,7 +320,7 @@ def _trf(fun, jac, x, lb, ub, max_nfev, tol=1e-12):
             ftol_met = actual_reduction < tol * cost and ratio > 0.25
             xtol_met = _norm(step) < x_tol
             if ftol_met or xtol_met:
-                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
+                converged = True
                 break
             alpha *= Delta / Delta_new
             Delta = Delta_new
@@ -329,7 +329,7 @@ def _trf(fun, jac, x, lb, ub, max_nfev, tol=1e-12):
             x, f, cost = x_new, f_new, cost_new
             Jt = jac(x)
             g = Jt @ f
-    return x, nfev, status or 0
+    return x, nfev, converged
 
 
 def _norm(x):

@@ -372,6 +372,24 @@ def test_lindblad_propagators_match_step_loop(monkeypatch, n, stride,
     assert np.abs(rhos - expected).max(initial=0.0) <= 1e-13
 
 
+@pytest.mark.parametrize("steps, stride, per_block", [
+    (1000, 7, 10 ** 6),  # 142 chunks of 7 steps, then one of 6
+    (1000, 7, 75),       # ten whole chunks a block
+    (999, 10, 75),       # seven whole chunks a block
+    (1000, 64, 25),      # a chunk spans several blocks
+])
+def test_blocks_hold_chunks_of_one_length(steps, stride, per_block):
+    """_edges cuts blocks of at most per_block steps from 0 to `steps`,
+    each of whole stride chunks or within one chunk, whose length is then
+    the block's."""
+    edges = dynamics._edges(steps, stride, per_block)
+    assert edges[0] == 0 and edges[-1] == steps
+    for k0, k1 in zip(edges[:-1], edges[1:]):
+        assert 0 < k1 - k0 <= per_block
+        assert ((k0 % stride == 0 and (k1 - k0) % stride == 0)
+                or k0 // stride == (k1 - 1) // stride)
+
+
 class RecordedDrive:
     """Pulses that record the times of every drive evaluation."""
 
@@ -504,8 +522,9 @@ def traced_peak(run):
 
 @pytest.mark.parametrize("n", [1, 4])
 # end only, the `lindblad` command's stride, an odd stride (the product
-# tree copies its pairs in every odd round) and every step sampled
-@pytest.mark.parametrize("stride", [None, 10, 7, 1])
+# tree folds each odd round's last operator into its last pair), the
+# stride that holds the most and every step sampled
+@pytest.mark.parametrize("stride", [None, 10, 7, 2, 1])
 @pytest.mark.parametrize("kernel", ["schrodinger", "lindblad"])
 def test_block_holds_its_step_bytes(monkeypatch, kernel, stride, n):
     """A block holds about BLOCK_BYTES: a one-block run grows by no more
