@@ -33,12 +33,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DYNAMICS = "src/lambda_sta/dynamics.py"
 CLI = "src/lambda_sta/cli.py"
+ANALYSIS = "src/lambda_sta/analysis.py"
 PROPAGATORS = ("tests/test_dynamics.py::"
                "test_lindblad_propagators_match_step_loop")
 SCHRODINGER = ("tests/test_dynamics.py::"
                "test_evolve_schrodinger_matches_expm_product")
 MAPS = "tests/test_analysis.py::TestDecoherenceMap"
-MARCHES = "tests/test_dynamics.py::TestLindbladMarches"
 SCHEDULES = "tests/test_cli.py::test_schedules_scale_with_duration"
 
 
@@ -62,31 +62,27 @@ MUTANTS = [
            "    y += out\n"
            "    np.matmul(u[:-1], y, out=out)\n",
            (f"{PROPAGATORS}[None-None-1]", f"{PROPAGATORS}[7-75-3]",
-            f"{MAPS}::test_all_four_channels_match_stage_by_stage_rk4",
-            f"{MARCHES}::test_stage_march_matches_single_runs[None]")),
+            f"{MAPS}::test_all_four_channels_match_stage_by_stage_rk4")),
     Mutant("drive-window-shifted", DYNAMICS,
            "drive[:, 2 * k0 - w0:2 * k1 + 1 - w0]",
            "drive[:, 2 * k0 - w0 + 1:2 * k1 + 2 - w0]",
            (f"{PROPAGATORS}[None-None-1]", f"{PROPAGATORS}[64-25-1]",
-            f"{PROPAGATORS}[64-25-stage-march]",
-            f"{MAPS}::test_stage_march_matches_stage_by_stage_rk4")),
+            f"{MAPS}::test_cells_match_stage_by_stage_rk4")),
     Mutant("dissipators-swapped", DYNAMICS,
            "# Gamma = _DECAY . rates bounds",
            "_D = _D[[1, 0, 2, 3]]\n# Gamma = _DECAY . rates bounds",
-           (f"{PROPAGATORS}[None-None-1]", f"{PROPAGATORS}[7-75-stage-march]",
+           (f"{PROPAGATORS}[None-None-1]", f"{PROPAGATORS}[7-75-3]",
             f"{MAPS}::test_cells_match_stage_by_stage_rk4",
             "tests/test_dynamics.py::"
             "test_lindblad_generator_pieces_are_exact")),
     Mutant("back-map-phase-conjugated", DYNAMICS,
            "np.outer(\n        _FRAME.conj(), _FRAME)",
            "np.outer(\n        _FRAME, _FRAME.conj())",
-           (f"{PROPAGATORS}[None-None-1]",
-            f"{PROPAGATORS}[7-75-stage-march]")),
+           (f"{PROPAGATORS}[None-None-1]", f"{PROPAGATORS}[7-75-3]")),
     Mutant("march-carries-last-sample", DYNAMICS,
            "            state = xs[-1]\n",
            "            state = out[-1][-1]\n",
            (f"{PROPAGATORS}[None-70-1]", f"{PROPAGATORS}[64-25-3]",
-            f"{PROPAGATORS}[64-25-stage-march]",
             f"{SCHRODINGER}[999-64-25]")),
     Mutant("tree-product-order", DYNAMICS,
            "pairs = mul(q[at + (np.s_[1::2],)], q[at + (np.s_[:-1:2],)])",
@@ -103,17 +99,6 @@ MUTANTS = [
            "later[...] = mul(earlier, later)",
            (f"{PROPAGATORS}[1-None-1]", f"{PROPAGATORS}[7-75-3]",
             f"{SCHRODINGER}[2000-1-None]")),
-    Mutant("feed-keeps-row-1", DYNAMICS,
-           "        feed[1] = 0  # rho11's own decay is in `decay`\n",
-           "",
-           (f"{PROPAGATORS}[None-70-stage-march]",
-            f"{PROPAGATORS}[7-75-stage-march]",
-            f"{PROPAGATORS}[64-25-stage-march]",
-            f"{MARCHES}::test_stage_march_matches_single_runs[None]",
-            f"{MARCHES}::test_stage_march_matches_single_runs[7]",
-            f"{MAPS}::test_stage_march_matches_stage_by_stage_rk4",
-            "tests/test_dynamics.py::"
-            "test_dissipators_are_diagonal_but_for_rho11s_feed")),
     Mutant("edges-without-sample-cut", DYNAMICS,
            "    return np.union1d(np.arange(0, steps, per_block),\n"
            "                      _sample_steps(steps, stride))\n",
@@ -135,6 +120,14 @@ MUTANTS = [
            "        e = (y1 * x3 - x1 * y3) / 30\n",
            "        vx, vy, e = x2, y2, 0\n",
            (f"{SCHRODINGER}[1000-None-None]", f"{SCHRODINGER}[2000-1-None]")),
+    Mutant("map-tail-always-passes", ANALYSIS,
+           "        if tail <= _MAP_TAIL:\n",
+           "        if True:\n",
+           (f"{MAPS}::test_rejected_tail_runs_the_grid",)),
+    Mutant("map-nodes-shifted", ANALYSIS,
+           "x = np.cos(np.pi * (np.arange(n) + 0.5) / n)",
+           "x = np.cos(np.pi * np.arange(n) / n)",
+           (f"{MAPS}::test_fig5_maps_interpolate_72_node_runs",)),
     Mutant("fit-max-residual-unscaled", CLI,
            "max_residual=r.max_residual / duration,",
            "max_residual=r.max_residual,",

@@ -22,6 +22,10 @@ from .pulsefit import (STIRAP_OMEGA0, STIRAP_T0, STIRAP_TC, design_stirap,
 # The two LindbladRates fields each decoherence map mode varies.
 _MAP_CHANNELS = {"relaxation": ("gamma1", "gamma2"),
                  "dephasing": ("gamma_phi1", "gamma_phi2")}
+# Chebyshev nodes per rate axis of a decoherence map's interpolant, and
+# the largest coefficient it accepts in its last row and column.
+_MAP_NODES = 6
+_MAP_TAIL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -74,15 +78,34 @@ def stirap_infidelity_curve(amplitudes, t0=STIRAP_T0, tc=STIRAP_TC,
     return [(float(a), float(1 - p)) for a, p in zip(amplitudes, p3)]
 
 
+def _chebyshev(x, n):
+    """The Chebyshev polynomials T_0 .. T_{n-1} at the points x of
+    [-1, 1], one row a point: cos(k arccos x)."""
+    return np.cos(np.arccos(x)[:, None] * np.arange(n))
+
+
 def decoherence_maps(pulses, modes, max_ratio=0.01, grid=21, amplitude=None,
                      steps=2000):
     """Final target population over a grid of (rate1, rate2) pairs
     expressed as fractions of the pulse amplitude, for each mode in
-    `modes`, all in one kernel call.
+    `modes`, every mode in one kernel call.
 
     A mode selects relaxation (both decay paths) or dephasing (both phase
     channels).  Returns (ratios, maps) with maps[k, i, j] the final
     population of modes[k] at rate1 = ratios[i], rate2 = ratios[j].
+
+    P3 is an entire function of the rates, and on the maps' small rates
+    nearly a polynomial of low degree.  So each mode runs on a 6 x 6 tensor
+    grid of first-kind Chebyshev nodes x_j = cos(pi (j + 1/2)/6) of
+    [0, max_ratio], and the maps are the interpolants' values at the grid.
+    The grid is run directly, in a second call, when the tail, the largest
+    coefficient in the last row or column of any mode's interpolant,
+    exceeds 1e-13: six nodes do not resolve P3 there (design_stirap(45)
+    at max_ratio 0.05: a tail of 2e-8, 1e-9 off).  It is run directly,
+    alone, when grid <= 6 or max_ratio = 0.  fig5's 21 x 21 maps of the
+    m = 1 reference fit pass with a tail of 7e-14 and lie within 1.2e-14
+    of the direct runs, a floor more nodes do not lower: roundoff, not
+    truncation.
     """
     for mode in modes:
         if mode not in _MAP_CHANNELS:
@@ -94,12 +117,28 @@ def decoherence_maps(pulses, modes, max_ratio=0.01, grid=21, amplitude=None,
         raise ValueError("grid must have at least 2 points per axis")
     if amplitude is None:
         amplitude = pulse_amplitude(pulses.omega1, pulses.omega2, 1001)
+
+    def final_p3(r):  # on the tensor grid r x r, one map a mode
+        rates = [LindbladRates(**{c1: r1 * amplitude, c2: r2 * amplitude})
+                 for c1, c2 in map(_MAP_CHANNELS.get, modes)
+                 for r1 in r for r2 in r]
+        rhos = evolve_lindblad(pulses, rates, steps)
+        return rhos[:, -1, 2, 2].real.reshape(len(modes), len(r), len(r))
+
     ratios = np.linspace(0.0, max_ratio, grid)
-    rates = [LindbladRates(**{c1: r1 * amplitude, c2: r2 * amplitude})
-             for c1, c2 in map(_MAP_CHANNELS.get, modes)
-             for r1 in ratios for r2 in ratios]
-    rhos = evolve_lindblad(pulses, rates, steps)
-    return ratios, rhos[:, -1, 2, 2].real.reshape(len(modes), grid, grid)
+    n = _MAP_NODES
+    if grid > n and max_ratio > 0:
+        x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        # V^-1 = diag(1/n, 2/n, ..., 2/n) V^T, V the nodes' Vandermonde
+        weights = np.full((n, 1), 2 / n)
+        weights[0] = 1 / n
+        inverse = weights * _chebyshev(x, n).T
+        coef = inverse @ final_p3((x + 1) / 2 * max_ratio) @ inverse.T
+        tail = max(np.abs(coef[:, -1]).max(), np.abs(coef[..., -1]).max())
+        if tail <= _MAP_TAIL:
+            w = _chebyshev(2 * ratios / max_ratio - 1, n)
+            return ratios, w @ coef @ w.T
+    return ratios, final_p3(ratios)
 
 
 def fit_components(m):

@@ -5,11 +5,11 @@ Each equation has one time-stepping kernel, `evolve_schrodinger` and
 (sweep points, map cells) and supplies only a block function: from the
 states at a block's start it evaluates the drive and builds the per-step
 operators of the whole block with array operations, composes them with
-`_compose` or, on the Lindblad stage march, applies them step by step,
-and returns the states at the ends of its chunks.  One march, `_march`,
-walks the time axis for both: it cuts the blocks, each of whole sampling
-chunks of one length or of one piece of a longer chunk, carries the
-states from each to the next, keeps the samples and checks them finite.
+`_compose` and returns the states at the ends of its chunks.  One march,
+`_march`, walks the time axis for both: it cuts the blocks, each of whole
+sampling chunks of one length or of one piece of a longer chunk, carries
+the states from each to the next, keeps the samples and checks them
+finite.
 A block holds about BLOCK_BYTES of operators and their temporaries,
 whatever the step count or batch size.  `propagate_schrodinger` and
 `propagate_lindblad` are the single-run cases with sampling.
@@ -76,37 +76,25 @@ and in the rates,
                           + gamma_phi1 D3 + gamma_phi2 D4,
 
 because each jump operator scales as sqrt(gamma); its six 6x6 pieces
-are built once, at import, and a block's generators, or the factors its
-propagators are built from, are matrix products of its drive samples with
-bases made once per call from K1, K2 and the weighted D pieces.  The drive
-is sampled, and its Omega*dt checked, once per window of half steps of
-about BLOCK_BYTES that holds whole blocks: once a run at the CLI's step
-counts.  One block function applies the same RK4 step in one of two ways,
-with the same drive samples and step checks:
+are built once, at import, and the factors a block's propagators are
+built from are matrix products of its drive samples with bases made once
+per call from K1, K2 and the weighted D pieces.  The drive is sampled,
+and its Omega*dt checked, once per window of half steps of about
+BLOCK_BYTES that holds whole blocks: once a run at the CLI's step counts.
+RK4 is linear in the state, so each run's step is its 6x6
+propagator P.  With A, B and C dt times the generators at the step's
+start, midpoint and end, U = I + A/2 and U' = I + C/2, which neighbouring
+steps share, w = (B/2) U and y = (B/2)(I + w),
 
-- one-step propagators: RK4 is linear in the state, so each run's step
-  is its 6x6 propagator P.  With A, B and C dt times the generators at
-  the step's start, midpoint and end, U = I + A/2 and U' = I + C/2,
-  which neighbouring steps share, w = (B/2) U and y = (B/2)(I + w),
+    P = I + ((A + C)/2 + 2 w + 2 U' y)/3,
 
-      P = I + ((A + C)/2 + 2 w + 2 U' y)/3,
-
-  three 6x6 products per step and run, the identity added last.  The
-  propagators are composed as the Schrodinger rotations are, by the same
-  `_compose`: a tree within each stride chunk and a prefix product over
-  the chunks, applied to the block's start states;
-- stage by stage: the states of the whole batch form one (6, batch)
-  array X; each of the four stages multiplies X by omega1 K1 + omega2 K2,
-  shared by the batch, and adds the runs' dissipators elementwise.
-
-The stage march costs a fixed Python overhead per step but little per
-run, the propagators the reverse, so `evolve_lindblad` marches stage by
-stage from STAGE_MARCH_BATCH runs up.  On 2 vCPUs (medians of three
-rounds, numpy 2.4.6) a single 10k-step run takes 0.005-0.006 s on
-propagators (0.005 s sampled every 10 steps, as `lindblad` writes it)
-and 0.21-0.22 s stage by stage; the 50 runs of both 5x5 decoherence maps
-at 2000 steps take 0.031-0.036 s and 0.046-0.051 s, the 882 of the 21x21
-maps 0.76-0.82 s and 0.18-0.24 s.  The two ways agree to about 1e-14.
+three 6x6 products per step and run, the identity added last.  The
+propagators are composed as the Schrodinger rotations are, by the same
+`_compose`: a tree within each stride chunk and a prefix product over the
+chunks, applied to the block's start states.  The cost grows with the
+batch: on 2 vCPUs (numpy 2.4.6) a single 10k-step run takes 0.005-0.006 s,
+the 50 runs of both 5x5 decoherence maps at 2000 steps 0.031-0.036 s and
+882 such runs 0.76-0.82 s.
 
 Both kernels refuse a step that rotates the state by more than
 MAX_ROTATION rad (largest Omega*dt at the times where H is sampled), which
@@ -152,13 +140,6 @@ SCHRODINGER_END_STEPS = 500
 LINDBLAD_STEPS = 10_000
 MIN_SCHRODINGER_STEPS = 100
 MIN_LINDBLAD_STEPS = 1000
-# Least Lindblad batch stepped stage by stage.  The crossover, as medians
-# over 6 fresh processes of 7-call medians of 2000-step runs on 2 vCPUs
-# (numpy 2.4.6, OpenBLAS): propagators 36.9/53.1/76.0 ms and stages
-# 47.0/56.6/59.2 ms at 64/96/128 runs, stages faster in 0/6, 0/6 (4/6 in
-# a second set) and 6/6 processes.  So fig5's 5x5 grids (50 runs) take
-# propagators and its 21x21 grids (882 runs) the stage march.
-STAGE_MARCH_BATCH = 96
 # Sixth-order Magnus step: the Gauss-Legendre nodes as fractions of a
 # step, and the rows that mix the drive at the nodes into alpha1, alpha2
 # and alpha3.
@@ -339,7 +320,8 @@ def _compose(q, mul, axis, size):
 
 def _sample_steps(steps, stride):
     """Step counts after which a run is sampled: 0, stride, 2*stride, ...
-    and the last step."""
+    and the last step; stride None samples the start and the end only."""
+    stride = min(stride or steps, steps)
     return np.unique(np.append(np.arange(0, steps + 1, stride), steps))
 
 
@@ -444,7 +426,8 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_END_STEPS,
 def propagate_schrodinger(pulses, steps=SCHRODINGER_STEPS, stride=1):
     """Propagate the Schrodinger equation under a pulse pair from |1>.
 
-    Samples populations every `stride` steps (plus t=0 and t=1).
+    Samples populations every `stride` steps (plus t=0 and t=1;
+    None: at t=0 and t=1 only).
     """
     states = evolve_schrodinger(pulses, 1.0, steps, stride=stride)[0]
     return Trajectory(times=_sample_steps(steps, stride) * (1.0 / steps),
@@ -493,32 +476,6 @@ def _rk4_propagators(c, ends, mids, work):
     return out
 
 
-def _rk4_stages(gen, x, decay, feed, dt):
-    """One classic RK4 step of a batch of states x, shape (6, batch), the
-    six entries of rho'.
-
-    gen[0], gen[1] and gen[2] are the (6, 6) coherent generators omega1 K1
-    + omega2 K2 at the step's start, midpoint and end, shared by the batch.
-    A stage state y changes at the rate g @ y + decay * y + feed * y[1]:
-    `decay` (6, batch) holds each run's dissipator diagonal and `feed`
-    (6, batch) its column 1, row 1 zeroed: rho11's feed of rho00 and rho22.
-    """
-    def rate(g, y):
-        r = decay * y
-        r += g @ y
-        r += feed * y[1]
-        return r
-
-    k = rate(gen[0], x)
-    out = x + (dt / 6) * k
-    k = rate(gen[1], x + (dt / 2) * k)
-    out += (dt / 3) * k
-    k = rate(gen[1], x + (dt / 2) * k)
-    out += (dt / 3) * k
-    out += (dt / 6) * rate(gen[2], x + dt * k)
-    return out
-
-
 def evolve_lindblad(pulses, rates, steps=LINDBLAD_STEPS, stride=None):
     """Batched RK4 integration of the Lindblad master equation over [0, 1].
 
@@ -526,9 +483,7 @@ def evolve_lindblad(pulses, rates, steps=LINDBLAD_STEPS, stride=None):
     the time grid and the start |1><1|.  The coherent part uses
     the convention rho_dot = i[rho, H].  Returns the density matrices after
     steps 0, stride, 2*stride, ... and `steps`, shape (batch, samples, 3, 3);
-    the default stride samples the start and the end only.  A batch of at
-    least STAGE_MARCH_BATCH runs is stepped stage by stage, a smaller one
-    by one-step propagators.
+    the default stride samples the start and the end only.
     """
     if steps < MIN_LINDBLAD_STEPS:
         raise InvalidSteps(f"need at least {MIN_LINDBLAD_STEPS} steps, "
@@ -539,34 +494,19 @@ def evolve_lindblad(pulses, rates, steps=LINDBLAD_STEPS, stride=None):
     with np.errstate(over="ignore"):  # an infinite Gamma fails the check
         _check_step(gammas @ _DECAY * dt, "has Gamma*dt = {:.3g}")
     batch = len(gammas)
-    jumps = np.tensordot(gammas, _D, 1)  # each run's dissipator
-    stages = batch >= STAGE_MARCH_BATCH
-    if stages:
-        # states (6, batch); per step, the coherent generators at its start,
-        # midpoint and end, built into `gens` as the drive (omega1, omega2)
-        # at each half step times (K1, K2); `decay` and `feed` (_rk4_stages)
-        decay = jumps.diagonal(0, 1, 2).T.copy()
-        feed = jumps[:, :, 1].T.copy()
-        feed[1] = 0  # rho11's own decay is in `decay`
-        start = np.zeros((_DIM, batch))
-        start[0] = 1  # |1><1|: rho'00
-        basis = np.array([_K1, _K2]).reshape(2, -1)
-        per_block = max(1, BLOCK_BYTES // (2 * _K1.nbytes))
-        gens = np.empty((2 * min(per_block, steps) + 1, _K1.size))
-    else:
-        # states (batch, 6, 1); per stride chunk, the (batch, 6, 6) product
-        # of its steps' propagators, whose factors U = I + A/2 and B/2
-        # (_rk4_propagators) are the drive (dt omega1/2, dt omega2/2, 1)
-        # times the rows of `end_basis` and `mid_basis`
-        start = np.broadcast_to(np.eye(_DIM)[0], (batch, _DIM))[..., None]
-        half = (dt / 2) * jumps
-        mid_basis = np.stack((np.broadcast_to(_K1, half.shape),
-                              np.broadcast_to(_K2, half.shape), half))
-        end_basis = mid_basis.copy()
-        end_basis[2] += np.eye(_DIM)
-        per_block = max(1, BLOCK_BYTES // (max(batch, 1) * _RK4_STEP_BYTES))
-        # fresh multi-megabyte arrays in every block would page-fault
-        work = np.empty((4, min(per_block, steps) + 1, batch, _DIM, _DIM))
+    # states (batch, 6, 1); per stride chunk, the (batch, 6, 6) product of
+    # its steps' propagators, whose factors U = I + A/2 and B/2
+    # (_rk4_propagators) are the drive (dt omega1/2, dt omega2/2, 1) times
+    # the rows of `end_basis` and `mid_basis`
+    start = np.broadcast_to(np.eye(_DIM)[0], (batch, _DIM))[..., None]
+    half = (dt / 2) * np.tensordot(gammas, _D, 1)  # each run's dissipator
+    mid_basis = np.stack((np.broadcast_to(_K1, half.shape),
+                          np.broadcast_to(_K2, half.shape), half))
+    end_basis = mid_basis.copy()
+    end_basis[2] += np.eye(_DIM)
+    per_block = max(1, BLOCK_BYTES // (max(batch, 1) * _RK4_STEP_BYTES))
+    # fresh multi-megabyte arrays in every block would page-fault
+    work = np.empty((4, min(per_block, steps) + 1, batch, _DIM, _DIM))
     # The drive is sampled at the half steps of a window of whole blocks,
     # 72 B a sample with its time grid and temporaries (StaProtocol's
     # tracemalloc peak), so a window of BLOCK_BYTES holds 14k steps.
@@ -581,23 +521,11 @@ def evolve_lindblad(pulses, rates, steps=LINDBLAD_STEPS, stride=None):
             drive = np.array(_drive(pulses, t))
             _check_step(np.hypot(*drive) * dt)
         o1, o2 = drive[:, 2 * k0 - w0:2 * k1 + 1 - w0]
-        if not stages:
-            c = np.column_stack(((dt / 2) * o1, (dt / 2) * o2,
-                                 np.ones_like(o1)))
-            return _compose(_rk4_propagators(c, end_basis, mid_basis, work),
-                            np.matmul, 0, size) @ x
-        gen = np.matmul(np.column_stack((o1, o2)), basis,
-                        out=gens[:len(o1)]).reshape(-1, _DIM, _DIM)
-        xs = np.empty(((k1 - k0) // size, *x.shape))
-        for i in range(k1 - k0):
-            # gen[2 i:2 i + 3] drives step k0 + i + 1
-            x = _rk4_stages(gen[2 * i:2 * i + 3], x, decay, feed, dt)
-            if (i + 1) % size == 0:
-                xs[i // size] = x
-        return xs
+        c = np.column_stack(((dt / 2) * o1, (dt / 2) * o2, np.ones_like(o1)))
+        return _compose(_rk4_propagators(c, end_basis, mid_basis, work),
+                        np.matmul, 0, size) @ x
 
-    out = _march(block, start, steps, stride, per_block)
-    out = out.transpose(2, 0, 1) if stages else out[..., 0].swapaxes(0, 1)
+    out = _march(block, start, steps, stride, per_block)[..., 0].swapaxes(0, 1)
     # rho', spread from its six entries, back from the frame
     return (out @ _SPREAD.T).reshape(*out.shape[:2], 3, 3) * np.outer(
         _FRAME.conj(), _FRAME)
@@ -607,7 +535,8 @@ def propagate_lindblad(pulses, rates=None, steps=LINDBLAD_STEPS, stride=1):
     """Integrate the Lindblad master equation from |1><1| with fixed-step
     RK4.
 
-    Samples populations every `stride` steps (plus t=0 and t=1).
+    Samples populations every `stride` steps (plus t=0 and t=1;
+    None: at t=0 and t=1 only).
     """
     rhos = evolve_lindblad(pulses, [rates or LindbladRates()], steps,
                            stride)[0]

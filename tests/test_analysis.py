@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lambda_sta import analysis
 from lambda_sta.analysis import (TableRow, amplitude_error_sweep,
                                  decoherence_maps, format_table,
                                  stirap_infidelity_curve, table_one,
                                  timing_error_sweep)
 from lambda_sta.cli import csv_text, main
-from lambda_sta.dynamics import (SCHRODINGER_END_STEPS, STAGE_MARCH_BATCH,
-                                 LindbladRates, PulsePair, evolve_lindblad,
+from lambda_sta.dynamics import (SCHRODINGER_END_STEPS, LindbladRates,
+                                 PulsePair, evolve_lindblad,
                                  evolve_schrodinger, lindblad_operators,
                                  propagate_schrodinger)
 from lambda_sta.protocol import G1, G2
@@ -51,6 +52,17 @@ def stage_by_stage_p3(pulses, rates, steps=STEPS):
         k4 = f(h2, rho + dt * k3)
         rho = rho + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return rho[2, 2].real
+
+
+def direct_maps(pulses, modes, max_ratio, grid, amplitude, steps=STEPS):
+    """decoherence_maps' grid run directly: one evolve_lindblad call on the
+    rates of every mode and cell, in the maps' order."""
+    ratios = np.linspace(0.0, max_ratio, grid)
+    rates = [LindbladRates(**{c1: r1 * amplitude, c2: r2 * amplitude})
+             for c1, c2 in map(analysis._MAP_CHANNELS.get, modes)
+             for r1 in ratios for r2 in ratios]
+    rhos = evolve_lindblad(pulses, rates, steps)
+    return rhos[:, -1, 2, 2].real.reshape(len(modes), grid, grid)
 
 
 class TestTimingErrorSweep:
@@ -162,16 +174,48 @@ class TestDecoherenceMap:
         ref = stage_by_stage_p3(reference_pulses, rates)
         assert abs(rho[2, 2].real - ref) <= 1e-12
 
-    def test_stage_march_matches_stage_by_stage_rk4(self, reference_pulses):
-        # a batch stepped stage by stage, all four channels on
-        rates = [LindbladRates(gamma1=0.05 + 0.01 * i, gamma2=0.11,
-                               gamma_phi1=0.07,
-                               gamma_phi2=0.13 - 0.12 * i / STAGE_MARCH_BATCH)
-                 for i in range(STAGE_MARCH_BATCH)]
-        rhos = evolve_lindblad(reference_pulses, rates, steps=STEPS)
-        for b in (0, len(rates) - 1):
-            ref = stage_by_stage_p3(reference_pulses, rates[b])
-            assert abs(rhos[b, -1, 2, 2].real - ref) <= 1e-12
+    def test_fig5_maps_interpolate_72_node_runs(self, reference_pulses,
+                                                monkeypatch):
+        # fig5's maps: one call of 6 x 6 Chebyshev nodes a mode, within
+        # 1e-13 of the 882 direct runs
+        batches = []
+
+        def record(pulses, rates, steps):
+            batches.append(len(rates))
+            return evolve_lindblad(pulses, rates, steps)
+
+        monkeypatch.setattr(analysis, "evolve_lindblad", record)
+        modes = ("relaxation", "dephasing")
+        ratios, maps = decoherence_maps(reference_pulses, modes, 0.01, 21,
+                                        steps=STEPS)
+        assert batches == [72]
+        assert np.array_equal(ratios, np.linspace(0, 0.01, 21))
+        amp = pulse_amplitude(reference_pulses.omega1,
+                              reference_pulses.omega2, 1001)
+        direct = direct_maps(reference_pulses, modes, 0.01, 21, amp)
+        assert np.abs(maps - direct).max() <= 1e-13
+
+    def test_rejected_tail_runs_the_grid(self):
+        # six nodes miss P3 by about 1e-9 here, and the tail shows it
+        pulses = design_stirap(45)
+        amp = pulse_amplitude(pulses.omega1, pulses.omega2, 1001)
+        _, maps = decoherence_maps(pulses, ("dephasing",), 0.05, 7, amp,
+                                   steps=STEPS)
+        assert np.array_equal(
+            maps, direct_maps(pulses, ("dephasing",), 0.05, 7, amp))
+
+    def test_small_grid_runs_the_grid(self, reference_pulses):
+        _, maps = decoherence_maps(reference_pulses, ("dephasing",), 0.01, 6,
+                                   1.0, steps=STEPS)
+        assert np.array_equal(
+            maps, direct_maps(reference_pulses, ("dephasing",), 0.01, 6, 1.0))
+
+    def test_zero_ratio_runs_the_grid(self, reference_pulses):
+        _, maps = decoherence_maps(reference_pulses, ("relaxation",), 0.0, 7,
+                                   1.0, steps=STEPS)
+        assert not np.isnan(maps).any()
+        assert np.array_equal(
+            maps, direct_maps(reference_pulses, ("relaxation",), 0.0, 7, 1.0))
 
     def test_both_maps_in_one_call(self, reference_pulses):
         modes = ("relaxation", "dephasing")

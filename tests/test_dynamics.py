@@ -8,9 +8,8 @@ from scipy.linalg import expm
 
 from lambda_sta import dynamics
 from lambda_sta.cli import main
-from lambda_sta.dynamics import (STAGE_MARCH_BATCH, InvalidRates,
-                                 InvalidSteps, LindbladRates, PulsePair,
-                                 StepTooCoarse, evolve_lindblad,
+from lambda_sta.dynamics import (InvalidRates, InvalidSteps, LindbladRates,
+                                 PulsePair, StepTooCoarse, evolve_lindblad,
                                  evolve_schrodinger, lindblad_operators,
                                  propagate_lindblad, propagate_schrodinger,
                                  step_rotation)
@@ -21,10 +20,8 @@ from lambda_sta.pulsefit import design_stirap
 ZERO_PULSES = PulsePair(omega1=lambda t: 0.0 * np.asarray(t),
                         omega2=lambda t: 0.0 * np.asarray(t))
 D = np.diag([1, 1j, 1])
-# Lindblad batch sizes, one for each way of stepping: a single run takes
-# one-step propagators, STAGE_MARCH_BATCH runs the stage march.  The id
-# keeps test names from following the measured constant.
-BOTH_PATHS = [1, pytest.param(STAGE_MARCH_BATCH, id="stage-march")]
+# Lindblad batch sizes: a single run and a batch of mixed rates.
+BATCHES = [1, 3]
 
 
 def propagator(pair):
@@ -345,21 +342,13 @@ BLOCKS = [
 ]
 
 
-# the propagator path on 0, 1 and 3 runs; the stage march on the
-# multi-block rows, where the state carried into a block may be unsampled
-@pytest.mark.parametrize("stride, block_steps, n", [
-    *[(*row, n) for row in BLOCKS for n in (0, 1, 3)],
-    *[pytest.param(stride, block_steps, STAGE_MARCH_BATCH,
-                   id=f"{stride}-{block_steps}-stage-march")
-      for stride, block_steps in BLOCKS if block_steps]])
+@pytest.mark.parametrize("stride, block_steps, n",
+                         [(*row, n) for row in BLOCKS for n in (0, 1, 3)])
 def test_lindblad_propagators_match_step_loop(monkeypatch, n, stride,
                                               block_steps):
-    if block_steps:
-        # the stage march holds the (6, 6) coherent generators at two half
-        # steps a step, a propagator block _RK4_STEP_BYTES a step and run
-        monkeypatch.setattr(dynamics, "BLOCK_BYTES", block_steps * (
-            2 * dynamics._K1.nbytes if n >= STAGE_MARCH_BATCH
-            else max(n, 1) * dynamics._RK4_STEP_BYTES))
+    if block_steps:  # a block holds _RK4_STEP_BYTES a step and run
+        monkeypatch.setattr(dynamics, "BLOCK_BYTES", block_steps * max(n, 1)
+                            * dynamics._RK4_STEP_BYTES)
     edges, cut = [], dynamics._edges
     monkeypatch.setattr(dynamics, "_edges",
                         lambda *args: edges.append(cut(*args)) or edges[-1])
@@ -401,15 +390,10 @@ class RecordedDrive:
         return self.pulses.drive(t)
 
 
-def test_map_grids_take_their_paths():
-    # fig5 --grid 5 (50 runs) on propagators, --grid 21 (882) stage by stage
-    assert 50 < STAGE_MARCH_BATCH <= 882
-
-
 @pytest.mark.parametrize("n, steps", [
     pytest.param(1, dynamics.LINDBLAD_STEPS, id="lindblad"),
     pytest.param(50, 2000, id="fig5-grid5"),
-    pytest.param(STAGE_MARCH_BATCH, 2000, id="stage-march")])
+    pytest.param(72, 2000, id="fig5-nodes")])
 def test_lindblad_samples_drive_once_per_window(monkeypatch, n, steps):
     """Runs at the CLI's step counts sample the drive in one call; a
     smaller byte budget cuts the half-step grid into windows that cover it
@@ -444,29 +428,27 @@ def test_lindblad_generator_pieces_are_exact():
     assert set(np.unique(kernel)) <= {0, 0.5, -0.5, 1, -1, 2, -2}
 
 
-def test_dissipators_are_diagonal_but_for_rho11s_feed(monkeypatch):
+@pytest.mark.parametrize("stride", [None, 1, 7])
+def test_propagated_times_match_populations(stride):
+    """One time per population row, from t = 0 to t = 1, whatever the
+    stride; 7 divides neither step count, None samples the ends only."""
+    proto = design_sta(1)
+    for tr in (propagate_schrodinger(proto, 200, stride),
+               propagate_lindblad(proto, None, 1000, stride)):
+        assert len(tr.times) == len(tr.populations)
+        assert tr.times[0] == 0 and tr.times[-1] == 1
+        if stride is None:
+            assert len(tr.times) == 2
+
+
+def test_dissipators_are_diagonal_but_for_rho11s_feed():
     """Each dissipator piece is diagonal but for column 1, where rho11
-    feeds rho00 (D1) and rho22 (D2); the stage march's `decay` and `feed`
-    rebuild every run's dissipator exactly."""
+    feeds rho00 (D1) and rho22 (D2)."""
     off_diagonal = dynamics._D * (1 - np.eye(6))
     assert np.argwhere(off_diagonal).tolist() == [[0, 0, 1], [1, 2, 1]]
-    seen, stages = [], dynamics._rk4_stages
-
-    def record(gen, x, decay, feed, dt):
-        seen.append((decay, feed))
-        return stages(gen, x, decay, feed, dt)
-
-    monkeypatch.setattr(dynamics, "_rk4_stages", record)
-    rates = mixed_rates(STAGE_MARCH_BATCH)
-    evolve_lindblad(design_sta(1), rates, 1000)
-    decay, feed = seen[0]
-    rebuilt = decay.T[..., None] * np.eye(6)
-    rebuilt[..., 1] += feed.T
-    gammas = [(r.gamma1, r.gamma2, r.gamma_phi1, r.gamma_phi2) for r in rates]
-    assert np.array_equal(rebuilt, np.tensordot(gammas, dynamics._D, 1))
 
 
-@pytest.mark.parametrize("n", BOTH_PATHS)
+@pytest.mark.parametrize("n", BATCHES)
 @pytest.mark.parametrize("proto", [design_sta(1), design_sta(3),
                                    design_stirap(50)],
                          ids=["sta-m1", "sta-m3", "stirap-50"])
@@ -479,20 +461,9 @@ def test_lindblad_dropped_coordinates_are_zero(proto, n):
 
 
 class TestLindbladMarches:
-    """A batch of STAGE_MARCH_BATCH runs or more is stepped stage by stage,
-    a smaller one by one-step propagators: same RK4, same checks."""
+    """The Lindblad kernel's checks hold for a single run and a batch."""
 
-    @pytest.mark.parametrize("stride", [None, 7])
-    def test_stage_march_matches_single_runs(self, reference_pulses, stride):
-        rates = mixed_rates(STAGE_MARCH_BATCH)
-        batch = evolve_lindblad(reference_pulses, rates, steps=1000,
-                                stride=stride)
-        for rho, r in zip(batch, rates):
-            single = evolve_lindblad(reference_pulses, [r], steps=1000,
-                                     stride=stride)[0]
-            assert np.abs(rho - single).max() <= 1e-13
-
-    @pytest.mark.parametrize("n", BOTH_PATHS)
+    @pytest.mark.parametrize("n", BATCHES)
     def test_step_guards(self, reference_pulses, n):
         with pytest.raises(StepTooCoarse, match="rotates"):
             evolve_lindblad(design_stirap(1e5), mixed_rates(n), steps=1000)
@@ -500,7 +471,7 @@ class TestLindbladMarches:
             evolve_lindblad(reference_pulses,
                             [LindbladRates(gamma1=3000)] * n, steps=1000)
 
-    @pytest.mark.parametrize("n", BOTH_PATHS)
+    @pytest.mark.parametrize("n", BATCHES)
     def test_non_finite_raises(self, reference_pulses, monkeypatch, n):
         # a coherent generator far out of range: the step guards read only
         # the drive, so the states overflow
