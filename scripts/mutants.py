@@ -38,6 +38,7 @@ PROPAGATORS = ("tests/test_dynamics.py::"
                "test_lindblad_propagators_match_step_loop")
 SCHRODINGER = ("tests/test_dynamics.py::"
                "test_evolve_schrodinger_matches_expm_product")
+SHARED = "tests/test_dynamics.py::test_shared_grid_matches_expm_product"
 MAPS = "tests/test_analysis.py::TestDecoherenceMap"
 SCHEDULES = "tests/test_cli.py::test_schedules_scale_with_duration"
 
@@ -116,10 +117,15 @@ MUTANTS = [
            (f"{SCHRODINGER}[1000-None-None]", f"{SCHRODINGER}[2000-1-None]",
             "tests/test_dynamics.py::test_closed_form_step_matches_expm")),
     Mutant("magnus-drops-c2", DYNAMICS,
-           "        vx, vy = x2 - y1 * (c / 60), y2 + x1 * (c / 60)\n"
-           "        e = (y1 * x3 - x1 * y3) / 30\n",
-           "        vx, vy, e = x2, y2, 0\n",
-           (f"{SCHRODINGER}[1000-None-None]", f"{SCHRODINGER}[2000-1-None]")),
+           "        e = (y1 * x3 - x1 * y3) / 30\n"
+           "        k = c / 14400\n",
+           "        e = k = 0\n",
+           (f"{SCHRODINGER}[1000-None-None]", f"{SCHRODINGER}[2000-1-None]",
+            f"{SHARED}[100-None-None]")),
+    Mutant("scale-monomial-power", DYNAMICS,
+           "- s11 * (x1 * c * k)",
+           "- scale1 * (x1 * c * k)",
+           (f"{SHARED}[100-None-None]",)),
     Mutant("map-tail-always-passes", ANALYSIS,
            "        if tail <= _MAP_TAIL:\n",
            "        if True:\n",

@@ -46,8 +46,9 @@ def timing_error_sweep(pulses, error_range=0.1, points=21,
     """Final target population when the interaction time is off by a
     relative error delta: integrate to T' = T*(1+delta), the horizon
     1 + delta in units of T, with the nominal pulse parameters frozen."""
-    if error_range > 0.2:
-        raise ValueError("timing error range limited to 20%")
+    if not 0 <= error_range <= 0.2:  # nan too
+        raise ValueError(f"timing error range must lie in [0, 0.2], got "
+                         f"{error_range}")
     deltas = np.linspace(-error_range, error_range, points)
     p3 = _final_p3(evolve_schrodinger(pulses, 1 + deltas, steps))
     return [(float(d), float(p)) for d, p in zip(deltas, p3)]

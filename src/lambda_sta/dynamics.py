@@ -46,6 +46,22 @@ C1]/60, the step is
 = -i (a x b).G, so the exponent is -i r.G for a 3-vector r made by cross
 products; as H = omega1 G1 + omega2 G2, the alphas lie in the G1-G2 plane
 and C1 along G3, and the kernel writes the products out by components.
+With alpha_k = (xk, yk, 0), c = x1 y2 - y1 x2, e = (y1 x3 - x1 y3)/30,
+ux = -20 x1 - x3 and uy = -20 y1 - y3, C1 = (0, 0, c), C2 = (-y1 c/60,
+x1 c/60, e), and a run that scales the pulses by (s1, s2) scales x by s1
+and y by s2.  So each term of r takes a monomial of the scales:
+
+    r1 = s1 (x1 + x3/12) + s1 s2^2 (uy e - c y2)/240
+         - s1^3 s2^2 x1 c^2/14400
+    r2 = s2 (y1 + y3/12) + s1^2 s2 (c x2 - ux e)/240
+         - s1^2 s2^3 y1 c^2/14400
+    r3 = s1 s2 (ux y2 - uy x2)/240 + s1^3 s2 ux x1 c/14400
+         + s1 s2^3 uy y1 c/14400,
+
+in x, y, c, e, ux and uy of the unscaled drive.  The kernel evaluates the
+drive and builds these once per block on a time grid, one for all runs of
+one horizon, and each run adds its monomials: five products and sums per
+component, step and run.
 In the frame U is the rotation by |r| about (-r2, -r3, r1): the unit
 quaternion
 
@@ -149,8 +165,10 @@ _MIX = np.array([[0, 1, 0],
                  [10 / 3, -20 / 3, 10 / 3]])
 # Bytes a Schrodinger block holds per step and run: the drive samples, the
 # Magnus exponents, the step rotations and their temporaries.  Tracemalloc
-# peaks of one-block runs of 1-16 runs grow by 226-264 B a step and run
-# (strides from 1 step to end only), within the constant.
+# peaks of one-block runs of 1-16 runs grow by 98-256 B a step and run on
+# one shared time grid (the least at 16 runs, whose drive samples and
+# exponent terms are shared) and by 248-272 B on per-run grids (strides
+# from 1 step to end only), within the constant.
 _STEP_BYTES = 304
 # Bytes a Lindblad propagator block holds per step and run: the factors U
 # and B/2, the propagators and their two scratch buffers, the temporaries
@@ -248,13 +266,12 @@ class Trajectory:
         return self.populations[-1]
 
 
-def _drive(pulses, t, scale1=1.0, scale2=1.0):
-    """Scaled drive amplitudes at the times t (any shape), checked finite,
-    in the broadcast shape of t and the scales."""
-    shape = np.broadcast_shapes(t.shape, np.shape(scale1), np.shape(scale2))
+def _drive(pulses, t):
+    """Drive amplitudes at the times t (any shape), checked finite, in the
+    shape of t."""
     o1, o2 = pulses.drive(t)
-    o1 = np.broadcast_to(scale1 * np.asarray(o1, dtype=float), shape)
-    o2 = np.broadcast_to(scale2 * np.asarray(o2, dtype=float), shape)
+    o1 = np.broadcast_to(np.asarray(o1, dtype=float), t.shape)
+    o2 = np.broadcast_to(np.asarray(o2, dtype=float), t.shape)
     if not (np.all(np.isfinite(o1)) and np.all(np.isfinite(o2))):
         raise ValueError("pulse evaluation produced non-finite values")
     return o1, o2
@@ -376,40 +393,58 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_END_STEPS,
     [0, horizon[b]] in `steps` steps on its own time grid.  Every run
     starts from |1>.  Returns the states after steps 0, stride, 2*stride,
     ... and `steps`, shape (batch, samples, 3); the default stride samples
-    the start and the end only.
+    the start and the end only.  A non-finite scale raises ValueError.
     """
     if steps < MIN_SCHRODINGER_STEPS:
         raise InvalidSteps(f"need at least {MIN_SCHRODINGER_STEPS} steps, "
                            f"got {steps}")
     horizon, scale1, scale2 = np.broadcast_arrays(
         np.atleast_1d(np.asarray(horizon, dtype=float)), scale1, scale2)
+    if not (np.all(np.isfinite(scale1)) and np.all(np.isfinite(scale2))):
+        raise ValueError("drive scales must be finite")
+    batch = len(horizon)
+    # runs of one horizon share one time grid: the drive and the
+    # exponent's terms are built once
     dt = horizon / steps
-    batch = len(dt)
-    # runs of one horizon share one time grid: the drive is evaluated once
     grid = dt[:1] if np.all(dt == dt[:1]) else dt
+    # the products of the scales the exponent's terms take
+    s11, s22, s12 = scale1 * scale1, scale2 * scale2, scale1 * scale2
+    top1, top2 = np.max(s11, initial=0.0), np.max(s22, initial=0.0)
 
     def block(k0, k1, size, x):
-        # drive at the three nodes of each step, times dt: the G1 and G2
-        # coordinates of the node generators, shape (2, 3, steps, batch)
+        # unscaled drive at the three nodes of each step, times dt: the G1
+        # and G2 coordinates of the node generators, shape (2, 3, steps,
+        # len(grid))
         t = (np.arange(k0, k1)[:, None] + _NODES[:, None, None]) * grid
-        gen = np.array(_drive(pulses, t, scale1, scale2)) * dt
-        # the largest Omega*dt by one square root: sqrt is monotone
-        _check_step(np.sqrt(np.max(gen[0] * gen[0] + gen[1] * gen[1],
-                                   initial=0.0)))
+        gen = np.array(_drive(pulses, t))
+        gen *= grid
+        # the largest Omega*dt by one square root (sqrt is monotone), over
+        # every sample and run only where the drives' peaks, at the largest
+        # scales, bound it above the limit
+        o1, o2 = gen
+        peak1, peak2 = (max(o.max(initial=0.0), -o.min(initial=0.0))
+                        for o in gen)
+        if top1 * peak1 ** 2 + top2 * peak2 ** 2 > MAX_ROTATION ** 2:
+            _check_step(np.sqrt(np.max(s11 * o1 * o1 + s22 * o2 * o2)))
         # alpha1, alpha2 and alpha3 lie in the G1-G2 plane, alpha_k = (xk,
         # yk, 0), so C1 is along G3: the Magnus exponent by components
         (x1, x2, x3), (y1, y2, y3) = (
             _MIX @ gen.reshape(2, 3, -1)).reshape(gen.shape)
         c = x1 * y2 - y1 * x2  # C1 = (0, 0, c)
-        # v = alpha2 + C2, C2 = (-y1 c/60, x1 c/60, e)
-        vx, vy = x2 - y1 * (c / 60), y2 + x1 * (c / 60)
+        ux, uy = -20 * x1 - x3, -20 * y1 - y3  # u = (ux, uy, c)
+        # C2 = (-y1 c/60, x1 c/60, e), its first two terms as k = c/14400
+        # in (u x C2)/240
         e = (y1 * x3 - x1 * y3) / 30
-        # u = -20 alpha1 - alpha3 + C1 = (ux, uy, c); r = alpha1 + alpha3/12
-        # + (u x v)/240, one rotation a step
-        ux, uy = -20 * x1 - x3, -20 * y1 - y3
-        q = step_rotation(x1 + x3 / 12 + (uy * e - c * vy) / 240,
-                          y1 + y3 / 12 + (c * vx - ux * e) / 240,
-                          (ux * vy - uy * vx) / 240)
+        k = c / 14400
+        # r = alpha1 + alpha3/12 + (u x (alpha2 + C2))/240, each of its
+        # terms times the monomial of the scales it takes
+        q = step_rotation(
+            scale1 * (x1 + x3 / 12 + s22 * ((uy * e - c * y2) / 240
+                                            - s11 * (x1 * c * k))),
+            scale2 * (y1 + y3 / 12 + s11 * ((c * x2 - ux * e) / 240
+                                            - s22 * (y1 * c * k))),
+            s12 * ((ux * y2 - uy * x2) / 240 + s11 * (ux * x1 * k)
+                   + s22 * (uy * y1 * k)))
         return _qmul(_compose(q, _qmul, 1, size), x[:, None]).swapaxes(0, 1)
 
     # from the identity rotation, the Cayley-Klein pair (1, 0)

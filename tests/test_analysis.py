@@ -13,7 +13,7 @@ from lambda_sta.analysis import (TableRow, amplitude_error_sweep,
                                  timing_error_sweep)
 from lambda_sta.cli import csv_text, main
 from lambda_sta.dynamics import (SCHRODINGER_END_STEPS, LindbladRates,
-                                 PulsePair, evolve_lindblad,
+                                 PulsePair, StepTooCoarse, evolve_lindblad,
                                  evolve_schrodinger, lindblad_operators,
                                  propagate_schrodinger)
 from lambda_sta.protocol import G1, G2
@@ -78,8 +78,10 @@ class TestTimingErrorSweep:
         assert min(p3 for _, p3 in data) >= 0.9956 - 0.002
 
     def test_range_cap(self, reference_pulses):
-        with pytest.raises(ValueError):
-            timing_error_sweep(reference_pulses, 0.5, 3)
+        # a negative range would integrate to a horizon below 0
+        for bad in (0.5, -0.5, math.nan):
+            with pytest.raises(ValueError, match="must lie in"):
+                timing_error_sweep(reference_pulses, bad, 3)
 
     def test_batched_matches_per_point(self, reference_pulses):
         data = timing_error_sweep(reference_pulses, 0.1, 5, steps=STEPS)
@@ -134,6 +136,17 @@ class TestStirapCurve:
         for (_, infid), a in zip(data, amplitudes):
             pulses = design_stirap(a)
             assert abs(infid - (1 - per_point_p3(pulses))) <= 1e-12
+
+    def test_step_check_reads_the_scaled_drive(self):
+        # the unit pulses scaled by 600 are design_stirap(600): the check
+        # refuses them as it refuses the unscaled pulses, by the same angle
+        with pytest.raises(StepTooCoarse) as single:
+            evolve_schrodinger(design_stirap(600), steps=500)
+        assert "rotates the state by 1.21 rad" in str(single.value)
+        with pytest.raises(StepTooCoarse) as curve:
+            stirap_infidelity_curve([1, 600])
+        assert str(curve.value) == str(single.value)
+        assert len(stirap_infidelity_curve([1, 400])) == 2
 
     def test_vanishing_drive(self):
         data = stirap_infidelity_curve(amplitudes=[0.05], steps=STEPS)

@@ -133,7 +133,12 @@ def expm_magnus6_states(pulses, horizon, steps, scale1, scale2, stride):
 ])
 def test_evolve_schrodinger_matches_expm_product(monkeypatch, steps, stride,
                                                  block_steps):
-    horizon, scale1, scale2 = [0.9, 1, 1.2], [1, 0.95, 1.05], [1.1, 1, 0.9]
+    assert_three_runs_match_expm(monkeypatch, [0.9, 1, 1.2], [1, 0.95, 1.05],
+                                 [1.1, 1, 0.9], steps, stride, block_steps)
+
+
+def assert_three_runs_match_expm(monkeypatch, horizon, scale1, scale2, steps,
+                                 stride, block_steps):
     if block_steps:
         monkeypatch.setattr(dynamics, "BLOCK_BYTES",
                             3 * block_steps * dynamics._STEP_BYTES)
@@ -141,9 +146,28 @@ def test_evolve_schrodinger_matches_expm_product(monkeypatch, steps, stride,
     states = evolve_schrodinger(proto, horizon, steps, scale1, scale2,
                                 stride)
     expected = expm_magnus6_states(proto, horizon, steps, scale1, scale2,
-                               stride or steps)
+                                   stride or steps)
     assert states.shape == expected.shape
     assert np.abs(states - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("steps, stride, block_steps", [
+    (100, None, None),    # the fewest steps: the terms of order dt^7 show
+    (999, 64, 25),        # a chunk spans several blocks
+])
+def test_shared_grid_matches_expm_product(monkeypatch, steps, stride,
+                                          block_steps):
+    # one horizon, so the runs share one time grid and take the scales as
+    # monomials; scales far from 1 show a wrong power of either
+    assert_three_runs_match_expm(monkeypatch, 1.0, [0.3, 1, 2.5], [2, 1, 0.4],
+                                 steps, stride, block_steps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scale_raises(bad):
+    for scales in (([1, bad], 1), (1, [bad, 1])):
+        with pytest.raises(ValueError, match="scales must be finite"):
+            evolve_schrodinger(design_sta(1), 1.0, 200, *scales)
 
 
 class TestSchrodinger:
