@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Mutation checks: do the tests still catch known faults of the kernels
-and of the CLI's unit edge, where the unit-time results are scaled by T?
+"""Mutation checks: do the tests still catch known faults of the kernels,
+of the CLI's unit edge, where the unit-time results are scaled by T, and
+of its exit status?
 
 Each mutant is one fault put into a temporary copy of the tree: a file
 under src/, an exact old text, the new text that replaces it, and the
@@ -143,6 +144,13 @@ MUTANTS = [
            "f.omega / duration,",
            "f.omega,",
            (f"{SCHEDULES}[design-0.37]", f"{SCHEDULES}[design-2]")),
+    Mutant("exit-2-drops-invalid-parameters", CLI,
+           "    except (InvalidParameters, OSError) as exc:\n",
+           "    except OSError as exc:\n",
+           ("tests/test_cli.py::test_invalid_value_names_the_flag"
+            "[argv0---T]",
+            "tests/test_cli.py::test_config_value_type_error_exits_2"
+            "[overrides0]")),
 ]
 
 

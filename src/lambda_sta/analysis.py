@@ -47,8 +47,8 @@ def timing_error_sweep(pulses, error_range=0.1, points=21,
     relative error delta: integrate to T' = T*(1+delta), the horizon
     1 + delta in units of T, with the nominal pulse parameters frozen."""
     if not 0 <= error_range <= 0.2:  # nan too
-        raise ValueError(f"timing error range must lie in [0, 0.2], got "
-                         f"{error_range}")
+        raise InvalidParameters(f"timing error range must lie in [0, 0.2], "
+                                f"got {error_range}")
     deltas = np.linspace(-error_range, error_range, points)
     p3 = _final_p3(evolve_schrodinger(pulses, 1 + deltas, steps))
     return [(float(d), float(p)) for d, p in zip(deltas, p3)]
@@ -57,9 +57,13 @@ def timing_error_sweep(pulses, error_range=0.1, points=21,
 def amplitude_error_sweep(pulses, which=1, error_range=0.1, points=21,
                           steps=SCHRODINGER_END_STEPS):
     """Final target population when one drive amplitude is scaled by
-    (1+delta) while the other stays nominal."""
+    (1+delta) while the other stays nominal.  At error_range 1 the low
+    end switches the pulse off; beyond it the scale turns negative."""
     if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
+        raise InvalidParameters("which must be 1 or 2")
+    if not 0 <= error_range <= 1:  # nan too
+        raise InvalidParameters(f"amplitude error range must lie in [0, 1], "
+                                f"got {error_range}")
     deltas = np.linspace(-error_range, error_range, points)
     scales = (1 + deltas, 1) if which == 1 else (1, 1 + deltas)
     p3 = _final_p3(evolve_schrodinger(pulses, 1.0, steps, *scales))
@@ -110,12 +114,12 @@ def decoherence_maps(pulses, modes, max_ratio=0.01, grid=21, amplitude=None,
     """
     for mode in modes:
         if mode not in _MAP_CHANNELS:
-            raise ValueError(f"mode must be relaxation or dephasing, "
-                             f"got {mode!r}")
+            raise InvalidParameters(f"mode must be relaxation or "
+                                    f"dephasing, got {mode!r}")
     if max_ratio > 0.05:
-        raise ValueError("decoherence ratios limited to 5%")
+        raise InvalidParameters("decoherence ratios limited to 5%")
     if grid < 2:
-        raise ValueError("grid must have at least 2 points per axis")
+        raise InvalidParameters("grid must have at least 2 points per axis")
     if amplitude is None:
         amplitude = pulse_amplitude(pulses.omega1, pulses.omega2, 1001)
 
@@ -182,7 +186,7 @@ def table_one(max_m=7, fit_budget=None):
     """Fitted pulse amplitude and intermediate-population ceiling per
     winding m = 1..max_m; like the pulses, every entry is dimensionless."""
     if max_m > 10:
-        raise ValueError("windings above 10 are not supported")
+        raise InvalidParameters("windings above 10 are not supported")
     rows = []
     for m in range(1, max_m + 1):
         p = design_sta(m)

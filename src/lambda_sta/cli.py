@@ -10,6 +10,9 @@ and fig4 are presets of the primitive commands simulate, stirap-curve and
 sweep.  Each command returns its outputs as {filename: text}; `main`
 writes them, then a manifest.json with the resolved configuration, so
 that reruns are byte-reproducible and a failed run writes none of them.
+A run exits 2 on an InvalidParameters or an OSError (a configuration
+error or an unwritable output) and 3 on any other exception (a
+computation failure, StepTooCoarse naming a step count too small).
 
 The library works at unit time; only this module applies T.  --omega0,
 --t0 and --tc are in units of T, lindblad scales its rates by T, design
@@ -43,10 +46,6 @@ from .analysis import (amplitude_error_sweep, decoherence_maps,
                        timing_error_sweep)
 
 OUTDIR_ENV = "LAMBDA_STA_OUTDIR"
-
-
-class ConfigError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -168,25 +167,27 @@ def _config_values(path, command):
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file: {exc}")
+        raise InvalidParameters(f"cannot read config file: {exc}")
     if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise InvalidParameters("config file must hold a JSON object")
     options = {o.dest: o for o in (*GLOBAL, *OPTIONS[command])}
     values = {}
     for key, value in doc.items():
         o = options.get(key.replace("-", "_"))
         if o is None:
-            raise ConfigError(f"config key {key!r} names no option of "
-                              f"{command}")
+            raise InvalidParameters(f"config key {key!r} names no option "
+                                    f"of {command}")
         if value is None:  # str(None) would pass as the text "None"
-            raise ConfigError(f"invalid config value for {key}: None")
+            raise InvalidParameters(f"invalid config value for {key}: None")
         try:
             values[o.dest] = o.type(str(value))
         except ValueError:
-            raise ConfigError(f"invalid config value for {key}: {value!r}")
+            raise InvalidParameters(f"invalid config value for {key}: "
+                                    f"{value!r}")
         if o.choices is not None and values[o.dest] not in o.choices:
-            raise ConfigError(f"invalid config value for {key}: {value!r} "
-                              f"(choose from {', '.join(o.choices)})")
+            raise InvalidParameters(f"invalid config value for {key}: "
+                                    f"{value!r} (choose from "
+                                    f"{', '.join(o.choices)})")
     return values
 
 
@@ -202,16 +203,16 @@ def _resolve(command, given):
         value = values[o.dest]
         if protocol and o.protocols and protocol not in o.protocols:
             if o.dest in given:
-                raise ConfigError(f"--protocol {protocol} does not read "
-                                  f"{o.flag}")
+                raise InvalidParameters(f"--protocol {protocol} does not "
+                                        f"read {o.flag}")
             del values[o.dest]
         elif value is None and o.required:
-            raise ConfigError(f"{command} needs {o.flag}, from the command "
-                              f"line or --config")
+            raise InvalidParameters(f"{command} needs {o.flag}, from the "
+                                    f"command line or --config")
         elif value is not None and not (
                 (o.type is not float or math.isfinite(value))
                 and (o.check is None or o.check(value))):
-            raise ConfigError(f"invalid value for {o.flag}: {value}")
+            raise InvalidParameters(f"invalid value for {o.flag}: {value}")
     if "components" in values and values["components"] is None:
         values["components"] = fit_components(values["m"])
     return argparse.Namespace(command=command, **values)
@@ -260,7 +261,8 @@ def _protocol_pulses(args):
         return p
     if args.protocol == "sta-ref":
         if args.m != 1:
-            raise ConfigError("reference fit coefficients exist only for m=1")
+            raise InvalidParameters("reference fit coefficients exist only "
+                                    "for m=1")
         return PulsePair(*reference_m1_fit())
     (f1, _), (f2, _) = fit_protocol_pulses(p, args.components)
     return PulsePair(f1, f2)
@@ -424,19 +426,16 @@ def main(argv=None):
         outdir = Path(given.get("outdir") or os.environ.get(OUTDIR_ENV)
                       or ".")
         outdir.mkdir(parents=True, exist_ok=True)
-        try:
-            # no numpy warnings on stderr: non-finite output fails the run
-            with np.errstate(all="ignore"):
-                outputs = COMMANDS[command](args)
-        except (ConfigError, InvalidParameters):
-            raise
-        except Exception as exc:
-            print(f"computation failed: {exc}", file=sys.stderr)
-            return 3
+        # no numpy warnings on stderr: non-finite output fails the run
+        with np.errstate(all="ignore"):
+            outputs = COMMANDS[command](args)
         _write(outdir, {**outputs, "manifest.json": _manifest(args, outputs)})
-    except (ConfigError, InvalidParameters, OSError) as exc:
+    except (InvalidParameters, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"computation failed: {exc}", file=sys.stderr)
+        return 3
     for name in outputs:
         print(outdir / name)
     return 0

@@ -179,16 +179,9 @@ _STEP_BYTES = 304
 _RK4_STEP_BYTES = 1540
 
 
-class InvalidSteps(InvalidParameters):
-    pass
-
-
-class InvalidRates(InvalidParameters):
-    pass
-
-
 class StepTooCoarse(ValueError):
-    """A step rotates the state by more than MAX_ROTATION rad."""
+    """A step count too small: a step's Omega*dt or Gamma*dt exceeds
+    MAX_ROTATION.  A computation failure, whose remedy is more steps."""
 
 
 @dataclass(frozen=True)
@@ -215,7 +208,7 @@ class LindbladRates:
     def __post_init__(self):
         if not all(r >= 0 for r in (self.gamma1, self.gamma2,
                                     self.gamma_phi1, self.gamma_phi2)):
-            raise InvalidRates(f"rates must be non-negative: {self}")
+            raise InvalidParameters(f"rates must be non-negative: {self}")
 
 
 def lindblad_operators(rates):
@@ -393,15 +386,16 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_END_STEPS,
     [0, horizon[b]] in `steps` steps on its own time grid.  Every run
     starts from |1>.  Returns the states after steps 0, stride, 2*stride,
     ... and `steps`, shape (batch, samples, 3); the default stride samples
-    the start and the end only.  A non-finite scale raises ValueError.
+    the start and the end only.  A non-finite scale raises
+    InvalidParameters.
     """
     if steps < MIN_SCHRODINGER_STEPS:
-        raise InvalidSteps(f"need at least {MIN_SCHRODINGER_STEPS} steps, "
-                           f"got {steps}")
+        raise InvalidParameters(f"need at least {MIN_SCHRODINGER_STEPS} "
+                                f"steps, got {steps}")
     horizon, scale1, scale2 = np.broadcast_arrays(
         np.atleast_1d(np.asarray(horizon, dtype=float)), scale1, scale2)
     if not (np.all(np.isfinite(scale1)) and np.all(np.isfinite(scale2))):
-        raise ValueError("drive scales must be finite")
+        raise InvalidParameters("drive scales must be finite")
     batch = len(horizon)
     # runs of one horizon share one time grid: the drive and the
     # exponent's terms are built once
@@ -521,8 +515,8 @@ def evolve_lindblad(pulses, rates, steps=LINDBLAD_STEPS, stride=None):
     the default stride samples the start and the end only.
     """
     if steps < MIN_LINDBLAD_STEPS:
-        raise InvalidSteps(f"need at least {MIN_LINDBLAD_STEPS} steps, "
-                           f"got {steps}")
+        raise InvalidParameters(f"need at least {MIN_LINDBLAD_STEPS} steps, "
+                                f"got {steps}")
     gammas = np.array([(r.gamma1, r.gamma2, r.gamma_phi1, r.gamma_phi2)
                        for r in rates], dtype=float).reshape(-1, 4)
     dt = 1.0 / steps

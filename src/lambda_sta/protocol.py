@@ -23,11 +23,8 @@ G3 = np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]], dtype=complex)
 
 
 class InvalidParameters(ValueError):
-    """A parameter outside its valid range (a configuration error)."""
-
-
-class InvalidWinding(InvalidParameters):
-    pass
+    """A caller's value outside its valid range: a configuration error,
+    on which the CLI exits 2."""
 
 
 def m_eigenbasis(phi):
@@ -125,7 +122,7 @@ def design_sta(m, kappa=None):
     partial, final P3 = sin^2(kappa*m*pi)).
     """
     if int(m) != m or m < 1:
-        raise InvalidWinding(f"winding must be a positive integer, got {m}")
+        raise InvalidParameters(f"winding must be a positive integer, got {m}")
     if kappa is None:
         kappa = 1.0 / (2 * m)
     if not 0 < kappa < 2:

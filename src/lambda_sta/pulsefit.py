@@ -40,10 +40,6 @@ from .dynamics import PulsePair
 _EPS = np.finfo(float).eps
 
 
-class DegenerateSamples(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class GaussianComponent:
     amplitude: float  # zeta, 1/time, signed
@@ -203,12 +199,13 @@ def fit_gaussian_sum(samples, n_components=2):
     if n_components < 1:
         raise InvalidParameters("need at least one component")
     if len(t) < 30 * n_components:
-        raise InvalidParameters(f"need at least {30 * n_components} samples for "
-                         f"{n_components} components, got {len(t)}")
+        raise InvalidParameters(f"need at least {30 * n_components} samples "
+                                f"for {n_components} components, got "
+                                f"{len(t)}")
     if not (np.isfinite(t).all() and np.isfinite(y).all()):
         raise InvalidParameters("samples must be finite")
     if np.abs(y).max() == 0:
-        raise DegenerateSamples("all sample values are zero")
+        raise InvalidParameters("all sample values are zero")
 
     n = n_components
     span = t[-1] - t[0]
@@ -219,8 +216,8 @@ def fit_gaussian_sum(samples, n_components=2):
     pad = 1e-10 * np.maximum(1, np.abs([lower, upper]))
     x0 = np.clip(_initial_guess(t, y, n), lower + pad[0], upper - pad[1])
     if not np.all((lower < x0) & (x0 < upper)):
-        raise ValueError(f"time span {span:g} is too short to start the fit "
-                         f"inside its bounds")
+        raise InvalidParameters(f"time span {span:g} is too short to start "
+                                f"the fit inside its bounds")
 
     point = None
 
@@ -491,6 +488,6 @@ def fit_report(pulse, t, y, iterations, converged):
 def pulse_amplitude(p1, p2, grid=1001):
     """Max absolute drive amplitude over a uniform grid on [0, 1]."""
     if grid < 100:
-        raise ValueError(f"need at least 100 grid points, got {grid}")
+        raise InvalidParameters(f"need at least 100 grid points, got {grid}")
     t = np.linspace(0.0, 1.0, grid)
     return float(max(np.abs(p1(t)).max(), np.abs(p2(t)).max()))

@@ -16,9 +16,9 @@ from lambda_sta.dynamics import (SCHRODINGER_END_STEPS, LindbladRates,
                                  PulsePair, StepTooCoarse, evolve_lindblad,
                                  evolve_schrodinger, lindblad_operators,
                                  propagate_schrodinger)
-from lambda_sta.protocol import G1, G2
-from lambda_sta.pulsefit import (design_stirap, pulse_amplitude,
-                               reference_m1_fit)
+from lambda_sta.protocol import G1, G2, InvalidParameters, design_sta
+from lambda_sta.pulsefit import (design_stirap, fit_gaussian_sum,
+                                 pulse_amplitude, reference_m1_fit)
 
 STEPS = 2000  # integration error far below every tolerance used here
 
@@ -120,6 +120,14 @@ class TestAmplitudeErrorSweep:
     def test_bad_index(self, reference_pulses):
         with pytest.raises(ValueError):
             amplitude_error_sweep(reference_pulses, 3)
+
+    def test_range_cap(self, reference_pulses):
+        # beyond 1 the low end scales the pulse by a negative factor; at 1
+        # it switches the pulse off
+        for bad in (3.0, -0.5, math.nan):
+            with pytest.raises(InvalidParameters, match="must lie in"):
+                amplitude_error_sweep(reference_pulses, 1, bad, 3)
+        assert len(amplitude_error_sweep(reference_pulses, 1, 1.0, 3)) == 3
 
 
 class TestStirapCurve:
@@ -370,3 +378,43 @@ def test_table_text_flags_unconverged_fit():
     assert header.split()[-1] == "converged"
     assert first.split()[-1] == "yes"
     assert second.split()[-1] == "no"
+
+
+REFERENCE = PulsePair(*reference_m1_fit())
+SPAN = np.linspace(0, 1e-300, 200)
+# A caller's value out of range raises InvalidParameters, on which the CLI
+# exits 2; a computation that fails raises another ValueError, exit 3.
+CALLER_INPUT = {
+    "timing-range": lambda: timing_error_sweep(REFERENCE, 0.5, 3),
+    "amplitude-which": lambda: amplitude_error_sweep(REFERENCE, 3),
+    "map-mode": lambda: decoherence_maps(REFERENCE, ("thermal",)),
+    "map-ratio": lambda: decoherence_maps(REFERENCE, ("relaxation",), 0.2),
+    "map-grid": lambda: decoherence_maps(REFERENCE, ("relaxation",),
+                                         grid=1),
+    "table-max-m": lambda: table_one(11),
+    "fit-span": lambda: fit_gaussian_sum(
+        (SPAN, np.exp(-(SPAN / 1e-300 - 0.5) ** 2)), 1),
+    "fit-zero": lambda: fit_gaussian_sum((SPAN, np.zeros(200)), 1),
+    "amplitude-grid": lambda: pulse_amplitude(*reference_m1_fit(), 10),
+    "scale-nan": lambda: evolve_schrodinger(REFERENCE, 1.0, 500, math.nan),
+    "winding": lambda: design_sta(0),
+    "rate": lambda: LindbladRates(gamma1=-1),
+    "lindblad-steps": lambda: evolve_lindblad(REFERENCE, [LindbladRates()],
+                                              steps=500),
+}
+COMPUTATION = {
+    "coarse-steps": lambda: propagate_schrodinger(design_stirap(1e9),
+                                                  steps=100),
+    "infinite-drive": lambda: evolve_schrodinger(
+        PulsePair(lambda t: np.full(np.shape(t), np.inf), np.zeros_like)),
+}
+
+
+@pytest.mark.parametrize("call, caller", [
+    *((c, True) for c in CALLER_INPUT.values()),
+    *((c, False) for c in COMPUTATION.values())],
+    ids=[*CALLER_INPUT, *COMPUTATION])
+def test_invalid_parameters_marks_caller_input(call, caller):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert isinstance(raised.value, InvalidParameters) == caller

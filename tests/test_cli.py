@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import lambda_sta
+from lambda_sta import cli
 from lambda_sta.cli import (COMMANDS, GLOBAL, OPTIONS, OUTDIR_ENV, SWEEP_KINDS,
                             main)
 
@@ -455,6 +456,22 @@ def test_config_key_of_no_option_exits_2(tmp_path, capsys, argv, overrides):
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(next(iter(overrides))) in err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("target", ["resolve", "command"])
+def test_unexpected_error_exits_3_without_traceback(tmp_path, monkeypatch,
+                                                    capsys, target):
+    def fail(*args):
+        raise RuntimeError("unexpected")
+
+    if target == "resolve":
+        monkeypatch.setattr(cli, "_resolve", fail)
+    else:
+        monkeypatch.setitem(COMMANDS, "design", fail)
+    assert run(tmp_path, "design") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("computation failed:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_coarse_steps_exit_3(tmp_path, capsys):

@@ -8,13 +8,13 @@ from scipy.linalg import expm
 
 from lambda_sta import dynamics
 from lambda_sta.cli import main
-from lambda_sta.dynamics import (InvalidRates, InvalidSteps, LindbladRates,
-                                 PulsePair, StepTooCoarse, evolve_lindblad,
-                                 evolve_schrodinger, lindblad_operators,
-                                 propagate_lindblad, propagate_schrodinger,
-                                 step_rotation)
-from lambda_sta.protocol import (G1, G2, G3, analytic_state_constant_mu,
-                                 design_sta, m_eigenbasis)
+from lambda_sta.dynamics import (LindbladRates, PulsePair, StepTooCoarse,
+                                 evolve_lindblad, evolve_schrodinger,
+                                 lindblad_operators, propagate_lindblad,
+                                 propagate_schrodinger, step_rotation)
+from lambda_sta.protocol import (G1, G2, G3, InvalidParameters,
+                                 analytic_state_constant_mu, design_sta,
+                                 m_eigenbasis)
 from lambda_sta.pulsefit import design_stirap
 
 ZERO_PULSES = PulsePair(omega1=lambda t: 0.0 * np.asarray(t),
@@ -221,7 +221,7 @@ class TestSchrodinger:
                 assert overlap >= 0.997
 
     def test_invalid_inputs(self):
-        with pytest.raises(InvalidSteps):
+        with pytest.raises(InvalidParameters, match="at least 100 steps"):
             propagate_schrodinger(ZERO_PULSES, steps=50)
         with pytest.raises(StepTooCoarse):
             propagate_schrodinger(design_stirap(1e9),
@@ -244,11 +244,11 @@ class TestLindbladOperators:
         assert np.allclose(l3, np.diag([-1, 1, 0]))
 
     def test_negative_rate(self):
-        with pytest.raises(InvalidRates):
+        with pytest.raises(InvalidParameters, match="non-negative"):
             LindbladRates(gamma1=-1.0)
 
     def test_nan_rate(self):
-        with pytest.raises(InvalidRates):
+        with pytest.raises(InvalidParameters, match="non-negative"):
             LindbladRates(gamma_phi2=float("nan"))
 
 
@@ -299,7 +299,7 @@ class TestLindblad:
         assert traj.final_populations[2] < 1.0 - 1e-3
 
     def test_invalid_inputs(self, reference_pulses):
-        with pytest.raises(InvalidSteps):
+        with pytest.raises(InvalidParameters, match="at least 1000 steps"):
             propagate_lindblad(reference_pulses, steps=500)
         with pytest.raises(StepTooCoarse):
             propagate_lindblad(design_stirap(1e5), steps=1000)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lambda_sta.protocol import (G1, G2, G3, InvalidParameters,
-                                 InvalidWinding, analytic_state_constant_mu,
-                                 design_sta, frame_match, m_eigenbasis,
-                                 protocol_to_json)
+                                 analytic_state_constant_mu, design_sta,
+                                 frame_match, m_eigenbasis, protocol_to_json)
 from lambda_sta.pulsefit import STIRAP_T0, STIRAP_TC, design_stirap
 
 
@@ -138,9 +137,9 @@ class TestDesignSta:
         assert np.abs(o1 ** 2 + o2 ** 2 - omega ** 2).max() < 1e-9
 
     def test_invalid_winding(self):
-        with pytest.raises(InvalidWinding):
+        with pytest.raises(InvalidParameters, match="winding"):
             design_sta(0)
-        with pytest.raises(InvalidWinding):
+        with pytest.raises(InvalidParameters, match="winding"):
             design_sta(-2)
 
 

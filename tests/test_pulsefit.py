@@ -9,8 +9,8 @@ from lambda_sta.analysis import fit_components, fit_protocol_pulses
 from lambda_sta.cli import main
 from lambda_sta.dynamics import PulsePair, propagate_schrodinger
 from lambda_sta.protocol import InvalidParameters, design_sta
-from lambda_sta.pulsefit import (DegenerateSamples, GaussianComponent,
-                                 GaussianPulse, _initial_guess, _projection,
+from lambda_sta.pulsefit import (GaussianComponent, GaussianPulse,
+                                 _initial_guess, _projection,
                                  fit_gaussian_sum, fit_report,
                                  pulse_amplitude, pulse_to_json,
                                  reference_m1_fit)
@@ -246,7 +246,7 @@ def test_cli_fits_once(fit_calls, tmp_path, argv):
 
 def test_degenerate_samples_rejected():
     t = np.linspace(0, 1, 200)
-    with pytest.raises(DegenerateSamples):
+    with pytest.raises(InvalidParameters, match="all sample values"):
         fit_gaussian_sum((t, np.zeros_like(t)), 1)
 
 
