@@ -40,6 +40,8 @@ PROPAGATORS = ("tests/test_dynamics.py::"
 SCHRODINGER = ("tests/test_dynamics.py::"
                "test_evolve_schrodinger_matches_expm_product")
 SHARED = "tests/test_dynamics.py::test_shared_grid_matches_expm_product"
+TIMING = ("tests/test_dynamics.py::"
+          "test_timing_sweep_matches_expm_product_on_its_edges")
 MAPS = "tests/test_analysis.py::TestDecoherenceMap"
 SCHEDULES = "tests/test_cli.py::test_schedules_scale_with_duration"
 
@@ -106,12 +108,11 @@ MUTANTS = [
            "                      _sample_steps(steps, stride))\n",
            "    return np.append(np.arange(0, steps, per_block), steps)\n",
            (f"{PROPAGATORS}[64-25-1]", f"{SCHRODINGER}[999-64-25]")),
-    Mutant("grid-always-shared", DYNAMICS,
-           "grid = dt[:1] if np.all(dt == dt[:1]) else dt",
-           "grid = dt[:1]",
-           (f"{SCHRODINGER}[1000-None-None]", f"{SCHRODINGER}[999-64-25]",
-            "tests/test_analysis.py::TestTimingErrorSweep::"
-            "test_batched_matches_per_point")),
+    Mutant("clock-late-steps-take-early-rate", ANALYSIS,
+           "rate = np.where(after, self.late, self.early)",
+           "rate = self.early",
+           (f"{TIMING}[0.1-41-500]", f"{TIMING}[0.1-41-100]",
+            "tests/test_analysis.py::test_default_steps_converged")),
     Mutant("rotation-g3-sign-flipped", DYNAMICS,
            "    q.real[1] = -s * x3\n",
            "    q.real[1] = s * x3\n",

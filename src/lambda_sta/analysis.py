@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import InvalidParameters, design_sta
-from .dynamics import (LINDBLAD_STEPS, SCHRODINGER_END_STEPS, LindbladRates,
-                       evolve_lindblad, evolve_schrodinger,
-                       propagate_lindblad)
+from .dynamics import (LINDBLAD_STEPS, MIN_SCHRODINGER_STEPS,
+                       SCHRODINGER_END_STEPS, LindbladRates, evolve_lindblad,
+                       evolve_schrodinger, propagate_lindblad)
 from .pulsefit import (STIRAP_OMEGA0, STIRAP_T0, STIRAP_TC, design_stirap,
                        fit_gaussian_sum, fit_report, pulse_amplitude)
 
@@ -41,16 +41,62 @@ def _final_p3(states):
     return np.abs(states[:, -1, 2]) ** 2
 
 
+@dataclass(frozen=True)
+class _TwoRateClock:
+    """The pulses as a drive in the step count s of a run whose first
+    `knot` steps are `early` long and whose later steps are `late` long:
+    t'(s) omega(t(s)), so that a unit step in s is one of the run's steps
+    and Omega*ds reads omega*dt."""
+
+    pulses: object
+    knot: int
+    early: float
+    late: float
+
+    def drive(self, s):
+        after = s > self.knot
+        rate = np.where(after, self.late, self.early)
+        o1, o2 = self.pulses.drive(np.where(
+            after, self.knot * self.early + (s - self.knot) * self.late,
+            s * self.early))
+        return rate * o1, rate * o2
+
+
 def timing_error_sweep(pulses, error_range=0.1, points=21,
                        steps=SCHRODINGER_END_STEPS):
     """Final target population when the interaction time is off by a
     relative error delta: integrate to T' = T*(1+delta), the horizon
-    1 + delta in units of T, with the nominal pulse parameters frozen."""
+    1 + delta in units of T, with the nominal pulse parameters frozen.
+
+    Every horizon ends the same run from |1>, so the sweep is one run
+    sampled at each.  With r = error_range, N = steps, the deltas' spacing
+    g = 2r/(points - 1), k = ceil(g N) and M = ceil((1 - r) N/k), the run
+    takes k M equal steps over [0, 1 - r] and (points - 1) k equal steps
+    over [1 - r, 1 + r]; no step is longer than 1/N, and sampled every k
+    steps, its last `points` samples are the sweep.  The kernel steps it
+    uniformly in the step count s, driven by t'(s) omega(t(s)), whose kink
+    at s = k M falls on a step's edge: the Magnus step sees a smooth drive
+    within every step, and the step check reads omega*dt.  A single
+    horizon, 1 - r (points = 1 or r = 0), is one run of N steps.
+    """
     if not 0 <= error_range <= 0.2:  # nan too
         raise InvalidParameters(f"timing error range must lie in [0, 0.2], "
                                 f"got {error_range}")
+    if steps < MIN_SCHRODINGER_STEPS:
+        raise InvalidParameters(f"need at least {MIN_SCHRODINGER_STEPS} "
+                                f"steps, got {steps}")
     deltas = np.linspace(-error_range, error_range, points)
-    p3 = _final_p3(evolve_schrodinger(pulses, 1 + deltas, steps))
+    start = 1 - error_range
+    if points < 2 or error_range == 0:
+        p3 = _final_p3(evolve_schrodinger(pulses, start, steps))
+        return [(float(d), float(p3[0])) for d in deltas]
+    gap = 2 * error_range / (points - 1)
+    k = math.ceil(gap * steps)
+    knot = k * math.ceil(start * steps / k)
+    total = knot + (points - 1) * k
+    clock = _TwoRateClock(pulses, knot, start / knot, gap / k)
+    states = evolve_schrodinger(clock, total, total, stride=k)
+    p3 = np.abs(states[0, -points:, 2]) ** 2
     return [(float(d), float(p)) for d, p in zip(deltas, p3)]
 
 
@@ -116,8 +162,9 @@ def decoherence_maps(pulses, modes, max_ratio=0.01, grid=21, amplitude=None,
         if mode not in _MAP_CHANNELS:
             raise InvalidParameters(f"mode must be relaxation or "
                                     f"dephasing, got {mode!r}")
-    if max_ratio > 0.05:
-        raise InvalidParameters("decoherence ratios limited to 5%")
+    if not 0 <= max_ratio <= 0.05:  # nan too
+        raise InvalidParameters(f"max_ratio must lie in [0, 0.05], "
+                                f"got {max_ratio}")
     if grid < 2:
         raise InvalidParameters("grid must have at least 2 points per axis")
     if amplitude is None:
@@ -185,8 +232,8 @@ def fit_protocol_pulses(protocol, n_components=None, samples=1001):
 def table_one(max_m=7, fit_budget=None):
     """Fitted pulse amplitude and intermediate-population ceiling per
     winding m = 1..max_m; like the pulses, every entry is dimensionless."""
-    if max_m > 10:
-        raise InvalidParameters("windings above 10 are not supported")
+    if not 1 <= max_m <= 10:
+        raise InvalidParameters(f"max_m must lie in 1..10, got {max_m}")
     rows = []
     for m in range(1, max_m + 1):
         p = design_sta(m)

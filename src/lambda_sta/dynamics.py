@@ -16,9 +16,11 @@ whatever the step count or batch size.  `propagate_schrodinger` and
 
 Pulses are duck-typed: the kernels read only `pulses.drive(t)`, the pair
 (omega1(t), omega2(t)), so a protocol or a PulsePair drives them alike.
-Time is in units of the interaction time T and rates in units of 1/T:
-every run integrates over [0, 1], but for the per-run horizons of
-`evolve_schrodinger` that a timing-error sweep needs.
+Time is in units of the interaction time T and rates in units of 1/T.
+The runs of a batch share one time grid over one horizon, [0, 1] but
+where a drive reparametrises time: the timing-error sweep is one run of
+`evolve_schrodinger` over a horizon counted in steps, its drive rescaled
+to the step count (see `analysis.timing_error_sweep`).
 
 Both kernels step in one frame.  G1, G2 and G3 span su(2) ([G1, G2] =
 i G3 and cyclic), and in the frame D = diag(1, i, 1), d = (1, i, 1),
@@ -59,9 +61,9 @@ and y by s2.  So each term of r takes a monomial of the scales:
          + s1 s2^3 uy y1 c/14400,
 
 in x, y, c, e, ux and uy of the unscaled drive.  The kernel evaluates the
-drive and builds these once per block on a time grid, one for all runs of
-one horizon, and each run adds its monomials: five products and sums per
-component, step and run.
+drive and builds these once per block on the time grid all runs share,
+and each run adds its monomials: five products and sums per component,
+step and run.
 In the frame U is the rotation by |r| about (-r2, -r3, r1): the unit
 quaternion
 
@@ -77,11 +79,11 @@ chunk and a prefix product over the chunks in log2(chunks) rounds (Hillis
 & Steele 1986; Blelloch 1990).  The block applies the products to its
 start states, and only the block results are chained in Python.  The
 rotations are unitary to machine precision, so the norm drift doubles as
-an integration diagnostic.  Two step counts are the defaults: runs
-sampled at their end only, the sweeps and curves, take 500 steps, where
-fig3 and fig4 agree with 8x finer runs to 7e-14; runs sampled at every
-step take 1000, one a row of the 1001 of a trajectory CSV, where fig2
-agrees to 3e-14.
+an integration diagnostic.  Two step counts are the defaults: the sweeps
+and curves, which keep a few samples of each run, take 500 steps (the
+timing sweep steps of at most 1/500), where fig3 and fig4 agree with 8x
+finer runs to 7e-14; runs sampled at every step take 1000, one a row of
+the 1001 of a trajectory CSV, where fig2 agrees to 3e-14.
 
 Open systems integrate the Lindblad master equation with classic
 fixed-step RK4 on the six entries of rho', where generators and
@@ -165,10 +167,10 @@ _MIX = np.array([[0, 1, 0],
                  [10 / 3, -20 / 3, 10 / 3]])
 # Bytes a Schrodinger block holds per step and run: the drive samples, the
 # Magnus exponents, the step rotations and their temporaries.  Tracemalloc
-# peaks of one-block runs of 1-16 runs grow by 98-256 B a step and run on
-# one shared time grid (the least at 16 runs, whose drive samples and
-# exponent terms are shared) and by 248-272 B on per-run grids (strides
-# from 1 step to end only), within the constant.
+# peaks of one-block runs of 1-16 runs grow by 98-256 B a step and run (the
+# least at 16 runs, which share the drive samples and exponent terms),
+# within the constant; lowering it would cut the blocks elsewhere and move
+# every sweep's roundoff.
 _STEP_BYTES = 304
 # Bytes a Lindblad propagator block holds per step and run: the factors U
 # and B/2, the propagators and their two scratch buffers, the temporaries
@@ -381,37 +383,31 @@ def evolve_schrodinger(pulses, horizon=1.0, steps=SCHRODINGER_END_STEPS,
                        scale1=1.0, scale2=1.0, stride=None):
     """Batched sixth-order Magnus propagation of the Schrodinger equation.
 
-    `horizon`, `scale1` and `scale2` broadcast to one batch axis: run b
-    integrates the pulses scaled by (scale1[b], scale2[b]) over
-    [0, horizon[b]] in `steps` steps on its own time grid.  Every run
-    starts from |1>.  Returns the states after steps 0, stride, 2*stride,
-    ... and `steps`, shape (batch, samples, 3); the default stride samples
-    the start and the end only.  A non-finite scale raises
-    InvalidParameters.
+    `scale1` and `scale2` broadcast to one batch axis: run b integrates
+    the pulses scaled by (scale1[b], scale2[b]) over [0, horizon] in
+    `steps` steps on the time grid all runs share.  Every run starts from
+    |1>.  Returns the states after steps 0, stride, 2*stride, ... and
+    `steps`, shape (batch, samples, 3); the default stride samples the
+    start and the end only.  A non-finite scale raises InvalidParameters.
     """
     if steps < MIN_SCHRODINGER_STEPS:
         raise InvalidParameters(f"need at least {MIN_SCHRODINGER_STEPS} "
                                 f"steps, got {steps}")
-    horizon, scale1, scale2 = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(horizon, dtype=float)), scale1, scale2)
+    scale1, scale2 = np.broadcast_arrays(np.atleast_1d(scale1), scale2)
     if not (np.all(np.isfinite(scale1)) and np.all(np.isfinite(scale2))):
         raise InvalidParameters("drive scales must be finite")
-    batch = len(horizon)
-    # runs of one horizon share one time grid: the drive and the
-    # exponent's terms are built once
-    dt = horizon / steps
-    grid = dt[:1] if np.all(dt == dt[:1]) else dt
+    batch = len(scale1)
+    dt = float(horizon) / steps
     # the products of the scales the exponent's terms take
     s11, s22, s12 = scale1 * scale1, scale2 * scale2, scale1 * scale2
     top1, top2 = np.max(s11, initial=0.0), np.max(s22, initial=0.0)
 
     def block(k0, k1, size, x):
         # unscaled drive at the three nodes of each step, times dt: the G1
-        # and G2 coordinates of the node generators, shape (2, 3, steps,
-        # len(grid))
-        t = (np.arange(k0, k1)[:, None] + _NODES[:, None, None]) * grid
+        # and G2 coordinates of the node generators, shape (2, 3, steps, 1)
+        t = (np.arange(k0, k1)[:, None] + _NODES[:, None, None]) * dt
         gen = np.array(_drive(pulses, t))
-        gen *= grid
+        gen *= dt
         # the largest Omega*dt by one square root (sqrt is monotone), over
         # every sample and run only where the drives' peaks, at the largest
         # scales, bound it above the limit

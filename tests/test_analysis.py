@@ -257,6 +257,10 @@ class TestDecoherenceMap:
             decoherence_maps(reference_pulses, ("relaxation",), max_ratio=0.2)
         with pytest.raises(ValueError):
             decoherence_maps(reference_pulses, ("relaxation",), grid=1)
+        # below 0 or nan, the ratio is named, not the rate it would make
+        for bad in (-0.01, math.nan):
+            with pytest.raises(InvalidParameters, match="ratio"):
+                decoherence_maps(reference_pulses, ("relaxation",), bad, 3)
 
 
 class TestTableOne:
@@ -279,8 +283,9 @@ class TestTableOne:
         assert all(a > b for a, b in zip(p2, p2[1:]))
 
     def test_max_m_cap(self):
-        with pytest.raises(ValueError):
-            table_one(11)
+        for bad in (11, 0, -1):
+            with pytest.raises(InvalidParameters, match="max_m"):
+                table_one(bad)
 
 
 def test_simulated_p2_max_matches_ceiling(sta_m1):
@@ -389,9 +394,15 @@ CALLER_INPUT = {
     "amplitude-which": lambda: amplitude_error_sweep(REFERENCE, 3),
     "map-mode": lambda: decoherence_maps(REFERENCE, ("thermal",)),
     "map-ratio": lambda: decoherence_maps(REFERENCE, ("relaxation",), 0.2),
+    "map-ratio-negative": lambda: decoherence_maps(REFERENCE, ("relaxation",),
+                                                   -0.01, 3),
+    "map-ratio-nan": lambda: decoherence_maps(REFERENCE, ("relaxation",),
+                                              math.nan, 3),
     "map-grid": lambda: decoherence_maps(REFERENCE, ("relaxation",),
                                          grid=1),
     "table-max-m": lambda: table_one(11),
+    "table-max-m-zero": lambda: table_one(0),
+    "timing-steps": lambda: timing_error_sweep(REFERENCE, 0.1, 3, steps=90),
     "fit-span": lambda: fit_gaussian_sum(
         (SPAN, np.exp(-(SPAN / 1e-300 - 0.5) ** 2)), 1),
     "fit-zero": lambda: fit_gaussian_sum((SPAN, np.zeros(200)), 1),

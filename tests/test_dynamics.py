@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lambda_sta import dynamics
+from lambda_sta.analysis import timing_error_sweep
 from lambda_sta.cli import main
 from lambda_sta.dynamics import (LindbladRates, PulsePair, StepTooCoarse,
                                  evolve_lindblad, evolve_schrodinger,
@@ -81,26 +83,29 @@ def test_step_matches_spectral_projector_form():
     assert np.abs(u - expected).max() < 1e-12
 
 
-def expm_magnus6_states(pulses, horizon, steps, scale1, scale2, stride):
+def expm_magnus6_states(pulses, edges, scale1, scale2, stride):
     """The sixth-order Magnus march (Blanes, Casas & Ros 2000) as a
     sequential product of scipy expm steps, in 3x3 matrices and their
-    commutators: with A_j = -i dt H(t_j) at the Gauss-Legendre nodes
-    t_j = t + (1/2 + (j - 2) sqrt(15)/10) dt, alpha1 = A_2, alpha2 =
-    sqrt(15)/3 (A_3 - A_1), alpha3 = 10/3 (A_3 - 2 A_2 + A_1), C1 =
-    [alpha1, alpha2] and C2 = -[alpha1, 2 alpha3 + C1]/60, a step is
+    commutators, over the steps between consecutive `edges`, which every
+    run shares: with A_j = -i dt H(t_j) at the Gauss-Legendre nodes
+    t_j = t + (1/2 + (j - 2) sqrt(15)/10) dt of a step [t, t + dt],
+    alpha1 = A_2, alpha2 = sqrt(15)/3 (A_3 - A_1), alpha3 = 10/3 (A_3 -
+    2 A_2 + A_1), C1 = [alpha1, alpha2] and C2 = -[alpha1, 2 alpha3 +
+    C1]/60, a step is
 
         exp(alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240);
 
-    shape (batch, samples, 3)."""
-    horizon, scale1, scale2 = np.broadcast_arrays(horizon, scale1, scale2)
-    dt = horizon / steps
+    sampled after every `stride` steps and the last, shape (batch,
+    samples, 3)."""
+    scale1, scale2 = np.broadcast_arrays(np.atleast_1d(scale1), scale2)
+    dt = np.diff(edges)[:, None]  # (steps, 1), against the batch axis
     r = 15 ** 0.5 / 10
-    t = (np.arange(steps)[:, None, None] + [[0.5 - r], [0.5], [0.5 + r]]) * dt
+    t = edges[:-1, None, None] + [[0.5 - r], [0.5], [0.5 + r]] * dt[:, None]
 
     def a(t):
         h = ((scale1 * pulses.omega1(t))[..., None, None] * G1
              + (scale2 * pulses.omega2(t))[..., None, None] * G2)
-        return -1j * dt[:, None, None] * h
+        return -1j * dt[..., None, None] * h
 
     def commutator(x, y):
         return x @ y - y @ x
@@ -113,12 +118,12 @@ def expm_magnus6_states(pulses, horizon, steps, scale1, scale2, stride):
     c2 = -commutator(alpha1, 2 * alpha3 + c1) / 60
     u = expm(alpha1 + alpha3 / 12
              + commutator(-20 * alpha1 - alpha3 + c1, alpha2 + c2) / 240)
-    psi = np.zeros((len(dt), 3, 1), dtype=complex)
+    psi = np.zeros((len(scale1), 3, 1), dtype=complex)
     psi[:, 0] = 1
     out = [psi]
-    for k in range(steps):
+    for k in range(len(dt)):
         psi = u[k] @ psi
-        if (k + 1) % stride == 0 or k + 1 == steps:
+        if (k + 1) % stride == 0 or k + 1 == len(dt):
             out.append(psi)
     return np.concatenate(out, axis=2).swapaxes(1, 2)
 
@@ -133,7 +138,7 @@ def expm_magnus6_states(pulses, horizon, steps, scale1, scale2, stride):
 ])
 def test_evolve_schrodinger_matches_expm_product(monkeypatch, steps, stride,
                                                  block_steps):
-    assert_three_runs_match_expm(monkeypatch, [0.9, 1, 1.2], [1, 0.95, 1.05],
+    assert_three_runs_match_expm(monkeypatch, 1.2, [1, 0.95, 1.05],
                                  [1.1, 1, 0.9], steps, stride, block_steps)
 
 
@@ -145,8 +150,8 @@ def assert_three_runs_match_expm(monkeypatch, horizon, scale1, scale2, steps,
     proto = design_sta(2)
     states = evolve_schrodinger(proto, horizon, steps, scale1, scale2,
                                 stride)
-    expected = expm_magnus6_states(proto, horizon, steps, scale1, scale2,
-                                   stride or steps)
+    expected = expm_magnus6_states(proto, np.linspace(0, horizon, steps + 1),
+                                   scale1, scale2, stride or steps)
     assert states.shape == expected.shape
     assert np.abs(states - expected).max() <= 1e-13
 
@@ -157,10 +162,62 @@ def assert_three_runs_match_expm(monkeypatch, horizon, scale1, scale2, steps,
 ])
 def test_shared_grid_matches_expm_product(monkeypatch, steps, stride,
                                           block_steps):
-    # one horizon, so the runs share one time grid and take the scales as
-    # monomials; scales far from 1 show a wrong power of either
+    # scales far from 1 show a wrong power of either monomial
     assert_three_runs_match_expm(monkeypatch, 1.0, [0.3, 1, 2.5], [2, 1, 0.4],
                                  steps, stride, block_steps)
+
+
+def timing_sweep_edges(error_range, points, steps):
+    """The step edges of timing_error_sweep's one run and its sampling
+    stride: k M equal steps over [0, 1 - r], then k equal steps between
+    neighbouring horizons 1 + delta_j, k = ceil(g steps) for the deltas'
+    spacing g and M = ceil((1 - r) steps/k); one horizon, 1 - r, is a
+    plain run of `steps` steps."""
+    start = 1 - error_range
+    if points < 2 or error_range == 0:
+        return np.linspace(0, start, steps + 1), steps
+    gap = 2 * error_range / (points - 1)
+    k = math.ceil(gap * steps)
+    knot = k * math.ceil(start * steps / k)
+    return np.concatenate((
+        np.linspace(0, start, knot + 1),
+        np.linspace(start, 1 + error_range, (points - 1) * k + 1)[1:])), k
+
+
+@pytest.mark.parametrize("error_range, points, steps", [
+    (0.1, 41, 500),    # fig4's sweep: k = 3
+    (0.2, 2, 500),     # two horizons: k = 200, M = 2
+    (0.1, 41, 100),    # k = 1: one step between horizons
+    (0.1, 1, 500),     # one horizon, 1 - r
+    (0.0, 5, 500),     # five times the horizon 1
+])
+def test_timing_sweep_matches_expm_product_on_its_edges(
+        reference_pulses, error_range, points, steps):
+    edges, stride = timing_sweep_edges(error_range, points, steps)
+    assert np.diff(edges).max() <= (1 + 1e-12) / steps
+    states = expm_magnus6_states(reference_pulses, edges, 1, 1, stride)[0]
+    data = timing_error_sweep(reference_pulses, error_range, points, steps)
+    deltas = np.linspace(-error_range, error_range, points)
+    assert [d for d, _ in data] == list(deltas)
+    # the horizons are the last `points` samples after the start, or the
+    # end alone
+    assert np.allclose(edges[::stride][1:][-points:], 1 + deltas, atol=1e-15)
+    expected = np.abs(states[1:, 2][-points:]) ** 2
+    assert np.abs([p for _, p in data] - expected).max() <= 1e-13
+
+
+def test_timing_sweep_refuses_a_coarse_step():
+    # fig4's grid takes steps of at most 1/500: a constant Omega of 510
+    # rotates the state by 1.02 rad a step and is refused, one of 490 by
+    # 0.98 rad and runs, though 500 steps to the horizon 1.1 would take
+    # 1.08 rad
+    def constant(omega):
+        return PulsePair(lambda t: np.full(np.shape(t), omega), np.zeros_like)
+
+    with pytest.raises(StepTooCoarse, match=r"^a step rotates the state by "
+                       r"1\.02 rad \(limit 1\); use more steps$"):
+        timing_error_sweep(constant(510.0), 0.1, 41, 500)
+    assert len(timing_error_sweep(constant(490.0), 0.1, 41, 500)) == 41
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -531,7 +588,8 @@ def test_block_holds_its_step_bytes(monkeypatch, kernel, stride, n):
         step_bytes = dynamics._STEP_BYTES
 
         def run(steps):
-            evolve_schrodinger(pulses, np.ones(n), steps, stride=stride)
+            evolve_schrodinger(pulses, 1.0, steps, np.ones(n),
+                               stride=stride)
     else:
         step_bytes = dynamics._RK4_STEP_BYTES
 
